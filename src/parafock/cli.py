@@ -2,8 +2,7 @@
 
 Output is JSON lines (CSV available as a flat projection).  Exit codes:
 0 = all checks pass, 1 = mathematical mismatch, 2 = usage or config error.
-Identical invocations produce byte-identical output; the only concurrency
-knob is the PARAFOCK_THREADS environment variable (per-weight Gram blocks).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import algebra, patterns, reduced, symfunc, verma
@@ -23,6 +21,10 @@ MAX_DEGREE = 12
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """Bad input from the command line or from an input file (exit 2)."""
 
 
 class Emitter:
@@ -58,18 +60,15 @@ class Emitter:
                 )
             text = buf.getvalue().rstrip("\n")
         if self.out_path:
-            with open(self.out_path, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(self.out_path, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot write --out {self.out_path}: {exc.strerror}"
+                ) from exc
         else:
             sys.stdout.write(text + "\n")
-
-
-def _threads() -> int:
-    raw = os.environ.get("PARAFOCK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fail_usage(message: str) -> int:
@@ -97,12 +96,13 @@ def _check_session(args, need_p=True) -> str | None:
     return None
 
 
-def _single_p(args) -> int:
+def _single_p(args) -> tuple[int, str | None]:
+    """(the order, or 1 when --p is absent; a usage error or None)."""
     if args.p is None:
-        return 1
+        return 1, None
     if len(args.p) != 1:
-        raise SystemExit(_fail_usage("this command takes a single --p value"))
-    return args.p[0]
+        return 0, "this command takes a single --p value"
+    return args.p[0], None
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +133,46 @@ def cmd_verify_algebra(args) -> int:
                       len(basis.diagonal_subalgebra_labels()),
                   "closed": basis.diagonal_subalgebra_closed()})
         if args.dump:
-            with open(args.dump, "w") as fh:
-                for label, mat in basis.elements:
-                    fh.write(json.dumps(
-                        {"label": list(label), "records": mat.to_records()},
-                        sort_keys=True) + "\n")
+            try:
+                with open(args.dump, "w") as fh:
+                    for label, mat in basis.elements:
+                        fh.write(json.dumps(
+                            {"label": list(label),
+                             "records": mat.to_records()},
+                            sort_keys=True) + "\n")
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot write --dump {args.dump}: {exc.strerror}"
+                ) from exc
     except ArithmeticError as exc:
         out.emit({"check": "structure_constants", "error": str(exc)})
         ok = False
     out.flush()
     return EXIT_OK if ok else EXIT_MISMATCH
+
+
+def _read_patterns(path: str, m: int, n: int) -> list:
+    """(rows, GZPattern) per non-blank line of a JSON-lines pattern file."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read --validate {path}: {exc.strerror}") \
+            from exc
+    out = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:  # json.JSONDecodeError is a ValueError
+            rows = json.loads(line)
+            if not (isinstance(rows, list) and all(
+                    isinstance(row, list)
+                    and all(type(x) is int for x in row) for row in rows)):
+                raise ValueError("expected an array of integer arrays")
+            out.append((rows, patterns.GZPattern.from_rows(m, n, rows)))
+        except ValueError as exc:
+            raise UsageError(f"{path}:{number}: {exc}") from exc
+    return out
 
 
 def cmd_dims(args) -> int:
@@ -153,17 +183,11 @@ def cmd_dims(args) -> int:
     out.emit(_meta(args, "dims", m=args.m, n=args.n, levels=args.levels))
     ok = True
     if args.validate:
-        with open(args.validate) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rows = json.loads(line)
-                pat = patterns.GZPattern.from_rows(args.m, args.n, rows)
-                fails = patterns.pattern_failures(pat)
-                ok &= not fails
-                out.emit({"pattern": rows, "valid": not fails,
-                          "failures": fails})
+        for rows, pat in _read_patterns(args.validate, args.m, args.n):
+            fails = patterns.pattern_failures(pat)
+            ok &= not fails
+            out.emit({"pattern": rows, "valid": not fails,
+                      "failures": fails})
         out.flush()
         return EXIT_OK if ok else EXIT_MISMATCH
     if args.p is not None and len(args.p) != 1:
@@ -191,10 +215,10 @@ def cmd_dims(args) -> int:
 
 
 def cmd_char(args) -> int:
-    err = _check_session(args)
+    p, err = _single_p(args)
+    err = _check_session(args) or err
     if err:
         return _fail_usage(err)
-    p = _single_p(args)
     out = Emitter(args.format, args.out)
     out.emit(_meta(args, "char", m=args.m, n=args.n, p=p, degree=args.degree))
     verma_ch = symfunc.verma_character(args.m, args.n, p, args.degree)
@@ -280,10 +304,10 @@ def cmd_verify_id2(args) -> int:
 
 
 def cmd_gk_table(args) -> int:
-    err = _check_session(args)
+    p, err = _single_p(args)
+    err = _check_session(args) or err
     if err:
         return _fail_usage(err)
-    p = _single_p(args)
     try:
         variant = (reduced.DEFAULT_VARIANT if args.variant == "auto"
                    else reduced.ParsingVariant.from_short(args.variant))
@@ -314,20 +338,18 @@ def cmd_gk_table(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    err = _check_session(args)
+    p, err = _single_p(args)
+    err = _check_session(args) or err
     if err:
         return _fail_usage(err)
-    p = _single_p(args)
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "gram", m=args.m, n=args.n, p=p, levels=args.levels,
-                   threads=_threads()))
+    out.emit(_meta(args, "gram", m=args.m, n=args.n, p=p, levels=args.levels))
     ch = symfunc.irreducible_character(args.m, args.n, p, args.levels)
     char_mult = {
         ch.doubled_weight(expo): mult for expo, mult in ch.coeffs.items()
     }
     ok = True
-    blocks = verma.collect_gram_blocks(args.m, args.n, p, args.levels,
-                                       threads=_threads())
+    blocks = verma.collect_gram_blocks(args.m, args.n, p, args.levels)
     for blk in blocks:
         expected = char_mult.get(blk.weight, 0)
         match = blk.rank == expected
@@ -337,11 +359,11 @@ def cmd_gram(args) -> int:
                   "psd": blk.psd, "char_multiplicity": expected,
                   "match": match})
     if args.n >= 1:
-        rep = verma.diagonal_check(args.m, args.n, p, args.levels)
+        rep = verma.diagonal_check(args.m, args.n, p, args.levels, blocks)
         ok &= rep["ok"]
         out.emit({"check": "diagonal_action", "checked": rep["checked"],
                   "failures": len(rep["failures"]), "ok": rep["ok"]})
-    rep = verma.radical_cut_check(args.m, args.n, p, args.levels)
+    rep = verma.radical_cut_check(args.m, args.n, p, args.levels, blocks)
     ok &= rep["ok"]
     out.emit({"check": "radical_cut", "ok": rep["ok"],
               "cut_expected": rep["cut_expected"],
@@ -351,15 +373,14 @@ def cmd_gram(args) -> int:
 
 
 def cmd_matelems(args) -> int:
-    err = _check_session(args)
+    p, err = _single_p(args)
+    err = _check_session(args) or err
     if err:
         return _fail_usage(err)
-    p = _single_p(args)
     out = Emitter(args.format, args.out)
     out.emit(_meta(args, "matelems", m=args.m, n=args.n, p=p,
                    levels=args.levels))
-    engine = verma.get_engine(args.m, args.n)
-    r = args.m + args.n
+    code = EXIT_OK
     for level in range(args.levels + 1):
         for content in verma.level_contents(args.m, args.n, level):
             blk = verma.gram_block_for_content(args.m, args.n, p, content)
@@ -371,23 +392,17 @@ def cmd_matelems(args) -> int:
                           "norm_sq_num": norm.numerator,
                           "norm_sq_den": norm.denominator})
             if args.n >= 1:
-                kept, norms = verma._orthogonalize(blk)
-                values = []
-                for u, nu in zip(kept, norms):
-                    vec = {mo: c for mo, c in zip(blk.basis, u) if c}
-                    image = engine.act(("bb", r, r, "-", "+"), vec, p)
-                    w = [image.get(mo, 0) for mo in blk.basis]
-                    num = sum(
-                        u[i] * sum(blk.matrix[i][j] * w[j]
-                                   for j in range(blk.size))
-                        for i in range(blk.size))
-                    values.append(num / nu)
+                try:
+                    values = verma.diagonal_values(blk)
+                except ArithmeticError as exc:
+                    out.emit({"weight": list(blk.weight), "error": str(exc)})
+                    code = EXIT_MISMATCH
+                    continue
                 out.emit({"weight": list(blk.weight),
                           "diagonal_values":
-                              [[v.numerator, v.denominator]
-                               for v in sorted(values)]})
+                              [[v.numerator, v.denominator] for v in values]})
     out.flush()
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +486,10 @@ def _p_list(text: str):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -29,23 +29,27 @@ from .symfunc import hook_partitions
 # ---------------------------------------------------------------------------
 
 class PPoly:
-    """Univariate polynomial in the module order p, with Fraction coefficients."""
+    """Univariate polynomial in the module order p, with integer coefficients.
+
+    Gram entries and action images lie in Z[p]: the rewriting rules only
+    multiply by +-1, +-2 and p.  Values at an order are exact Fractions.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = list(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def const(cls, c):
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def variable(cls):
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
 
     def is_zero(self):
         return not self.coeffs
@@ -69,13 +73,13 @@ class PPoly:
         if isinstance(other, PPoly):
             if self.is_zero() or other.is_zero():
                 return PPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a:
                     for j, b in enumerate(other.coeffs):
                         out[i + j] += a * b
             return PPoly(out)
-        return PPoly(tuple(Fraction(other) * c for c in self.coeffs))
+        return PPoly(tuple(other * c for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -88,11 +92,13 @@ class PPoly:
         return hash(self.coeffs)
 
     def evaluate(self, p) -> Fraction:
+        """Exact value at p: Horner on the numerator, one division at the end."""
         p = Fraction(p)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+        num, den = p.numerator, p.denominator
+        acc = 0
+        for k, c in enumerate(reversed(self.coeffs)):
+            acc = acc * num + c * den ** k
+        return Fraction(acc, den ** max(len(self.coeffs) - 1, 0))
 
     def __repr__(self):
         if self.is_zero():
@@ -204,7 +210,14 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
 # ---------------------------------------------------------------------------
 
 class VermaEngine:
-    """All (m, n)-dependent caches for one algebra; immutable inputs, pure methods."""
+    """The p-independent caches of one algebra (m, n), shared by every order.
+
+    Reduced operator words, straightened creation words, Gram entries and
+    action images are kept as polynomials in p, and the PBW basis is kept
+    grouped by content, per level.  The caches are unbounded and never
+    evicted: they grow with the levels and monomials asked for, and
+    get_engine keeps one engine per (m, n) for the life of the process.
+    """
 
     def __init__(self, m: int, n: int):
         self.m = m
@@ -215,9 +228,23 @@ class VermaEngine:
         self._reduce_cache: dict[tuple, dict] = {}
         self._straighten_cache: dict[tuple, dict] = {}
         self._pair_cache: dict[tuple, PPoly] = {}
+        self._image_cache: dict[tuple, dict] = {}
+        self._level_cache: dict[int, dict] = {}
 
     def parity(self, a: int) -> int:
         return 0 if a <= self.m else 1
+
+    def level_basis(self, level: int) -> dict:
+        """Content -> tuple of the PBW monomials of that content, in canonical
+        order; pbw_basis runs once per level."""
+        groups = self._level_cache.get(level)
+        if groups is None:
+            grouped: dict[tuple, list] = {}
+            for mono in pbw_basis(self.m, self.n, level):
+                grouped.setdefault(mono.content(self.m, self.n), []).append(mono)
+            groups = {c: tuple(monos) for c, monos in grouped.items()}
+            self._level_cache[level] = groups
+        return groups
 
     # -- reduction of mixed operator words to creation words ---------------
 
@@ -392,24 +419,46 @@ class VermaEngine:
 
     # -- generator action -----------------------------------------------------
 
-    def _label_opwords(self, label, half=Fraction(1, 2)):
+    def _label_opwords(self, label):
+        """(scalar, [(integer coefficient, operator word)]) of a basis element."""
         if label[0] == "c":
             _, a, s = label
-            return [(Fraction(1), (("+", a),) if s == "+" else (("-", a),))]
+            return 1, [(1, (("+", a),) if s == "+" else (("-", a),))]
         if label[0] == "h":
             _, k = label
             sgn = -1 if self.parity(k) else 1
-            return [
-                (half, (("+", k), ("-", k))),
-                (Fraction(-sgn) * half, (("-", k), ("+", k))),
+            return Fraction(1, 2), [
+                (1, (("+", k), ("-", k))),
+                (-sgn, (("-", k), ("+", k))),
             ]
         if label[0] == "bb":
             _, a, b, s1, s2 = label
             opa = ("+", a) if s1 == "+" else ("-", a)
             opb = ("+", b) if s2 == "+" else ("-", b)
             sgn = -1 if (self.parity(a) * self.parity(b)) % 2 else 1
-            return [(Fraction(1), (opa, opb)), (Fraction(-sgn), (opb, opa))]
+            return 1, [(1, (opa, opb)), (-sgn, (opb, opa))]
         raise ValueError(f"unknown algebra element {label!r}")
+
+    def _action_image(self, label, mono: PBWMonomial) -> dict:
+        """{monomial: PPoly}: the label's operator words applied to one
+        monomial, before the label's scalar; cached per (label, monomial)."""
+        key = (label, mono)
+        cached = self._image_cache.get(key)
+        if cached is not None:
+            return cached
+        _, opwords = self._label_opwords(label)
+        out: dict[PBWMonomial, PPoly] = {}
+        for mc, mw in self.monomial_words(mono):
+            tail = tuple(("+", a) for a in mw)
+            for oc, ops in opwords:
+                for word, poly in self.reduce_word(ops + tail).items():
+                    for mono2, c2 in self.straighten(word).items():
+                        val = (mc * oc * c2) * poly
+                        prev = out.get(mono2)
+                        out[mono2] = val if prev is None else prev + val
+        out = {k: v for k, v in out.items() if not v.is_zero()}
+        self._image_cache[key] = out
+        return out
 
     def act(self, label, vector: dict, p) -> dict:
         """Left action of a basis element on a module vector, order p.
@@ -418,25 +467,13 @@ class VermaEngine:
         ('h', k) or ('bb', j, k, sign, sign) as in the algebra basis.
         """
         p = Fraction(p)
+        scalar, _ = self._label_opwords(label)
         out: dict[PBWMonomial, Fraction] = {}
-        opwords = self._label_opwords(label)
         for mono, coeff in vector.items():
-            coeff = Fraction(coeff)
-            for mc, mw in self.monomial_words(mono):
-                tail = tuple(("+", a) for a in mw)
-                for oc, ops in opwords:
-                    for word, poly in self.reduce_word(ops + tail).items():
-                        val = poly.evaluate(p)
-                        if not val:
-                            continue
-                        scale = coeff * mc * oc * val
-                        for mono2, c2 in self.straighten(word).items():
-                            cur = out.get(mono2, Fraction(0)) + scale * c2
-                            if cur:
-                                out[mono2] = cur
-                            else:
-                                out.pop(mono2, None)
-        return out
+            coeff = scalar * Fraction(coeff)
+            for mono2, poly in self._action_image(label, mono).items():
+                out[mono2] = out.get(mono2, 0) + coeff * poly.evaluate(p)
+        return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -473,15 +510,12 @@ class GramBlock:
 
 
 def level_contents(m: int, n: int, level: int) -> list[tuple[int, ...]]:
-    seen = {}
-    for mono in pbw_basis(m, n, level):
-        seen.setdefault(mono.content(m, n), []).append(mono)
-    return sorted(seen)
+    return sorted(get_engine(m, n).level_basis(level))
 
 
 def basis_for_content(m: int, n: int, content) -> list[PBWMonomial]:
-    level = sum(content)
-    return [mo for mo in pbw_basis(m, n, level) if mo.content(m, n) == tuple(content)]
+    groups = get_engine(m, n).level_basis(sum(content))
+    return list(groups.get(tuple(content), ()))
 
 
 def doubled_weight_of_content(content, m: int, n: int, p: int) -> tuple[int, ...]:
@@ -536,27 +570,20 @@ def irreducible_dims(m: int, n: int, p: int, level_max: int) -> dict:
     }
 
 
-def _gram_task(args) -> GramBlock:
-    m, n, p, content = args
-    return gram_block_for_content(m, n, p, content)
+def collect_gram_blocks(m: int, n: int, p: int, level_max: int) -> list[GramBlock]:
+    """All blocks up to level_max in canonical order (level, then content)."""
+    return list(gram_blocks_up_to(m, n, p, level_max))
 
 
-def collect_gram_blocks(m: int, n: int, p: int, level_max: int,
-                        threads: int = 1) -> list[GramBlock]:
-    """All blocks up to level_max, optionally computed in worker processes.
-
-    Blocks of distinct weights are independent; output order is canonical
-    (level, then content) regardless of scheduling.
-    """
-    tasks = [(m, n, p, content)
-             for level in range(level_max + 1)
-             for content in level_contents(m, n, level)]
-    if threads <= 1 or len(tasks) < 2:
-        return [_gram_task(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_gram_task, tasks))
+def _blocks_by_level(m: int, n: int, p: int, level_max: int,
+                     blocks: list[GramBlock] | None) -> dict[int, list[GramBlock]]:
+    """Level -> the given blocks, or freshly built ones when blocks is None."""
+    if blocks is None:
+        blocks = collect_gram_blocks(m, n, p, level_max)
+    by_level: dict[int, list[GramBlock]] = {}
+    for blk in blocks:
+        by_level.setdefault(sum(blk.content), []).append(blk)
+    return by_level
 
 
 def verma_dims(m: int, n: int, level_max: int) -> dict[int, int]:
@@ -593,19 +620,47 @@ def _orthogonalize(block: GramBlock):
     return kept, norms
 
 
-def diagonal_check(m: int, n: int, p: int, level_max: int) -> dict:
+def diagonal_values(block: GramBlock) -> list[Fraction]:
+    """Sorted values of the last generator pair's anticommutator on an
+    orthogonal basis of the block's non-radical part, at the block's order.
+
+    Raises ArithmeticError if the action leaves the block's weight space.
+    """
+    r = block.m + block.n
+    label = ("bb", r, r, "-", "+")
+    engine = get_engine(block.m, block.n)
+    basis_set = set(block.basis)
+    kept, norms = _orthogonalize(block)
+    values = []
+    for u, nu in zip(kept, norms):
+        vec = {mono: c for mono, c in zip(block.basis, u) if c}
+        image = engine.act(label, vec, block.p)
+        if any(mono not in basis_set for mono in image):
+            raise ArithmeticError(
+                f"the action left the weight space {list(block.weight)}")
+        w = [image.get(mono, Fraction(0)) for mono in block.basis]
+        num = sum(
+            u[i] * sum(block.matrix[i][j] * w[j] for j in range(block.size))
+            for i in range(block.size)
+        )
+        values.append(num / nu)
+    return sorted(values)
+
+
+def diagonal_check(m: int, n: int, p: int, level_max: int,
+                   blocks: list[GramBlock] | None = None) -> dict:
     """Diagonal action of the last generator pair versus the pattern labels.
 
     For an orthogonal basis of every non-radical block, the value of the
     anticommutator of the last lowering/raising pair on a unit vector must
     reproduce p + 2*(top row sum - second row sum) of the matching patterns,
-    as a multiset per weight.
+    as a multiset per weight.  `blocks` are those of collect_gram_blocks(m,
+    n, p, level_max), built here when not given.
     """
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")
-    engine = get_engine(m, n)
+    by_level = _blocks_by_level(m, n, p, level_max, blocks)
     r = m + n
-    label = ("bb", r, r, "-", "+")
     failures = []
     checked = 0
     for level in range(level_max + 1):
@@ -615,53 +670,42 @@ def diagonal_check(m: int, n: int, p: int, level_max: int) -> dict:
                 w = gz.pattern_weight(pat, p)
                 val = p + 2 * (sum(pat.row(r)) - (sum(pat.row(r - 1)) if r > 1 else 0))
                 expected_by_weight.setdefault(w, []).append(Fraction(val))
-        for content in level_contents(m, n, level):
-            blk = gram_block_for_content(m, n, p, content)
-            basis_set = set(blk.basis)
-            kept, norms = _orthogonalize(blk)
-            values = []
-            for u, nu in zip(kept, norms):
-                vec = {mono: c for mono, c in zip(blk.basis, u) if c}
-                image = engine.act(label, vec, p)
-                if any(mono not in basis_set for mono in image):
-                    failures.append({"weight": list(blk.weight),
-                                     "error": "action left the weight space"})
-                    continue
-                w = [image.get(mono, Fraction(0)) for mono in blk.basis]
-                num = sum(
-                    u[i] * sum(blk.matrix[i][j] * w[j] for j in range(blk.size))
-                    for i in range(blk.size)
-                )
-                values.append(num / nu)
+        for blk in by_level.get(level, ()):
+            try:
+                values = diagonal_values(blk)
+            except ArithmeticError as exc:
+                failures.append({"weight": list(blk.weight), "error": str(exc)})
+                continue
             expected = sorted(expected_by_weight.get(blk.weight, []))
             checked += len(values)
-            if sorted(values) != expected:
+            if values != expected:
                 failures.append({
                     "weight": list(blk.weight),
-                    "got": [str(v) for v in sorted(values)],
+                    "got": [str(v) for v in values],
                     "expected": [str(v) for v in expected],
                 })
     return {"m": m, "n": n, "p": p, "level_max": level_max,
             "checked": checked, "failures": failures, "ok": not failures}
 
 
-def radical_cut_check(m: int, n: int, p: int, level_max: int) -> dict:
+def radical_cut_check(m: int, n: int, p: int, level_max: int,
+                      blocks: list[GramBlock] | None = None) -> dict:
     """Ranks match the width-capped pattern counts; the cap is sharp.
 
     Verifies per weight that the Gram rank equals the number of patterns with
     top-row width <= p, and that admitting width p+1 strictly overcounts at
     some weight of some level (whenever such patterns exist in range).
+    `blocks` are those of collect_gram_blocks(m, n, p, level_max), built here
+    when not given.
     """
+    by_level = _blocks_by_level(m, n, p, level_max, blocks)
     failures = []
     witness = None
     saw_wide = False
     for level in range(level_max + 1):
         capped = gz.weight_pattern_counts(m, n, p, level, cap=True)
         wide = gz.weight_pattern_counts(m, n, p, level, width=p + 1)
-        ranks = {}
-        for content in level_contents(m, n, level):
-            blk = gram_block_for_content(m, n, p, content)
-            ranks[blk.weight] = blk.rank
+        ranks = {blk.weight: blk.rank for blk in by_level.get(level, ())}
         for w, rank in ranks.items():
             if rank != capped.get(w, 0):
                 failures.append({"level": level, "weight": list(w),

@@ -1,18 +1,25 @@
 """End-to-end CLI checks: exit codes, record shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import parafock
 from parafock.cli import main
+
+# the child imports the same package as the test process
+SRC = str(Path(parafock.__file__).resolve().parent.parent)
 
 
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "parafock.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -164,21 +171,6 @@ def test_determinism_byte_identical():
     assert out1 == out2
 
 
-def test_thread_count_does_not_change_output():
-    import os
-
-    env = dict(os.environ)
-    args = [sys.executable, "-m", "parafock.cli", "gram", "--m", "1", "--n",
-            "1", "--p", "1", "--levels", "3"]
-    env["PARAFOCK_THREADS"] = "1"
-    one = subprocess.run(args, capture_output=True, text=True, env=env)
-    env["PARAFOCK_THREADS"] = "2"
-    two = subprocess.run(args, capture_output=True, text=True, env=env)
-    assert one.returncode == two.returncode == 0
-    # the meta record echoes the thread count; the payload must be identical
-    assert one.stdout.splitlines()[1:] == two.stdout.splitlines()[1:]
-
-
 def test_csv_projection():
     code, out, _ = run_cli("gk-table", "--m", "1", "--n", "1", "--p", "1",
                            "--levels", "1", "--format", "csv")
@@ -194,6 +186,49 @@ def test_out_file(tmp_path):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().count("\n") >= 3
+
+
+@pytest.mark.parametrize("option", ["--out", "--dump"])
+def test_unwritable_output_path_is_usage_error(tmp_path, option):
+    target = tmp_path / "missing" / "out.jsonl"
+    code, out, err = run_cli("verify-algebra", "--m", "1", "--n", "1",
+                             option, str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_validate_malformed_line_is_usage_error(tmp_path):
+    fixture = tmp_path / "patterns.jsonl"
+    fixture.write_text('[[1,1],[1]]\n[[0,1],[0]\n')
+    code, out, err = run_cli("dims", "--m", "1", "--n", "1",
+                             "--validate", str(fixture))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and ":2:" in err
+    assert "Traceback" not in err
+
+
+def test_several_orders_are_a_returned_usage_error(capsys):
+    for command in ("char", "gk-table", "gram", "matelems"):
+        assert main([command, "--m", "1", "--n", "1", "--p", "1,2"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_gram_builds_each_block_once(monkeypatch, capsys):
+    from parafock import verma
+
+    real = verma.gram_block_for_content
+    built = []
+
+    def counting(m, n, p, content, *args, **kwargs):
+        built.append(tuple(content))
+        return real(m, n, p, content, *args, **kwargs)
+
+    monkeypatch.setattr(verma, "gram_block_for_content", counting)
+    assert main(["gram", "--m", "1", "--n", "1", "--p", "2",
+                 "--levels", "3"]) == 0
+    capsys.readouterr()
+    assert len(built) == len(set(built)) \
+        == sum(len(verma.level_contents(1, 1, lv)) for lv in range(4))
 
 
 def test_dump_basis(tmp_path):

@@ -283,8 +283,87 @@ def test_radical_cut_check():
     assert rep["ok"] and rep["cut_witness"]["level"] == 3
 
 
-def test_collect_gram_blocks_parallel_matches_serial():
-    serial = vm.collect_gram_blocks(1, 1, 2, 3, threads=1)
-    parallel = vm.collect_gram_blocks(1, 1, 2, 3, threads=2)
-    assert [(b.weight, b.rank, b.psd) for b in serial] \
-        == [(b.weight, b.rank, b.psd) for b in parallel]
+@pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
+def test_pair_polynomials_have_integer_coefficients(m, n):
+    eng = vm.get_engine(m, n)
+    for level in range(5):
+        basis = vm.pbw_basis(m, n, level)
+        for a in basis:
+            for b in basis:
+                assert all(type(c) is int for c in eng.pair_poly(a, b).coeffs)
+
+
+def test_ppoly_evaluates_exactly_at_fractions():
+    poly = vm.PPoly([3, -2, 5])
+    for p in (0, 2, -3, Fraction(1, 3), Fraction(-7, 4)):
+        assert poly.evaluate(p) == 3 - 2 * Fraction(p) + 5 * Fraction(p) ** 2
+    assert vm.PPoly().evaluate(Fraction(1, 3)) == 0
+
+
+def reference_act(eng, label, vector, p):
+    """Word-by-word action: expand every monomial into creation words, prepend
+    the label's operator words, reduce, evaluate at p and straighten."""
+    par = eng.parity
+    if label[0] == "c":
+        words = [(Fraction(1), ((label[2], label[1]),))]
+    elif label[0] == "h":
+        k = label[1]
+        words = [(Fraction(1, 2), (("+", k), ("-", k))),
+                 (Fraction(1 if par(k) else -1, 2), (("-", k), ("+", k)))]
+    else:
+        _, a, b, s1, s2 = label
+        sgn = -1 if par(a) * par(b) else 1
+        words = [(Fraction(1), ((s1, a), (s2, b))),
+                 (Fraction(-sgn), ((s2, b), (s1, a)))]
+    out: dict = {}
+    for mono, coeff in vector.items():
+        for mc, mw in eng.monomial_words(mono):
+            tail = tuple(("+", a) for a in mw)
+            for oc, ops in words:
+                for word, poly in eng.reduce_word(ops + tail).items():
+                    scale = coeff * mc * oc * poly.evaluate(p)
+                    for mono2, c2 in eng.straighten(word).items():
+                        out[mono2] = out.get(mono2, 0) + scale * c2
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_act_matches_word_by_word_reference(m, n):
+    from parafock import algebra as alg
+
+    r = m + n
+    labels = alg.basis_labels(m, n) + [("h", k) for k in range(1, r + 1)] \
+        + [("bb", r, r, "-", "+")]
+    eng = vm.get_engine(m, n)
+    monos = [mo for level in range(4) for mo in vm.pbw_basis(m, n, level)]
+    for p in (1, 2, 3, Fraction(1, 3)):
+        for label in labels:
+            for mono in monos:
+                v = {mono: Fraction(1)}
+                assert eng.act(label, v, p) == reference_act(eng, label, v, p), \
+                    (label, mono, p)
+
+
+def test_level_basis_enumerates_once_and_hands_out_fresh_lists(monkeypatch):
+    real = vm.pbw_basis
+    calls = []
+
+    def counting(m, n, level):
+        calls.append((m, n, level))
+        return real(m, n, level)
+
+    eng = vm.VermaEngine(2, 1)
+    monkeypatch.setattr(vm, "pbw_basis", counting)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    contents = vm.level_contents(2, 1, 3)
+    bases = [vm.basis_for_content(2, 1, c) for c in contents]
+    assert calls == [(2, 1, 3)]
+    full = real(2, 1, 3)
+    for c, basis in zip(contents, bases):
+        assert basis == [mo for mo in full if mo.content(2, 1) == c]
+    first = contents[0]
+    contents.clear()
+    bases[0].clear()
+    assert vm.level_contents(2, 1, 3)[0] == first
+    assert vm.basis_for_content(2, 1, first)
+    assert calls == [(2, 1, 3)]
