@@ -76,10 +76,8 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _meta(args, command: str, **extra) -> dict:
-    meta = {"meta": command, "schema_version": 1, "seed": args.seed}
-    meta.update(extra)
-    return meta
+def _meta(command: str, **extra) -> dict:
+    return {"meta": command, "schema_version": 1, **extra}
 
 
 def _check_session(args, need_p=True) -> str | None:
@@ -114,7 +112,7 @@ def cmd_verify_algebra(args) -> int:
     if err:
         return _fail_usage(err)
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "verify-algebra", m=args.m, n=args.n))
+    out.emit(_meta("verify-algebra", m=args.m, n=args.n))
     ok = True
     rep = algebra.verify_triple_relations(args.m, args.n)
     ok &= not rep["failures"]
@@ -180,7 +178,7 @@ def cmd_dims(args) -> int:
     if err:
         return _fail_usage(err)
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "dims", m=args.m, n=args.n, levels=args.levels))
+    out.emit(_meta("dims", m=args.m, n=args.n, levels=args.levels))
     ok = True
     if args.validate:
         for rows, pat in _read_patterns(args.validate, args.m, args.n):
@@ -220,7 +218,7 @@ def cmd_char(args) -> int:
     if err:
         return _fail_usage(err)
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "char", m=args.m, n=args.n, p=p, degree=args.degree))
+    out.emit(_meta("char", m=args.m, n=args.n, p=p, degree=args.degree))
     verma_ch = symfunc.verma_character(args.m, args.n, p, args.degree)
     irr = symfunc.irreducible_character(args.m, args.n, p, args.degree)
     for series, ch in (("verma", verma_ch), ("irreducible", irr)):
@@ -260,10 +258,12 @@ def cmd_verify_id2(args) -> int:
             return _fail_usage("--domains expects 'm,n;m,n;...'")
     else:
         domains = [(args.m, args.n)]
-    if any(n < 1 for _, n in domains):
-        return _fail_usage("the recurrence needs n >= 1 in every domain")
+    if any(m < 0 or n < 1 for m, n in domains):
+        return _fail_usage(
+            "every domain needs m >= 0 and n >= 1 (the recurrence needs a "
+            "bosonic slot)")
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "verify-id2", domains=[list(d) for d in domains],
+    out.emit(_meta("verify-id2", domains=[list(d) for d in domains],
                    p=p_values, levels=args.levels))
     if args.variant != "auto":
         try:
@@ -314,7 +314,7 @@ def cmd_gk_table(args) -> int:
     except (KeyError, ValueError):
         return _fail_usage(f"unknown variant {args.variant!r}")
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "gk-table", m=args.m, n=args.n, p=p,
+    out.emit(_meta("gk-table", m=args.m, n=args.n, p=p,
                    levels=args.levels, variant=variant.short()))
     code = EXIT_OK
     for level in range(args.levels + 1):
@@ -343,7 +343,7 @@ def cmd_gram(args) -> int:
     if err:
         return _fail_usage(err)
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "gram", m=args.m, n=args.n, p=p, levels=args.levels))
+    out.emit(_meta("gram", m=args.m, n=args.n, p=p, levels=args.levels))
     ch = symfunc.irreducible_character(args.m, args.n, p, args.levels)
     char_mult = {
         ch.doubled_weight(expo): mult for expo, mult in ch.coeffs.items()
@@ -378,7 +378,7 @@ def cmd_matelems(args) -> int:
     if err:
         return _fail_usage(err)
     out = Emitter(args.format, args.out)
-    out.emit(_meta(args, "matelems", m=args.m, n=args.n, p=p,
+    out.emit(_meta("matelems", m=args.m, n=args.n, p=p,
                    levels=args.levels))
     code = EXIT_OK
     for level in range(args.levels + 1):
@@ -430,10 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--variant", default="auto",
                             help="auto or eo:zero:tail, e.g. mult:cancel:boson")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="echoed in the meta record; reserved for "
-                             "randomized sweeps (current commands are "
-                             "exhaustive)")
         sp.add_argument("--out", default=None, help="write output to a file")
 
     sp = sub.add_parser("verify-algebra",

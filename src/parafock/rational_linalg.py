@@ -1,7 +1,10 @@
 """Exact rational linear algebra: elimination, solving, symmetric rank/PSD.
 
-Everything works over Fraction; no floating point anywhere.  Matrices are
-small (desk scale), so clarity wins over asymptotics.
+Everything works over Fraction; no floating point anywhere.  The column
+solver works on sparse dicts: the structure-constant columns each have a
+private support coordinate, so elimination stays as sparse as its input,
+and every step is an exact Fraction operation, so skipping the zeros changes
+no result.  The other routines are dense; their matrices are desk scale.
 """
 
 from __future__ import annotations
@@ -53,54 +56,63 @@ def kernel_basis(rows):
     return basis
 
 
+_ZERO = Fraction(0)
+
+
 def build_column_solver(columns, keys):
     """Factor once, solve A x = v many times, where column j of A is columns[j].
 
     columns: list of {key: Fraction} sparse vectors over the index set keys.
-    Returns solve(vec_dict) -> list of coefficients, or None if inconsistent.
-    Requires the columns to be linearly independent (checked).
+    Returns solve(vec_dict) -> list of Fraction coefficients, or None if vec
+    is not in the span.  Requires the columns to be linearly independent
+    (checked: a column that reduces to zero raises ValueError).
+
+    Each column is reduced against the earlier reduced columns and stored as
+    (pivot key, reduced column scaled to 1 at the pivot, its expansion in
+    the original columns); a reduced column vanishes at every earlier pivot.
+    solve() reduces vec in the same order and sums the expansions.
     """
-    keys = list(keys)
     pos = {k: i for i, k in enumerate(keys)}
-    nrows, ncols = len(keys), len(columns)
-    a = [[Fraction(0)] * ncols for _ in range(nrows)]
+    reduced = []
     for j, col in enumerate(columns):
-        for k, val in col.items():
-            a[pos[k]][j] = Fraction(val)
-    # eliminate, recording the row transform T with T A = E
-    t = [[Fraction(1 if i == j else 0) for j in range(nrows)] for i in range(nrows)]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
+        r = {k: Fraction(v) for k, v in col.items() if v}
+        e = {j: Fraction(1)}
+        for pivot, rr, ee in reduced:
+            f = r.get(pivot)
+            if f:
+                _axpy(r, -f, rr)
+                _axpy(e, -f, ee)
+        if not r:
             raise ValueError("columns are linearly dependent")
-        a[r], a[pr] = a[pr], a[r]
-        t[r], t[pr] = t[pr], t[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        t[r] = [x / pv for x in t[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
-        pivots.append(c)
-        r += 1
+        pivot = min(r, key=pos.__getitem__)
+        pv = r[pivot]
+        reduced.append((pivot, {k: v / pv for k, v in r.items()},
+                        {i: v / pv for i, v in e.items()}))
+    ncols = len(columns)
 
     def solve(vec):
-        w = []
-        for i in range(nrows):
-            s = Fraction(0)
-            for k, val in vec.items():
-                s += t[i][pos[k]] * val
-            w.append(s)
-        coeffs = w[:ncols]
-        if any(x != 0 for x in w[ncols:]):
+        v = {k: c for k, c in vec.items() if c}
+        x = {}
+        for pivot, rr, ee in reduced:
+            f = v.get(pivot)
+            if f:
+                _axpy(v, -f, rr)
+                _axpy(x, f, ee)
+        if v:
             return None
-        return coeffs
+        return [x.get(j, _ZERO) for j in range(ncols)]
 
     return solve
+
+
+def _axpy(y: dict, a, x: dict) -> None:
+    """y += a*x on sparse dicts, dropping entries that cancel to zero."""
+    for k, v in x.items():
+        s = y.get(k, 0) + a * v
+        if s:
+            y[k] = s
+        else:
+            del y[k]
 
 
 def symmetric_rank_psd(gram):

@@ -9,6 +9,7 @@ determinants, no division).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -376,13 +377,15 @@ class TruncatedCharacter:
         coeffs: dict[tuple[int, ...], int] = {}
         cap = self.cap
         small, big = sorted((self.coeffs, other.coeffs), key=len)
-        for e1, c1 in small.items():
-            d1 = sum(e1)
-            for e2, c2 in big.items():
-                if d1 + sum(e2) > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[key] = coeffs.get(key, 0) + c1 * c2
+        big_by_degree = _by_degree(big, cap)
+        for d1, terms in enumerate(_by_degree(small, cap)):
+            # the terms of big whose degree keeps the product within cap
+            fits = list(itertools.chain.from_iterable(
+                big_by_degree[:cap + 1 - d1]))
+            for e1, c1 in terms:
+                for e2, c2 in fits:
+                    key = tuple(map(operator.add, e1, e2))
+                    coeffs[key] = coeffs.get(key, 0) + c1 * c2
         return TruncatedCharacter(self.m, self.n, cap, coeffs, offset)
 
     def geometric_divide(self, mono):
@@ -449,6 +452,20 @@ class TruncatedCharacter:
             f"TruncatedCharacter(m={self.m}, n={self.n}, cap={self.cap}, "
             f"terms={len(self.coeffs)})"
         )
+
+
+def _by_degree(coeffs: dict, cap: int) -> list[list]:
+    """The (exponent, coefficient) terms grouped by total degree 0..cap.
+
+    A degree outside 0..cap is an error, never a wrapped list index.
+    """
+    buckets: list[list] = [[] for _ in range(cap + 1)]
+    for e, c in coeffs.items():
+        d = sum(e)
+        if not 0 <= d <= cap:
+            raise ValueError(f"exponent {e} has degree outside 0..{cap}")
+        buckets[d].append((e, c))
+    return buckets
 
 
 def lowest_weight_offset(m: int, n: int, p: int) -> tuple[int, ...]:

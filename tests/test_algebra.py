@@ -114,12 +114,14 @@ def test_structure_constants(m, n):
     assert basis.diagonal_subalgebra_closed()
 
 
-def test_every_bracket_reexpands():
-    basis = alg.structure_constants(1, 1)
+@pytest.mark.parametrize(
+    "m,n", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 3)])
+def test_every_bracket_reexpands(m, n):
+    basis = alg.structure_constants(m, n)
     mats = dict(basis.elements)
     for (a, b), expansion in basis.brackets.items():
         got = alg.superbracket(mats[a], mats[b])
-        acc = alg.SuperMatrix(1, 1)
+        acc = alg.SuperMatrix(m, n)
         for lab, c in expansion.items():
             acc = acc + mats[lab].scale(c)
         assert got == acc, (a, b)

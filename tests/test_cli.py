@@ -107,6 +107,15 @@ def test_verify_id2_auto_and_forced():
     assert code == 2  # recurrence needs a bosonic slot
 
 
+@pytest.mark.parametrize("domains", ["-1,1", "1,1;1,0", "1,-2"])
+def test_verify_id2_out_of_range_domain_is_usage_error(domains):
+    code, out, err = run_cli("verify-id2", "--m", "1", "--n", "1",
+                             f"--domains={domains}", "--p", "2,3",
+                             "--levels", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_gk_table_record_shape():
     code, out, _ = run_cli("gk-table", "--m", "1", "--n", "1", "--p", "2",
                            "--levels", "2")
@@ -164,8 +173,7 @@ def test_dims_and_pattern_validation(tmp_path):
 
 
 def test_determinism_byte_identical():
-    args = ("gram", "--m", "1", "--n", "1", "--p", "2", "--levels", "2",
-            "--seed", "42")
+    args = ("gram", "--m", "1", "--n", "1", "--p", "2", "--levels", "2")
     _, out1, _ = run_cli(*args)
     _, out2, _ = run_cli(*args)
     assert out1 == out2

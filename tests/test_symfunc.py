@@ -179,3 +179,59 @@ def test_truncated_character_arith():
     geo = one.geometric_divide((1, 0))
     assert geo.coeffs == {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1}
     assert one.mul_binomial((1, 1), -1).coeffs == {(0, 0): 1, (1, 1): -1}
+
+
+def naive_product(a, b):
+    coeffs = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            if sum(e1) + sum(e2) <= a.cap:
+                key = tuple(x + y for x, y in zip(e1, e2))
+                coeffs[key] = coeffs.get(key, 0) + c1 * c2
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def random_series(rng, m, n, cap):
+    coeffs = {}
+    for _ in range(rng.randint(0, 12)):
+        e = [0] * (m + n)
+        for _ in range(rng.randint(0, cap)):  # one unit of degree at a time
+            e[rng.randrange(m + n)] += 1
+        coeffs[tuple(e)] = rng.choice([-2, -1, 1, 2])
+    offset = [rng.randint(-3, 3) for _ in range(m + n)]
+    return sf.TruncatedCharacter(m, n, cap, coeffs, offset)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_truncated_character_product_matches_naive(seed):
+    rng = random.Random(seed)
+    m, n = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2),
+                       (0, 3), (3, 0)])
+    cap = seed % 7
+    a, b = random_series(rng, m, n, cap), random_series(rng, m, n, cap)
+    prod = a * b
+    assert prod.coeffs == naive_product(a, b)
+    assert prod.offset == tuple(x + y for x, y in zip(a.offset, b.offset))
+    assert all(sum(e) <= cap and c for e, c in prod.coeffs.items())
+    assert (b * a).coeffs == prod.coeffs
+
+
+def test_truncated_character_product_cancels_and_truncates():
+    one = sf.TruncatedCharacter.one(1, 1, 4)
+    x = sf.TruncatedCharacter(1, 1, 4, {(1, 0): 1})
+    y = sf.TruncatedCharacter(1, 1, 4, {(0, 3): 1}, offset=(1, -2))
+    prod = (one + x) * (one + x.scale(-1))
+    assert prod.coeffs == {(0, 0): 1, (2, 0): -1}
+    assert (y * y).coeffs == {} and (y * y).offset == (2, -4)
+
+
+def test_truncated_character_product_rejects_out_of_range_degree():
+    one = sf.TruncatedCharacter.one(1, 1, 3)
+    bad = sf.TruncatedCharacter(1, 1, 3, {(0, 0): 1})
+    bad.coeffs[(-1, 0)] = 1
+    with pytest.raises(ValueError):
+        one * bad
+    bad.coeffs.pop((-1, 0))
+    bad.coeffs[(2, 2)] = 1
+    with pytest.raises(ValueError):
+        bad * one
