@@ -1,20 +1,22 @@
 """Induced-module oracle: PBW basis, straightening, contravariant Gram forms.
 
 The module of order p is realized on monomials in the creation generators
-c_1..c_r (r = m+n) and their pairwise brackets; the annihilation action is
-computed by pushing lowering operators to the vacuum with the triple-relation
-rewriting rules, entirely in exact arithmetic.  Vacuum expectations are cached
-as polynomials in p, so a single cache serves every order.
+c_1..c_r (r = m+n) and their pairwise brackets.  Every monomial is c_l^+ times
+a lower monomial (a leading bracket factor gives two such terms), so the
+annihilation action, the bracket action [c_a^-, c_b^+] and the Gram entries
+follow by recursion on the monomial, with the triple relations as commutation
+rules and the Shapovalov identity <c_l^+ R, Y> = <R, c_l^- Y> for the form
+(Kac-Kazhdan, Adv. Math. 34, 1979).  All three are memoized per monomial as
+polynomials in p, so a single cache serves every order.
 
-Per-weight Gram matrices of the contravariant form (reverse the word, swap
-raising and lowering) have exact rank, positive-semidefiniteness certificate
-and radical; the ranks are the weight multiplicities of the irreducible
-quotient.
+Per-weight Gram matrices of the contravariant form (c_a^+ and c_a^- are
+adjoint, products reverse) have exact rank, positive-semidefiniteness
+certificate and radical; the ranks are the weight multiplicities of the
+irreducible quotient.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +33,7 @@ from .symfunc import hook_partitions
 class PPoly:
     """Univariate polynomial in the module order p, with integer coefficients.
 
-    Gram entries and action images lie in Z[p]: the rewriting rules only
+    Gram entries and action images lie in Z[p]: the commutation rules only
     multiply by +-1, +-2 and p.  Values at an order are exact Fractions.
     """
 
@@ -206,17 +208,35 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
 
 
 # ---------------------------------------------------------------------------
-# the straightening engine
+# the module-action engine
 # ---------------------------------------------------------------------------
+
+_LABEL_SCALARS = {"c": 1, "h": Fraction(1, 2), "bb": 1}
+
+
+def _accumulate(out: dict, vector: dict, factor) -> None:
+    """out += factor * vector, on {monomial: PPoly} dicts."""
+    for mono, poly in vector.items():
+        val = poly * factor
+        prev = out.get(mono)
+        out[mono] = val if prev is None else prev + val
+
+
+def _nonzero(vector: dict) -> dict:
+    return {k: v for k, v in vector.items() if not v.is_zero()}
+
 
 class VermaEngine:
     """The p-independent caches of one algebra (m, n), shared by every order.
 
-    Reduced operator words, straightened creation words, Gram entries and
-    action images are kept as polynomials in p, and the PBW basis is kept
-    grouped by content, per level.  The caches are unbounded and never
-    evicted: they grow with the levels and monomials asked for, and
-    get_engine keeps one engine per (m, n) for the life of the process.
+    Three memoized per-monomial primitives carry the module: the lowering
+    action low(a, X) = c_a^- X, the bracket action B(a, b) X with
+    B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>.  Their values, and
+    the action image of every (label, monomial), are kept as integer
+    polynomials in p, and the PBW basis is kept grouped by content, per
+    level.  The caches are unbounded and never evicted: they grow with the
+    levels and monomials asked for, and get_engine keeps one engine per
+    (m, n) for the life of the process.
     """
 
     def __init__(self, m: int, n: int):
@@ -225,8 +245,9 @@ class VermaEngine:
         self.r = m + n
         self.slots = pair_slots(m, n)
         self.slot_index = {pr: i for i, pr in enumerate(self.slots)}
-        self._reduce_cache: dict[tuple, dict] = {}
-        self._straighten_cache: dict[tuple, dict] = {}
+        self._lead_cache: dict[PBWMonomial, tuple] = {}
+        self._low_cache: dict[tuple, dict] = {}
+        self._bracket_cache: dict[tuple, dict] = {}
         self._pair_cache: dict[tuple, PPoly] = {}
         self._image_cache: dict[tuple, dict] = {}
         self._level_cache: dict[int, dict] = {}
@@ -246,85 +267,7 @@ class VermaEngine:
             self._level_cache[level] = groups
         return groups
 
-    # -- reduction of mixed operator words to creation words ---------------
-
-    def reduce_word(self, ops: tuple) -> dict:
-        """Normal-order an operator word applied to the vacuum.
-
-        ops is a tuple of ('+', a), ('-', a) and ('B', a, b) items, the last
-        acting first... i.e. standard operator order, vacuum at the right.
-        Returns {creation letter tuple: PPoly coefficient}.
-        """
-        cached = self._reduce_cache.get(ops)
-        if cached is not None:
-            return cached
-        idx = None
-        for i in range(len(ops) - 1, -1, -1):
-            if ops[i][0] != "+":
-                idx = i
-                break
-        if idx is None:
-            result = {tuple(a for (_, a) in ops): _ONE}
-            self._reduce_cache[ops] = result
-            return result
-        op = ops[idx]
-        out: dict[tuple, PPoly] = {}
-
-        def acc(words, factor):
-            for w, c in words.items():
-                val = factor * c
-                prev = out.get(w)
-                out[w] = val if prev is None else prev + val
-
-        if idx == len(ops) - 1:
-            # the op sits on the vacuum
-            if op[0] == "B" and op[1] == op[2]:
-                acc(self.reduce_word(ops[:idx]), _P)
-            # lowering ops and off-diagonal B annihilate the vacuum
-        else:
-            nxt = ops[idx + 1]
-            c = nxt[1]
-            pc = self.parity(c)
-            if op[0] == "-":
-                a = op[1]
-                sign = -1 if (self.parity(a) * pc) % 2 else 1
-                swapped = ops[:idx] + (nxt, op) + ops[idx + 2:]
-                acc(self.reduce_word(swapped), sign)
-                bterm = ops[:idx] + (("B", a, c),) + ops[idx + 2:]
-                acc(self.reduce_word(bterm), 1)
-            else:  # ('B', a, b)
-                a, b = op[1], op[2]
-                degb = (self.parity(a) + self.parity(b)) % 2
-                sign = -1 if (degb * pc) % 2 else 1
-                swapped = ops[:idx] + (nxt, op) + ops[idx + 2:]
-                acc(self.reduce_word(swapped), sign)
-                if a == c:
-                    extra = -2 * (-1 if (self.parity(b) * pc) % 2 else 1)
-                    bterm = ops[:idx] + (("+", b),) + ops[idx + 2:]
-                    acc(self.reduce_word(bterm), extra)
-        out = {w: v for w, v in out.items() if not v.is_zero()}
-        self._reduce_cache[ops] = out
-        return out
-
-    # -- creation words -> canonical PBW monomials --------------------------
-
-    def straighten(self, word: tuple) -> dict:
-        """Expand a creation-letter word into canonical monomials (int coeffs)."""
-        cached = self._straighten_cache.get(word)
-        if cached is not None:
-            return cached
-        if not word:
-            empty = PBWMonomial((0,) * self.r, (0,) * len(self.slots))
-            result = {empty: 1}
-        else:
-            head, rest = word[0], word[1:]
-            result = {}
-            for mono, c in self.straighten(rest).items():
-                for mono2, c2 in self._insert_letter(head, mono).items():
-                    result[mono2] = result.get(mono2, 0) + c * c2
-            result = {k: v for k, v in result.items() if v}
-        self._straighten_cache[word] = result
-        return result
+    # -- creation: prepend a letter and straighten ------------------------
 
     def _insert_letter(self, a: int, mono: PBWMonomial) -> dict:
         singles = mono.singles
@@ -368,95 +311,141 @@ class VermaEngine:
         new[idx] += 1
         return {PBWMonomial(mono.singles, tuple(new)): sign}
 
-    # -- monomials -> words --------------------------------------------------
+    def _add_raised(self, out: dict, a: int, vector: dict, factor) -> None:
+        """out += factor * c_a^+ vector, on {monomial: PPoly} dicts."""
+        for mono, poly in vector.items():
+            _accumulate(out, self._insert_letter(a, mono), poly * factor)
 
-    @lru_cache(maxsize=None)
-    def _monomial_words_cached(self, mono: PBWMonomial):
-        letters = []
-        for a, e in enumerate(mono.singles, start=1):
-            letters.extend([a] * e)
-        alternatives = [[(1, tuple(letters))]]
-        for pr, e in zip(self.slots, mono.pairs):
-            i, j = pr
-            sgn = -1 if (self.parity(i) * self.parity(j)) % 2 else 1
-            factor = [(1, (i, j)), (-sgn, (j, i))]
-            alternatives.extend([factor] * e)
-        out = []
-        for combo in itertools.product(*alternatives):
-            coeff = 1
-            word: tuple = ()
-            for c, w in combo:
-                coeff *= c
-                word = word + w
-            out.append((coeff, word))
-        return tuple(out)
+    # -- lead expansion and the two lowering primitives ---------------------
 
-    def monomial_words(self, mono: PBWMonomial):
-        """Expansion of the monomial into signed creation-letter words."""
-        return self._monomial_words_cached(mono)
+    def _lead(self, mono: PBWMonomial) -> tuple:
+        """((coefficient, letter l, rest), ...) with mono the sum of
+        coefficient * c_l^+ rest, each rest a monomial one level lower; empty
+        for the vacuum.  A leading bracket factor [c_i^+, c_j^+] expands into
+        c_i^+ c_j^+ - (-1)^(p(i)p(j)) c_j^+ c_i^+."""
+        cached = self._lead_cache.get(mono)
+        if cached is not None:
+            return cached
+        s = next((k for k, e in enumerate(mono.singles) if e), None)
+        q = next((k for k, e in enumerate(mono.pairs) if e), None)
+        if s is not None:
+            singles = list(mono.singles)
+            singles[s] -= 1
+            out = ((1, s + 1, PBWMonomial(tuple(singles), mono.pairs)),)
+        elif q is not None:
+            i, j = self.slots[q]
+            pairs = list(mono.pairs)
+            pairs[q] -= 1
+            pairs = tuple(pairs)
+
+            def one(letter):
+                return PBWMonomial(
+                    tuple(int(k == letter) for k in range(1, self.r + 1)), pairs)
+
+            sigma = -1 if self.parity(i) * self.parity(j) else 1
+            out = ((1, i, one(j)), (-sigma, j, one(i)))
+        else:
+            out = ()
+        self._lead_cache[mono] = out
+        return out
+
+    def low(self, a: int, mono: PBWMonomial) -> dict:
+        """c_a^- mono as {monomial: PPoly}:
+        c_a^- c_l^+ R = (-1)^(p(a)p(l)) c_l^+ c_a^- R + B(a, l) R."""
+        key = (a, mono)
+        cached = self._low_cache.get(key)
+        if cached is not None:
+            return cached
+        out: dict[PBWMonomial, PPoly] = {}
+        odd = self.parity(a)
+        for coeff, l, rest in self._lead(mono):
+            sign = -coeff if odd and self.parity(l) else coeff
+            self._add_raised(out, l, self.low(a, rest), sign)
+            _accumulate(out, self.bracket(a, l, rest), coeff)
+        out = _nonzero(out)
+        self._low_cache[key] = out
+        return out
+
+    def bracket(self, a: int, b: int, mono: PBWMonomial) -> dict:
+        """B(a, b) mono as {monomial: PPoly}, B(a, b) = [c_a^-, c_b^+]:
+        p on the vacuum when a == b, else 0, and
+        B(a, b) c_l^+ R = (-1)^((p(a)+p(b))p(l)) c_l^+ B(a, b) R
+                          - 2 (-1)^(p(b)p(l)) delta_(a,l) c_b^+ R."""
+        key = (a, b, mono)
+        cached = self._bracket_cache.get(key)
+        if cached is not None:
+            return cached
+        lead = self._lead(mono)
+        out: dict[PBWMonomial, PPoly] = {}
+        if not lead and a == b:
+            out[mono] = _P
+        odd_ab = (self.parity(a) + self.parity(b)) % 2
+        for coeff, l, rest in lead:
+            odd_l = self.parity(l)
+            sign = -coeff if odd_ab and odd_l else coeff
+            self._add_raised(out, l, self.bracket(a, b, rest), sign)
+            if a == l:
+                extra = 2 * coeff if self.parity(b) and odd_l else -2 * coeff
+                self._add_raised(out, b, {rest: _ONE}, extra)
+        out = _nonzero(out)
+        self._bracket_cache[key] = out
+        return out
 
     # -- contravariant pairing ----------------------------------------------
 
     def pair_poly(self, m1: PBWMonomial, m2: PBWMonomial) -> PPoly:
-        """Gram entry as a polynomial in p: reverse one side, swap signs, reduce."""
-        key = (m1, m2)
+        """Gram entry <m1, m2> as a polynomial in p; 0 across contents."""
+        if m1.content(self.m, self.n) != m2.content(self.m, self.n):
+            return _ZERO
+        return self._pair(m1, m2)
+
+    def _pair(self, x: PBWMonomial, y: PBWMonomial) -> PPoly:
+        """Shapovalov recursion <c_l^+ R, Y> = <R, c_l^- Y>, <vac, vac> = 1;
+        x and y have the same content."""
+        key = (x, y)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-        if m1.content(self.m, self.n) != m2.content(self.m, self.n):
-            self._pair_cache[key] = _ZERO
-            return _ZERO
-        total = _ZERO
-        for c1, w1 in self.monomial_words(m1):
-            lowering = tuple(("-", a) for a in reversed(w1))
-            for c2, w2 in self.monomial_words(m2):
-                ops = lowering + tuple(("+", a) for a in w2)
-                val = self.reduce_word(ops).get((), _ZERO)
-                if not val.is_zero():
-                    total = total + (c1 * c2) * val
+        lead = self._lead(x)
+        total = _ZERO if lead else _ONE
+        for coeff, l, rest in lead:
+            for z, poly in self.low(l, y).items():
+                total = total + (poly * coeff) * self._pair(rest, z)
         self._pair_cache[key] = total
         return total
 
     # -- generator action -----------------------------------------------------
 
-    def _label_opwords(self, label):
-        """(scalar, [(integer coefficient, operator word)]) of a basis element."""
-        if label[0] == "c":
-            _, a, s = label
-            return 1, [(1, (("+", a),) if s == "+" else (("-", a),))]
-        if label[0] == "h":
-            _, k = label
-            sgn = -1 if self.parity(k) else 1
-            return Fraction(1, 2), [
-                (1, (("+", k), ("-", k))),
-                (-sgn, (("-", k), ("+", k))),
-            ]
-        if label[0] == "bb":
-            _, a, b, s1, s2 = label
-            opa = ("+", a) if s1 == "+" else ("-", a)
-            opb = ("+", b) if s2 == "+" else ("-", b)
-            sgn = -1 if (self.parity(a) * self.parity(b)) % 2 else 1
-            return 1, [(1, (opa, opb)), (-sgn, (opb, opa))]
-        raise ValueError(f"unknown algebra element {label!r}")
+    def _apply(self, sign: str, a: int, vector: dict) -> dict:
+        """c_a^+ (sign '+') or c_a^- (sign '-') on a {monomial: PPoly} vector."""
+        out: dict[PBWMonomial, PPoly] = {}
+        if sign == "+":
+            self._add_raised(out, a, vector, 1)
+        else:
+            for mono, poly in vector.items():
+                _accumulate(out, self.low(a, mono), poly)
+        return out
 
     def _action_image(self, label, mono: PBWMonomial) -> dict:
-        """{monomial: PPoly}: the label's operator words applied to one
-        monomial, before the label's scalar; cached per (label, monomial)."""
+        """{monomial: PPoly}: the label applied to one monomial, before the
+        label's scalar; cached per (label, monomial).  ('h', k) is
+        ('bb', k, k, '+', '-') and ('bb', a, b, s, t) is
+        c_a^s c_b^t - (-1)^(p(a)p(b)) c_b^t c_a^s."""
         key = (label, mono)
         cached = self._image_cache.get(key)
         if cached is not None:
             return cached
-        _, opwords = self._label_opwords(label)
-        out: dict[PBWMonomial, PPoly] = {}
-        for mc, mw in self.monomial_words(mono):
-            tail = tuple(("+", a) for a in mw)
-            for oc, ops in opwords:
-                for word, poly in self.reduce_word(ops + tail).items():
-                    for mono2, c2 in self.straighten(word).items():
-                        val = (mc * oc * c2) * poly
-                        prev = out.get(mono2)
-                        out[mono2] = val if prev is None else prev + val
-        out = {k: v for k, v in out.items() if not v.is_zero()}
+        unit = {mono: _ONE}
+        if label[0] == "c":
+            _, a, s = label
+            out = self._apply(s, a, unit)
+        else:
+            _, a, b, s, t = ("bb", label[1], label[1], "+", "-") \
+                if label[0] == "h" else label
+            out = self._apply(s, a, self._apply(t, b, unit))
+            sigma = -1 if self.parity(a) * self.parity(b) else 1
+            _accumulate(out, self._apply(t, b, self._apply(s, a, unit)), -sigma)
+        out = _nonzero(out)
         self._image_cache[key] = out
         return out
 
@@ -466,8 +455,10 @@ class VermaEngine:
         vector maps PBWMonomial -> Fraction; labels are ('c', j, sign),
         ('h', k) or ('bb', j, k, sign, sign) as in the algebra basis.
         """
+        scalar = _LABEL_SCALARS.get(label[0])
+        if scalar is None:
+            raise ValueError(f"unknown algebra element {label!r}")
         p = Fraction(p)
-        scalar, _ = self._label_opwords(label)
         out: dict[PBWMonomial, Fraction] = {}
         for mono, coeff in vector.items():
             coeff = scalar * Fraction(coeff)

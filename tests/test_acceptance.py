@@ -155,3 +155,25 @@ def test_criterion_10_positivity():
             ok &= blk.psd and all(d > 0 for d in blk.pivots)
     _report(10, "every Gram block in the oracle range is positive "
                 "semidefinite", ok, t0)
+
+
+def test_criterion_11_slot_one_against_gram_norms():
+    t0 = time.time()
+    ok = True
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0)]:
+        eng = vm.get_engine(m, n)
+        pairs = (0,) * len(vm.pair_slots(m, n))
+        for p in (1, 2, 3):
+            norms = []
+            for level in range(5):
+                power = vm.PBWMonomial((level,) + (0,) * (m + n - 1), pairs)
+                norms.append(eng.pair_poly(power, power).evaluate(p))
+            for level in range(4):
+                lower, upper = norms[level], norms[level + 1]
+                if lower:
+                    top = (level,) + (0,) * (m + n - 1)
+                    ok &= upper / lower == rm.reduced_me_squared(top, 1, p, m, n)
+                else:
+                    ok &= upper == 0
+    _report(11, "G_1 squared equals the Gram norm ratio of successive powers "
+                "of the first creation generator", ok, t0)

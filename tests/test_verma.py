@@ -1,17 +1,112 @@
 """Induced-module oracle: straightening, Gram blocks, radical structure."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parafock import patterns as gz
 from parafock import symfunc as sf
 from parafock import verma as vm
 
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
 
 def vac(m, n):
     return vm.PBWMonomial((0,) * (m + n), (0,) * len(vm.pair_slots(m, n)))
+
+
+# -- the operator-word oracle ---------------------------------------------
+# Operator-word rewriting, kept here as an independent reference for the
+# engine's per-monomial recursion.  It uses the engine only for letter
+# parities and for prepending one creation letter to a monomial.
+
+@functools.cache
+def reduce_word(eng, ops):
+    """Normal-order an operator word applied to the vacuum.
+
+    ops is a tuple of ('+', a), ('-', a) and ('B', a, b) items in operator
+    order, the vacuum at the right.  Returns {creation letter tuple: PPoly}.
+    """
+    idx = next((i for i in range(len(ops) - 1, -1, -1) if ops[i][0] != "+"),
+               None)
+    if idx is None:
+        return {tuple(a for (_, a) in ops): vm.PPoly.const(1)}
+    op = ops[idx]
+    par = eng.parity
+    out = {}
+
+    def acc(words, factor):
+        for w, c in words.items():
+            out[w] = out.get(w, vm.PPoly()) + factor * c
+
+    if idx == len(ops) - 1:
+        # lowering ops and off-diagonal B annihilate the vacuum
+        if op[0] == "B" and op[1] == op[2]:
+            acc(reduce_word(eng, ops[:idx]), vm.PPoly.variable())
+    else:
+        nxt = ops[idx + 1]
+        c = nxt[1]
+        swapped = ops[:idx] + (nxt, op) + ops[idx + 2:]
+        if op[0] == "-":
+            a = op[1]
+            acc(reduce_word(eng, swapped), -1 if par(a) * par(c) else 1)
+            acc(reduce_word(eng, ops[:idx] + (("B", a, c),) + ops[idx + 2:]), 1)
+        else:
+            a, b = op[1], op[2]
+            odd = (par(a) + par(b)) * par(c) % 2
+            acc(reduce_word(eng, swapped), -1 if odd else 1)
+            if a == c:
+                extra = 2 if par(b) * par(c) else -2
+                acc(reduce_word(eng, ops[:idx] + (("+", b),) + ops[idx + 2:]),
+                    extra)
+    return {w: v for w, v in out.items() if not v.is_zero()}
+
+
+@functools.cache
+def straighten(eng, word):
+    """Expand a creation-letter word into canonical monomials (int coeffs)."""
+    if not word:
+        return {vac(eng.m, eng.n): 1}
+    out = {}
+    for mono, c in straighten(eng, word[1:]).items():
+        for mono2, c2 in eng._insert_letter(word[0], mono).items():
+            out[mono2] = out.get(mono2, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+@functools.cache
+def monomial_words(eng, mono):
+    """Expansion of a monomial into signed creation-letter words: the singles
+    in order, then [c_i, c_j] = c_i c_j - (-1)^(p(i)p(j)) c_j c_i per factor."""
+    letters = tuple(a for a, e in enumerate(mono.singles, start=1)
+                    for _ in range(e))
+    alternatives = [[(1, letters)]]
+    for (i, j), e in zip(eng.slots, mono.pairs):
+        sgn = -1 if eng.parity(i) * eng.parity(j) else 1
+        alternatives.extend([[(1, (i, j)), (-sgn, (j, i))]] * e)
+    out = []
+    for combo in itertools.product(*alternatives):
+        coeff, word = 1, ()
+        for c, w in combo:
+            coeff *= c
+            word += w
+        out.append((coeff, word))
+    return tuple(out)
+
+
+def word_pair(eng, m1, m2):
+    """Gram entry: reverse one side's words into lowering ops and reduce."""
+    total = vm.PPoly()
+    for c1, w1 in monomial_words(eng, m1):
+        lowering = tuple(("-", a) for a in reversed(w1))
+        for c2, w2 in monomial_words(eng, m2):
+            ops = lowering + tuple(("+", a) for a in w2)
+            total = total + (c1 * c2) * reduce_word(eng, ops).get((), vm.PPoly())
+    return total
 
 
 def test_pbw_counts_small():
@@ -90,8 +185,8 @@ def test_word_expansion_straightens_back(m, n):
     for level in range(5):
         for mono in vm.pbw_basis(m, n, level):
             acc: dict = {}
-            for coeff, word in eng.monomial_words(mono):
-                for mono2, c in eng.straighten(word).items():
+            for coeff, word in monomial_words(eng, mono):
+                for mono2, c in straighten(eng, word).items():
                     acc[mono2] = acc.get(mono2, 0) + coeff * c
             acc = {k: v for k, v in acc.items() if v}
             assert acc == {mono: 1}, mono
@@ -317,17 +412,17 @@ def reference_act(eng, label, vector, p):
                  (Fraction(-sgn), ((s2, b), (s1, a)))]
     out: dict = {}
     for mono, coeff in vector.items():
-        for mc, mw in eng.monomial_words(mono):
+        for mc, mw in monomial_words(eng, mono):
             tail = tuple(("+", a) for a in mw)
             for oc, ops in words:
-                for word, poly in eng.reduce_word(ops + tail).items():
+                for word, poly in reduce_word(eng, ops + tail).items():
                     scale = coeff * mc * oc * poly.evaluate(p)
-                    for mono2, c2 in eng.straighten(word).items():
+                    for mono2, c2 in straighten(eng, word).items():
                         out[mono2] = out.get(mono2, 0) + scale * c2
     return {k: v for k, v in out.items() if v}
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)])
 def test_act_matches_word_by_word_reference(m, n):
     from parafock import algebra as alg
 
@@ -367,3 +462,67 @@ def test_level_basis_enumerates_once_and_hands_out_fresh_lists(monkeypatch):
     assert vm.level_contents(2, 1, 3)[0] == first
     assert vm.basis_for_content(2, 1, first)
     assert calls == [(2, 1, 3)]
+
+
+@pytest.mark.parametrize("m,n,level_max", [
+    (1, 1, 5), (2, 1, 5), (1, 2, 5), (0, 2, 5),
+    (2, 2, 4), (3, 0, 4), (1, 0, 4), (0, 1, 4),
+])
+def test_pair_poly_matches_word_oracle(m, n, level_max):
+    """The Shapovalov recursion gives the word oracle's polynomial on every
+    same-content pair, both orders, computed on a fresh engine."""
+    eng = vm.VermaEngine(m, n)
+    checked = 0
+    for level in range(level_max + 1):
+        for basis in eng.level_basis(level).values():
+            for a in basis:
+                for b in basis:
+                    assert eng.pair_poly(a, b) == word_pair(eng, a, b), (a, b)
+                    checked += 1
+    assert checked
+
+
+PROPERTY_DOMAINS = [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)]
+PROPERTY_ORDERS = [1, 2, 3, Fraction(1, 3)]
+
+
+@st.composite
+def letter_and_monomial(draw):
+    """(m, n, letter a, monomial X at level <= 3)."""
+    m, n = draw(st.sampled_from(PROPERTY_DOMAINS))
+    a = draw(st.integers(1, m + n))
+    level = draw(st.integers(0, 3))
+    return m, n, a, draw(st.sampled_from(vm.pbw_basis(m, n, level)))
+
+
+def shifted(content, a, step):
+    out = list(content)
+    out[a - 1] += step
+    return tuple(out)
+
+
+@PROPERTY
+@given(letter_and_monomial(), st.data())
+def test_contravariance_of_creation_and_annihilation(case, data):
+    """<c_a^+ X, Y> == <X, c_a^- Y> for Y of content content(X) + e_a."""
+    m, n, a, x = case
+    content = shifted(x.content(m, n), a, 1)
+    y = data.draw(st.sampled_from(vm.basis_for_content(m, n, content)))
+    p = data.draw(st.sampled_from(PROPERTY_ORDERS))
+    eng = vm.get_engine(m, n)
+    up = eng.act(("c", a, "+"), {x: Fraction(1)}, p)
+    down = eng.act(("c", a, "-"), {y: Fraction(1)}, p)
+    lhs = sum(c * eng.pair_poly(z, y).evaluate(p) for z, c in up.items())
+    rhs = sum(eng.pair_poly(x, z).evaluate(p) * c for z, c in down.items())
+    assert lhs == rhs
+
+
+@PROPERTY
+@given(letter_and_monomial(), st.sampled_from("+-"),
+       st.sampled_from(PROPERTY_ORDERS))
+def test_creation_and_annihilation_shift_the_content(case, sign, p):
+    """Every monomial of c_a^(+/-) X has content content(X) +/- e_a."""
+    m, n, a, x = case
+    expected = shifted(x.content(m, n), a, 1 if sign == "+" else -1)
+    image = vm.get_engine(m, n).act(("c", a, sign), {x: Fraction(1)}, p)
+    assert all(mono.content(m, n) == expected for mono in image)
