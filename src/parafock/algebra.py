@@ -395,9 +395,17 @@ class AlgebraBasis:
         columns = [mats[lab].coordinates() for lab in self.labels]
         solver = build_column_solver(columns, keys)
 
+        # [b, a] = -(-1)^(deg a * deg b) [a, b]: each unordered pair is
+        # bracketed and solved once, the later ordered pair negates or copies
         self.brackets: dict[tuple, dict] = {}
-        for a in self.labels:
-            for b in self.labels:
+        for i, a in enumerate(self.labels):
+            for j, b in enumerate(self.labels):
+                if j < i:
+                    sign = 1 if mats[a].parity * mats[b].parity else -1
+                    self.brackets[(a, b)] = {
+                        lab: sign * c for lab, c in self.brackets[(b, a)].items()
+                    }
+                    continue
                 mat = superbracket(mats[a], mats[b])
                 if mat.is_zero():
                     self.brackets[(a, b)] = {}

@@ -251,6 +251,8 @@ def cmd_verify_id2(args) -> int:
     if err:
         return _fail_usage(err)
     p_values = args.p or [1, 2, 3]
+    if len(set(p_values)) != len(p_values):
+        return _fail_usage("--p values must be distinct")
     if args.domains:
         try:
             domains = _parse_domains(args.domains)

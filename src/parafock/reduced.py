@@ -4,15 +4,20 @@ The printed closed forms contain factors of the shape ``indicator(...) + 1``
 whose arithmetic reading is ambiguous, one suspected index typo, and boundary
 configurations where a zero numerator factor is paired against a zero
 denominator factor.  Rather than hard-coding one reading, every candidate is a
-ParsingVariant, and select_parsing_variant sweeps the diagonal recurrence over
-all admissible (top row, subrow) configurations to find the unique reading
-with identically vanishing residuals.  Values are exact: squares are rational,
-square roots stay symbolic as (sign, radicand) pairs.
+ParsingVariant, and select_parsing_variant_multi sweeps the diagonal
+recurrence over all admissible (top row, subrow) configurations to find the
+unique reading with identically vanishing residuals.  Values are exact:
+squares are rational, square roots stay symbolic as (sign, radicand) pairs.
+
+A sweep evaluates each squared matrix element once: residual_sweep keeps, for
+each order p, a table keyed by (top row, slot) that every recurrence residual
+of that order and the sweep's own values read.  The table lives only as long
+as the sweep; the module keeps no cache.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +79,8 @@ ALL_VARIANTS = tuple(
     for bt in ("boson_entry", "as_printed")
 )
 
-# fixed once by the recurrence sweep (see select_parsing_variant and the tests)
+# fixed once by the recurrence sweep (see select_parsing_variant_multi and
+# the tests)
 DEFAULT_VARIANT = ParsingVariant()
 
 
@@ -104,36 +110,26 @@ def _eo_factor(kind: str, sub: int, arg, variant: ParsingVariant):
 
 
 def _ratio(num_factors, den_factors, variant: ParsingVariant) -> Fraction:
-    """Divide factor products under the variant's zero-cancellation policy."""
-    num = [Fraction(x) for x in num_factors]
-    den = [Fraction(x) for x in den_factors]
+    """Divide factor products under the variant's zero-cancellation policy.
+
+    Zeros are counted on the raw factors; 'cancel_pairs' drops one numerator
+    zero per denominator zero.  The nonzero factors are multiplied as they
+    come (integers in every closed form) and divided once.
+    """
+    num_zeros = num_factors.count(0)
+    den_zeros = den_factors.count(0)
     if variant.zero_policy == "cancel_pairs":
-        nz = sum(1 for x in num if x == 0)
-        dz = sum(1 for x in den if x == 0)
-        cancel = min(nz, dz)
-        if cancel:
-            num = _drop_zeros(num, cancel)
-            den = _drop_zeros(den, cancel)
-    if any(x == 0 for x in den):
+        cancel = min(num_zeros, den_zeros)
+        num_zeros -= cancel
+        den_zeros -= cancel
+    if den_zeros:
         raise UncancelledZeroError(
             f"zero denominator factor survives pairing (policy "
             f"{variant.zero_policy})")
-    out = Fraction(1)
-    for x in num:
-        out *= x
-    for x in den:
-        out /= x
-    return out
-
-
-def _drop_zeros(factors, count):
-    out = []
-    for x in factors:
-        if x == 0 and count:
-            count -= 1
-            continue
-        out.append(x)
-    return out
+    if num_zeros:
+        return Fraction(0)
+    return Fraction(math.prod(x for x in num_factors if x),
+                    math.prod(x for x in den_factors if x))
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +244,40 @@ def reduced_me(top, k: int, p: int, m: int, n: int,
 # the diagonal recurrence
 # ---------------------------------------------------------------------------
 
+def _squared(squares: dict, top, k: int, p: int, m: int, n: int,
+             variant: ParsingVariant) -> Fraction:
+    """reduced_me_squared(top, k, ...) read through a table keyed by (top, k).
+
+    The table belongs to one (m, n, p, variant).  An uncancelled zero is
+    stored as None and raised again on every read.
+    """
+    key = (top, k)
+    if key not in squares:
+        try:
+            squares[key] = reduced_me_squared(top, k, p, m, n, variant)
+        except UncancelledZeroError:
+            squares[key] = None
+    g = squares[key]
+    if g is None:
+        raise UncancelledZeroError(
+            f"G_{k}^2 at top row {top} has an uncancelled zero (policy "
+            f"{variant.zero_policy})")
+    return g
+
+
 def recurrence_residual(top, subrow, p: int, m: int, n: int,
-                        variant: ParsingVariant = DEFAULT_VARIANT) -> Fraction:
+                        variant: ParsingVariant = DEFAULT_VARIANT, *,
+                        squares: dict | None = None) -> Fraction:
     """Left side minus right side of the diagonal two-row recurrence.
 
     Terms whose raised or lowered top row is inadmissible are absent from the
     module and are dropped; each surviving coefficient is evaluated as paired
     numerator/denominator factor lists under the variant's zero policy.
+    squares, if given, is a (top, k) -> G_k^2 table for this (m, n, p,
+    variant) that the call reads and fills (see residual_sweep).
     """
+    if squares is None:
+        squares = {}
     if n < 1:
         raise ValueError("the diagonal recurrence needs a bosonic last slot")
     r = m + n
@@ -273,7 +295,7 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
             raise ValueError(f"invalid theta step at slot {i}")
         # raising term
         if theta == 0 and gz.raise_top_row(top, m, n, i) is not None:
-            g = reduced_me_squared(top, i, p, m, n, variant)
+            g = _squared(squares, top, i, p, m, n, variant)
             if g:
                 num = [mu(i) - mu(j) - i + j + 1
                        for j in range(1, m + 1) if j != i]
@@ -288,7 +310,7 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
         if theta == 1:
             lowered = gz.lower_top_row(top, m, n, i)
             if lowered is not None:
-                g = reduced_me_squared(lowered, i, p, m, n, variant)
+                g = _squared(squares, lowered, i, p, m, n, variant)
                 if g:
                     num = [mu(i) - mu(j) - i + j
                            for j in range(1, m + 1) if j != i]
@@ -302,7 +324,7 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
 
     for q in range(m + 1, r + 1):
         if gz.raise_top_row(top, m, n, q) is not None:
-            g = reduced_me_squared(top, q, p, m, n, variant)
+            g = _squared(squares, top, q, p, m, n, variant)
             if g:
                 num = [mu(j) + mu(q) + 2 * m - j - q + 1
                        for j in range(1, m + 1)]
@@ -314,7 +336,7 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
                 total += _ratio(num, den, variant) * g
         lowered = gz.lower_top_row(top, m, n, q)
         if lowered is not None:
-            g = reduced_me_squared(lowered, q, p, m, n, variant)
+            g = _squared(squares, lowered, q, p, m, n, variant)
             if g:
                 num = [mu(j) + mu(q) + 2 * m - j - q
                        for j in range(1, m + 1)]
@@ -343,20 +365,29 @@ def recurrence_configs(m: int, n: int, level_max: int):
 
 def residual_sweep(m: int, n: int, p_values, level_max: int,
                    variant: ParsingVariant, max_failures: int = 10) -> dict:
-    """Run the recurrence over the whole config range under one variant."""
+    """Run the recurrence over the whole config range under one variant.
+
+    For each p in p_values the sweep keeps one (top row, slot) -> G_k^2
+    table.  Every recurrence_residual call of that order fills and reads it,
+    and the returned values, keyed (top row, slot, p), are its entries for
+    the raisable slots of each top row whose residual evaluated.  The tables
+    are dropped when the sweep returns.
+    """
     configs = 0
     failures = []
     errors = 0
     values = {}
     for p in p_values:
+        squares = {}
         for top, subrow in recurrence_configs(m, n, level_max):
             configs += 1
             try:
-                res = recurrence_residual(top, subrow, p, m, n, variant)
+                res = recurrence_residual(top, subrow, p, m, n, variant,
+                                          squares=squares)
                 for k in range(1, m + n + 1):
                     if gz.raise_top_row(top, m, n, k) is not None:
-                        values[(top, k, p)] = reduced_me_squared(
-                            top, k, p, m, n, variant)
+                        values[(top, k, p)] = _squared(
+                            squares, top, k, p, m, n, variant)
             except UncancelledZeroError:
                 errors += 1
                 continue
@@ -377,60 +408,37 @@ class VariantSelectionError(RuntimeError):
 
 
 def select_parsing_variant(m: int, n: int, p_samples, level_max: int) -> dict:
-    """Pick the unique zero-residual reading of the closed forms.
-
-    Variants that agree on every evaluated squared matrix element over the
-    sweep are observationally identical and count as one; several *distinct*
-    survivors (or none) raise VariantSelectionError.
-    """
+    """select_parsing_variant_multi on the one domain (m, n)."""
     p_samples = list(p_samples)
     if len(p_samples) < 2:
         raise ValueError("need at least two p samples")
-    stats = []
-    survivors = []
-    for variant in ALL_VARIANTS:
-        sweep = residual_sweep(m, n, p_samples, level_max, variant)
-        stats.append({k: v for k, v in sweep.items() if k != "values"})
-        if sweep["ok"]:
-            survivors.append((variant, sweep["values"]))
-    if not survivors:
-        raise VariantSelectionError(
-            f"no parsing variant has vanishing residuals: {stats}")
-    tables = {frozenset(tab.items()) for _, tab in survivors}
-    if len(tables) > 1:
-        raise VariantSelectionError(
-            "several observationally distinct variants survived: "
-            + ", ".join(v.short() for v, _ in survivors))
-    chosen = next(
-        (v for v, _ in survivors if v == DEFAULT_VARIANT), survivors[0][0]
-    )
-    return {
-        "m": m, "n": n, "p_samples": p_samples, "level_max": level_max,
-        "selected": chosen, "survivors": [v.short() for v, _ in survivors],
-        "per_variant": stats,
-    }
+    return {"m": m, "n": n,
+            **select_parsing_variant_multi([(m, n)], p_samples, level_max)}
 
 
 def select_parsing_variant_multi(domains, p_samples, level_max: int) -> dict:
-    """Joint selection across several (m, n) domains; see criterion sweeps."""
+    """Pick the unique zero-residual reading of the closed forms jointly
+    across several (m, n) domains.
+
+    A variant survives when its sweep is clean on every domain.  Variants
+    that agree on every evaluated squared matrix element over the sweeps are
+    observationally identical and count as one; several *distinct* survivors
+    (or none) raise VariantSelectionError.
+    """
     p_samples = list(p_samples)
-    alive = {v: {} for v in ALL_VARIANTS}
+    alive = {}
     per_variant = []
     for variant in ALL_VARIANTS:
-        ok = True
         combined = {}
         for (m, n) in domains:
             sweep = residual_sweep(m, n, p_samples, level_max, variant)
             per_variant.append({k: v for k, v in sweep.items() if k != "values"})
             if not sweep["ok"]:
-                ok = False
                 break
             for key, val in sweep["values"].items():
                 combined[(m, n) + key] = val
-        if ok:
-            alive[variant] = combined
         else:
-            alive.pop(variant)
+            alive[variant] = combined
     if not alive:
         raise VariantSelectionError("no variant survives the joint sweep")
     tables = {frozenset(tab.items()) for tab in alive.values()}

@@ -139,6 +139,24 @@ def test_structure_constants_antisupersymmetric():
             assert lhs == rhs, (a, b)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (0, 2)])
+def test_basis_brackets_each_unordered_pair_once(m, n, monkeypatch):
+    calls = []
+    original = alg.superbracket
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(alg, "superbracket", counting)
+    basis = alg.AlgebraBasis(m, n)
+    d = basis.dimension
+    label_brackets = sum(1 for lab in basis.labels if lab[0] == "bb")
+    assert len(calls) == label_brackets + d * (d + 1) // 2
+    assert list(basis.brackets) == [(a, b) for a in basis.labels
+                                    for b in basis.labels]
+
+
 def test_cartan_acts_with_root_value():
     basis = alg.structure_constants(1, 1)
     h1 = alg.cartan(1, 1, 1)

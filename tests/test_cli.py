@@ -116,6 +116,16 @@ def test_verify_id2_out_of_range_domain_is_usage_error(domains):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("orders", ["2,2", "1,2,1"])
+@pytest.mark.parametrize("variant", ["auto", "mult:cancel:boson"])
+def test_verify_id2_repeated_orders_are_a_usage_error(orders, variant):
+    code, out, err = run_cli("verify-id2", "--m", "1", "--n", "1",
+                             "--p", orders, "--levels", "2",
+                             "--variant", variant)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_gk_table_record_shape():
     code, out, _ = run_cli("gk-table", "--m", "1", "--n", "1", "--p", "2",
                            "--levels", "2")
@@ -259,6 +269,15 @@ def test_char_matches_golden_file():
     golden = pathlib.Path(__file__).parent / "fixtures" / "char_m1_n1_p2_d3.jsonl"
     code, out, _ = run_cli("char", "--m", "1", "--n", "1", "--p", "2",
                            "--degree", "3")
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_verify_id2_matches_golden_file():
+    golden = Path(__file__).parent / "fixtures" / "id2_m1_n1_d11_21_p123_l4.jsonl"
+    code, out, _ = run_cli("verify-id2", "--m", "1", "--n", "1",
+                           "--domains", "1,1;2,1", "--p", "1,2,3",
+                           "--levels", "4")
     assert code == 0
     assert out == golden.read_text()
 

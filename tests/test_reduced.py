@@ -1,5 +1,6 @@
 """Closed-form matrix elements: hand values, recurrence sweeps, disambiguation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -167,3 +168,100 @@ def test_printed_index_reading_fails_beyond_rank_one():
 def test_variant_short_roundtrip():
     for variant in rm.ALL_VARIANTS:
         assert rm.ParsingVariant.from_short(variant.short()) == variant
+
+
+def reference_ratio(num_factors, den_factors, variant):
+    """Per-factor Fraction division, as _ratio computed it before it went
+    over to one integer product per side."""
+    num = [Fraction(x) for x in num_factors]
+    den = [Fraction(x) for x in den_factors]
+    if variant.zero_policy == "cancel_pairs":
+        cancel = min(sum(1 for x in num if x == 0),
+                     sum(1 for x in den if x == 0))
+        for side in (num, den):
+            for _ in range(cancel):
+                side.remove(0)
+    if any(x == 0 for x in den):
+        raise rm.UncancelledZeroError("zero denominator factor")
+    out = Fraction(1)
+    for x in num:
+        out *= x
+    for x in den:
+        out /= x
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except rm.UncancelledZeroError:
+        return "uncancelled"
+
+
+@pytest.mark.parametrize("policy", ["cancel_pairs", "strict"])
+def test_ratio_matches_per_factor_reference(policy):
+    variant = rm.ParsingVariant(zero_policy=policy)
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(3000):
+        num = [rng.choice((0, 0, rng.randint(-9, 9)))
+               for _ in range(rng.randint(0, 6))]
+        den = [rng.choice((0, rng.randint(-9, 9), rng.randint(1, 9)))
+               for _ in range(rng.randint(0, 6))]
+        want = _outcome(reference_ratio, num, den, variant)
+        got = _outcome(rm._ratio, num, den, variant)
+        assert got == want, (num, den)
+        assert want == "uncancelled" or type(got) is Fraction
+        seen.add("uncancelled" if want == "uncancelled"
+                 else "zero" if want == 0 else "negative" if want < 0
+                 else "positive")
+    assert seen == {"uncancelled", "zero", "negative", "positive"}
+
+
+def test_ratio_zero_pairing():
+    cancel = rm.ParsingVariant(zero_policy="cancel_pairs")
+    strict = rm.ParsingVariant(zero_policy="strict")
+    assert rm._ratio([0, 3, -4], [2, 0], cancel) == -6
+    assert rm._ratio([0, 0, 3], [2, 0], cancel) == 0
+    assert rm._ratio([0, 3], [2], strict) == 0
+    assert rm._ratio([], [], strict) == 1
+    assert rm._ratio([6], [-4], strict) == Fraction(-3, 2)
+    with pytest.raises(rm.UncancelledZeroError):
+        rm._ratio([0, 3], [2, 0, 0], cancel)
+    with pytest.raises(rm.UncancelledZeroError):
+        rm._ratio([0, 3], [2, 0], strict)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2)])
+@pytest.mark.parametrize("variant", rm.ALL_VARIANTS, ids=lambda v: v.short())
+def test_sweep_values_equal_fresh_evaluations(m, n, variant):
+    sweep = rm.residual_sweep(m, n, [1, 2, 3], 4, variant)
+    assert sweep["values"]
+    for (top, k, p), value in sweep["values"].items():
+        assert value == rm.reduced_me_squared(top, k, p, m, n, variant)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_shared_table_gives_the_fresh_residual(m, n):
+    raised = 0
+    for variant in rm.ALL_VARIANTS:
+        for p in (1, 2, 3):
+            squares = {}
+            for top, subrow in rm.recurrence_configs(m, n, 4):
+                fresh = _outcome(rm.recurrence_residual,
+                                 top, subrow, p, m, n, variant)
+                shared = _outcome(rm.recurrence_residual,
+                                  top, subrow, p, m, n, variant,
+                                  squares=squares)
+                assert shared == fresh, (variant.short(), p, top, subrow)
+                raised += fresh == "uncancelled"
+    assert raised  # the strict variants reach the stored uncancelled zeros
+
+
+def test_single_domain_selection_is_the_joint_one():
+    single = rm.select_parsing_variant(2, 1, [1, 2, 3], 3)
+    joint = rm.select_parsing_variant_multi([(2, 1)], [1, 2, 3], 3)
+    for key in ("selected", "survivors", "per_variant", "p_samples",
+                "level_max"):
+        assert single[key] == joint[key]
+    assert (single["m"], single["n"]) == (2, 1)
