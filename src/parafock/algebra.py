@@ -10,7 +10,6 @@ sums are rejected so the superbracket sign is always well defined.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,9 +162,6 @@ class SuperMatrix:
                 "sqrt2_power": self.sqrt2_power,
             })
         return recs
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.to_records())
 
     @classmethod
     def from_records(cls, m, n, records) -> "SuperMatrix":

@@ -1,14 +1,18 @@
-"""Exact rational linear algebra: elimination, solving, symmetric rank/PSD.
+"""Exact linear algebra: elimination, solving, symmetric rank/PSD.
 
-Everything works over Fraction; no floating point anywhere.  The column
-solver works on sparse dicts: the structure-constant columns each have a
-private support coordinate, so elimination stays as sparse as its input,
-and every step is an exact Fraction operation, so skipping the zeros changes
-no result.  The other routines are dense; their matrices are desk scale.
+No floating point anywhere.  The general routines work over Fraction.  The
+column solver works on sparse dicts: the structure-constant columns each
+have a private support coordinate, so elimination stays as sparse as its
+input, and every step is an exact Fraction operation, so skipping the zeros
+changes no result.  The symmetric elimination works on integer matrices and
+stays fraction-free: its intermediate values are integer minors, and only
+the pivots and the radical it returns are Fractions.  The dense routines'
+matrices are desk scale.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -116,61 +120,80 @@ def _axpy(y: dict, a, x: dict) -> None:
 
 
 def symmetric_rank_psd(gram):
-    """Exact rank, positive semidefiniteness and radical of a symmetric matrix.
+    """Exact rank, positive semidefiniteness and radical of a symmetric
+    integer matrix.
 
-    One pass of congruence (LDL-style) elimination with diagonal pivoting; the
-    pivots double as the PSD certificate.  Returns
-    (rank, psd, pivots, radical_basis) where radical vectors v satisfy Gv = 0.
+    One fraction-free (Bareiss) congruence elimination with diagonal
+    pivoting: the pivot is the first remaining index with a nonzero diagonal.
+    Every intermediate entry is an integer minor, so each division is exact;
+    the k-th pivot element is the leading principal minor M_k over the first
+    k pivot indices (M_0 = 1).  Returns
+    (rank, psd, pivots, radical_basis, pivot_rows):
+
+    - pivots are the LDL pivots M_k / M_(k-1) as Fractions, and double as
+      the PSD certificate;
+    - radical vectors v are Fraction lists with G v = 0;
+    - pivot_rows holds one (u_k, u_k^T G, M_(k-1) * M_k) per pivot, with u_k
+      the integer transform row at pivot time.  u_k / M_(k-1) is the k-th
+      pivot's LDL transform row, G-orthogonal to the earlier ones, and
+      u_k^T G u_k = M_(k-1) * M_k.
+
+    When every remaining diagonal entry vanishes inside a nonzero remaining
+    block (the matrix is indefinite), the rank and radical come from general
+    elimination and pivot_rows is None.  Entries must be integers
+    (TypeError otherwise); a non-symmetric matrix raises ValueError.
     """
-    nn = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    g = [list(map(operator.index, row)) for row in gram]
+    nn = len(g)
+    a = list(g)  # rows are replaced, never mutated, so g stays the input
     for i in range(nn):
-        for j in range(nn):
-            if a[i][j] != a[j][i]:
+        for j in range(i):
+            if g[i][j] != g[j][i]:
                 raise ValueError("matrix is not symmetric")
-    c = [[Fraction(1 if i == j else 0) for j in range(nn)] for i in range(nn)]
+    c = [[int(i == j) for j in range(nn)] for i in range(nn)]
     remaining = list(range(nn))
     pivots = []
+    pivot_rows = []
     psd = True
+    prev = 1  # the leading minor of the pivots so far
     while remaining:
-        pi = next((i for i in remaining if a[i][i] != 0), None)
+        pi = next((i for i in remaining if a[i][i]), None)
         if pi is None:
             # all remaining diagonal entries vanish; PSD forces the whole
             # remaining block to vanish
-            block_zero = all(
-                a[i][j] == 0 for i in remaining for j in remaining
-            )
-            if block_zero:
+            if not any(a[i][j] for i in remaining for j in remaining):
                 break
             # indefinite: finish rank with general elimination
-            psd = False
             sub = [[a[i][j] for j in remaining] for i in remaining]
-            extra = matrix_rank(sub)
-            rank = len(pivots) + extra
-            radical = _radical_general(gram)
-            return rank, False, pivots, radical
+            rank = len(pivots) + matrix_rank(sub)
+            return rank, False, pivots, _radical_general(gram), None
         d = a[pi][pi]
         if d < 0:
             psd = False
-        pivots.append(d)
+        pivots.append(Fraction(d, prev))
         remaining.remove(pi)
+        row, crow = a[pi], c[pi]
+        pivot_rows.append((crow, row, prev * d))
         # row-only update: the two symmetric cross terms cancel, so the
-        # remaining block stays symmetric and equals the congruence reduction
+        # remaining block stays symmetric and equals the congruence reduction;
+        # rows with a zero in the pivot column are only rescaled to M_k
         for j in remaining:
-            if a[j][pi] == 0:
-                continue
-            f = a[j][pi] / d
-            for k in range(nn):
-                a[j][k] -= f * a[pi][k]
-                c[j][k] -= f * c[pi][k]
+            f = a[j][pi]
+            if f:
+                a[j] = [(d * x - f * y) // prev for x, y in zip(a[j], row)]
+                c[j] = [(d * x - f * y) // prev for x, y in zip(c[j], crow)]
+            elif d != prev:
+                a[j] = [d * x // prev for x in a[j]]
+                c[j] = [d * x // prev for x in c[j]]
+        prev = d
     rank = len(pivots)
-    radical = [c[i] for i in remaining]
-    # congruence guarantees G v = 0 only when the block vanished; verify
-    for v in radical:
-        for row in gram:
-            if sum(x * y for x, y in zip(row, v)) != 0:
-                return rank, psd, pivots, _radical_general(gram)
-    return rank, psd, pivots, radical
+    # congruence guarantees G v = 0 only when the block vanished; verify on
+    # the integer rows, then divide by M_rank
+    for i in remaining:
+        if any(sum(map(operator.mul, row, c[i])) for row in g):
+            return rank, psd, pivots, _radical_general(gram), pivot_rows
+    radical = [[Fraction(x, prev) for x in c[i]] for i in remaining]
+    return rank, psd, pivots, radical, pivot_rows
 
 
 def _radical_general(gram):

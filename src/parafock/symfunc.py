@@ -92,19 +92,6 @@ def in_hook(la, m: int, n: int) -> bool:
     return (la[m] if m < len(la) else 0) <= n
 
 
-def arm_leg_offset(la):
-    """Common value of arm-minus-leg over the diagonal, or None if not constant.
-
-    The empty partition has no diagonal; it reports 0 but belongs to every
-    offset family (see has_arm_leg_offset).
-    """
-    form = frobenius(la)
-    if form.rank == 0:
-        return 0
-    offs = {a - b for a, b in zip(form.arms, form.legs)}
-    return offs.pop() if len(offs) == 1 else None
-
-
 def has_arm_leg_offset(la, p: int) -> bool:
     """True iff every Frobenius arm exceeds its leg by exactly p (rank 0 counts)."""
     form = frobenius(la)
@@ -395,14 +382,12 @@ class TruncatedCharacter:
         if d <= 0:
             raise ValueError("geometric factor must have positive degree")
         reps = self.cap // d
+        limit = self.cap - d
         out = dict(self.coeffs)
         cur = dict(self.coeffs)
         for _ in range(reps):
-            nxt = {}
-            for e, c in cur.items():
-                key = tuple(a + b for a, b in zip(e, mono))
-                if sum(key) <= self.cap:
-                    nxt[key] = c
+            nxt = {tuple(map(operator.add, e, mono)): c
+                   for e, c in cur.items() if sum(e) <= limit}
             if not nxt:
                 break
             for e, c in nxt.items():

@@ -17,6 +17,7 @@ irreducible quotient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -483,6 +484,14 @@ def act(label, vector: dict, m: int, n: int, p) -> dict:
 
 @dataclass
 class GramBlock:
+    """One weight space's Gram block at order p, with its elimination.
+
+    pivots are the LDL pivots (Fractions); pivot_rows are the integer rows
+    (u_k, u_k^T G, M_(k-1) * M_k) of symmetric_rank_psd, over the entries
+    of matrix times their common denominator, or None when the elimination
+    stalled on an indefinite block.
+    """
+
     m: int
     n: int
     p: int
@@ -494,6 +503,7 @@ class GramBlock:
     psd: bool
     pivots: list[Fraction]
     radical_basis: list[dict]          # monomial -> Fraction vectors
+    pivot_rows: list[tuple[list[int], list[int], int]] | None
 
     @property
     def size(self) -> int:
@@ -529,7 +539,13 @@ def gram_block_for_content(m: int, n: int, p: int, content,
             val = engine.pair_poly(a, basis[j]).evaluate(p)
             mat[i][j] = val
             mat[j][i] = val
-    rank, psd, pivots, radical = symmetric_rank_psd(mat)
+    # at a non-integer p, eliminate den * G over the integers; that scales
+    # every pivot by den and leaves the radical unchanged
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    rank, psd, pivots, radical, pivot_rows = symmetric_rank_psd(
+        [[x.numerator * (den // x.denominator) for x in row] for row in mat])
+    if den != 1:
+        pivots = [d / den for d in pivots]
     rad_vectors = [
         {mono: c for mono, c in zip(basis, vec) if c} for vec in radical
     ]
@@ -537,7 +553,7 @@ def gram_block_for_content(m: int, n: int, p: int, content,
         m=m, n=n, p=p, content=tuple(content),
         weight=doubled_weight_of_content(content, m, n, p),
         basis=basis, matrix=mat, rank=rank, psd=psd, pivots=pivots,
-        radical_basis=rad_vectors,
+        radical_basis=rad_vectors, pivot_rows=pivot_rows,
     )
 
 
@@ -577,64 +593,37 @@ def _blocks_by_level(m: int, n: int, p: int, level_max: int,
     return by_level
 
 
-def verma_dims(m: int, n: int, level_max: int) -> dict[int, int]:
-    """Level -> monomial count (the graded dimension of the induced module)."""
-    return {lv: len(pbw_basis(m, n, lv)) for lv in range(level_max + 1)}
-
-
 # ---------------------------------------------------------------------------
 # oracle reports
 # ---------------------------------------------------------------------------
 
-def _orthogonalize(block: GramBlock):
-    """Exact Gram-Schmidt against the block form; returns coordinate vectors."""
-    g = block.matrix
-    nb = block.size
-
-    def form(u, v):
-        return sum(u[i] * sum(g[i][j] * v[j] for j in range(nb) if v[j])
-                   for i in range(nb) if u[i])
-
-    kept: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for i in range(nb):
-        u = [Fraction(0)] * nb
-        u[i] = Fraction(1)
-        for v, nv in zip(kept, norms):
-            c = form(v, u)
-            if c:
-                u = [x - c / nv * y for x, y in zip(u, v)]
-        nu = form(u, u)
-        if nu:
-            kept.append(u)
-            norms.append(nu)
-    return kept, norms
-
-
 def diagonal_values(block: GramBlock) -> list[Fraction]:
-    """Sorted values of the last generator pair's anticommutator on an
-    orthogonal basis of the block's non-radical part, at the block's order.
+    """Sorted values of the last generator pair's anticommutator on the
+    block's G-orthogonal basis of its non-radical part, at the block's order.
 
-    Raises ArithmeticError if the action leaves the block's weight space.
+    The basis vectors are the elimination's pivot rows u_k / M_(k-1) (in the
+    PSD case, Gram-Schmidt in basis order); with w = act(u_k), the value is
+    (u_k^T G w) / (M_(k-1) * M_k).  Raises ArithmeticError if the action
+    leaves the block's weight space, or if the elimination stalled on an
+    indefinite block.
     """
+    if block.pivot_rows is None:
+        raise ArithmeticError(
+            f"the elimination stalled on the indefinite weight space "
+            f"{list(block.weight)}")
     r = block.m + block.n
     label = ("bb", r, r, "-", "+")
     engine = get_engine(block.m, block.n)
-    basis_set = set(block.basis)
-    kept, norms = _orthogonalize(block)
+    index = {mono: i for i, mono in enumerate(block.basis)}
     values = []
-    for u, nu in zip(kept, norms):
+    for u, ug, scale in block.pivot_rows:
         vec = {mono: c for mono, c in zip(block.basis, u) if c}
         image = engine.act(label, vec, block.p)
-        if any(mono not in basis_set for mono in image):
+        if any(mono not in index for mono in image):
             raise ArithmeticError(
                 f"the action left the weight space {list(block.weight)}")
-        w = [image.get(mono, Fraction(0)) for mono in block.basis]
-        num = sum(
-            u[i] * sum(block.matrix[i][j] * w[j] for j in range(block.size))
-            for i in range(block.size)
-        )
-        values.append(num / nu)
+        num = sum(ug[index[mono]] * c for mono, c in image.items())
+        values.append(Fraction(num, scale))
     return sorted(values)
 
 

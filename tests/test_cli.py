@@ -282,6 +282,20 @@ def test_verify_id2_matches_golden_file():
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("fixture,argv", [
+    ("gram_m2_n2_p1_l4.jsonl",
+     ("gram", "--m", "2", "--n", "2", "--p", "1", "--levels", "4")),
+    ("matelems_m2_n1_p2_l3.jsonl",
+     ("matelems", "--m", "2", "--n", "1", "--p", "2", "--levels", "3")),
+])
+def test_gram_oracle_matches_golden_file(fixture, argv):
+    """Ranks with radicals (p = 1) and diagonal values, as whole stdout."""
+    golden = Path(__file__).parent / "fixtures" / fixture
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_gram_levels_zero_vacuum_only():
     code, out, _ = run_cli("gram", "--m", "1", "--n", "1", "--p", "2",
                            "--levels", "0")

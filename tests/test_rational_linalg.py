@@ -1,11 +1,14 @@
-"""Exact solver checks: the sparse column solver against A x == v."""
+"""Exact solver checks: the sparse column solver against A x == v, and the
+fraction-free symmetric elimination against the Fraction LDL it replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from parafock.rational_linalg import build_column_solver, matrix_rank
+from parafock import verma as vm
+from parafock.rational_linalg import (
+    build_column_solver, kernel_basis, matrix_rank, symmetric_rank_psd)
 
 
 def apply(columns, x):
@@ -75,3 +78,143 @@ def test_random_sparse_systems(seed):
             assert matrix_rank(dense(columns, keys, v)) == ncols + 1
         else:
             assert apply(columns, got) == {k: c for k, c in v.items() if c}
+
+
+# -- the symmetric elimination ----------------------------------------------
+# The Fraction LDL that symmetric_rank_psd replaced, kept as the reference
+# for rank, PSD verdict, pivots and radical.
+
+def ldl_reference(gram):
+    nn = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    for i in range(nn):
+        for j in range(nn):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+    c = [[Fraction(1 if i == j else 0) for j in range(nn)] for i in range(nn)]
+    remaining = list(range(nn))
+    pivots = []
+    psd = True
+    while remaining:
+        pi = next((i for i in remaining if a[i][i] != 0), None)
+        if pi is None:
+            block_zero = all(
+                a[i][j] == 0 for i in remaining for j in remaining
+            )
+            if block_zero:
+                break
+            psd = False
+            sub = [[a[i][j] for j in remaining] for i in remaining]
+            extra = matrix_rank(sub)
+            rank = len(pivots) + extra
+            radical = kernel_basis([list(map(Fraction, row)) for row in gram])
+            return rank, False, pivots, radical
+        d = a[pi][pi]
+        if d < 0:
+            psd = False
+        pivots.append(d)
+        remaining.remove(pi)
+        for j in remaining:
+            if a[j][pi] == 0:
+                continue
+            f = a[j][pi] / d
+            for k in range(nn):
+                a[j][k] -= f * a[pi][k]
+                c[j][k] -= f * c[pi][k]
+    rank = len(pivots)
+    radical = [c[i] for i in remaining]
+    for v in radical:
+        for row in gram:
+            if sum(x * y for x, y in zip(row, v)) != 0:
+                return rank, psd, pivots, kernel_basis(
+                    [list(map(Fraction, row)) for row in gram])
+    return rank, psd, pivots, radical
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def check_against_reference(gram):
+    """symmetric_rank_psd agrees with the LDL reference, and its pivot rows
+    are G-orthogonal integer rows with the documented scales."""
+    rank, psd, pivots, radical, pivot_rows = symmetric_rank_psd(gram)
+    assert (rank, psd, pivots, radical) == ldl_reference(gram)
+    assert all(type(x) is Fraction for x in pivots)
+    assert all(type(x) is Fraction for v in radical for x in v)
+    for v in radical:
+        assert all(dot(row, v) == 0 for row in gram)
+    if pivot_rows is None:
+        return False
+    assert len(pivot_rows) == rank
+    minor = prev = 1
+    for k, ((u, ug, scale), d) in enumerate(zip(pivot_rows, pivots)):
+        prev, minor = minor, minor * d
+        assert all(type(x) is int for x in u + ug)
+        assert ug == [dot(u, col) for col in gram]
+        assert scale == dot(u, ug) == prev * minor
+        for u2, _, _ in pivot_rows[:k]:
+            assert dot(u2, ug) == 0
+    return True
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_symmetric_elimination_on_rank_deficient_gram(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 8)
+    b = [[rng.randint(-3, 3) for _ in range(rng.randint(0, size))]
+         for _ in range(size)]
+    width = min(map(len, b))
+    gram = [[dot(r[:width], s[:width]) for s in b] for r in b]
+    assert check_against_reference(gram)
+    assert symmetric_rank_psd(gram)[1]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_symmetric_elimination_on_indefinite_matrices(seed):
+    rng = random.Random(100 + seed)
+    size = rng.randint(1, 7)
+    gram = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            x = rng.choice([0, 0, 0, -2, -1, 1, 3])
+            gram[i][j] = gram[j][i] = x
+    check_against_reference(gram)
+
+
+@pytest.mark.parametrize("gram,rank,psd,stalls", [
+    ([], 0, True, False),
+    ([[0, 0], [0, 0]], 0, True, False),
+    ([[0, 1], [1, 0]], 2, False, True),
+    ([[1, 2], [2, 1]], 2, False, False),
+    ([[1, 1, 1], [1, 1, 0], [1, 0, 1]], 3, False, True),
+    # index 0 has a zero diagonal until index 1 is eliminated
+    ([[0, 1, 0], [1, 1, 0], [0, 0, 1]], 3, False, False),
+    ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 3, True, False),
+])
+def test_symmetric_elimination_explicit_cases(gram, rank, psd, stalls):
+    got = symmetric_rank_psd(gram)
+    assert got[:2] == (rank, psd)
+    assert check_against_reference(gram) is not stalls
+
+
+def test_symmetric_elimination_rejects_bad_input():
+    with pytest.raises(ValueError):
+        symmetric_rank_psd([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        symmetric_rank_psd([[Fraction(1, 2)]])
+
+
+def test_real_gram_blocks_match_reference():
+    """Gram blocks off the positive orders, where the form can be indefinite
+    and, at p = 1/3 and 3/2, gram_block_for_content clears denominators."""
+    indefinite = {}
+    for p in (0, -1, Fraction(1, 3), Fraction(3, 2)):
+        for m, n in ((1, 1), (2, 1), (1, 2), (0, 2)):
+            for blk in vm.gram_blocks_up_to(m, n, p, 4):
+                rank, psd, pivots, radical = ldl_reference(blk.matrix)
+                assert (blk.rank, blk.psd, blk.pivots) == (rank, psd, pivots)
+                assert [[vec.get(mono, 0) for mono in blk.basis]
+                        for vec in blk.radical_basis] == radical
+                indefinite[p] = indefinite.get(p, 0) + (not psd)
+    assert indefinite[Fraction(1, 3)] == 64

@@ -526,3 +526,92 @@ def test_creation_and_annihilation_shift_the_content(case, sign, p):
     expected = shifted(x.content(m, n), a, 1 if sign == "+" else -1)
     image = vm.get_engine(m, n).act(("c", a, sign), {x: Fraction(1)}, p)
     assert all(mono.content(m, n) == expected for mono in image)
+
+
+# -- Gram-Schmidt reference for the diagonal values --------------------------
+# Gram-Schmidt in basis order against the block form, as diagonal_values
+# computed it before it read the elimination's pivot rows.
+
+def orthogonalize(block):
+    """Exact Gram-Schmidt against the block form; returns coordinate vectors."""
+    g = block.matrix
+    nb = block.size
+
+    def form(u, v):
+        return sum(u[i] * sum(g[i][j] * v[j] for j in range(nb) if v[j])
+                   for i in range(nb) if u[i])
+
+    kept: list[list[Fraction]] = []
+    norms: list[Fraction] = []
+    for i in range(nb):
+        u = [Fraction(0)] * nb
+        u[i] = Fraction(1)
+        for v, nv in zip(kept, norms):
+            c = form(v, u)
+            if c:
+                u = [x - c / nv * y for x, y in zip(u, v)]
+        nu = form(u, u)
+        if nu:
+            kept.append(u)
+            norms.append(nu)
+    return kept, norms
+
+
+def reference_diagonal_values(block):
+    r = block.m + block.n
+    label = ("bb", r, r, "-", "+")
+    eng = vm.get_engine(block.m, block.n)
+    kept, norms = orthogonalize(block)
+    values = []
+    for u, nu in zip(kept, norms):
+        image = eng.act(label, {mo: c for mo, c in zip(block.basis, u) if c},
+                        block.p)
+        w = [image.get(mo, Fraction(0)) for mo in block.basis]
+        num = sum(u[i] * sum(block.matrix[i][j] * w[j]
+                             for j in range(block.size))
+                  for i in range(block.size))
+        values.append(num / nu)
+    return sorted(values)
+
+
+@pytest.mark.parametrize("m,n,level_max", [
+    (1, 1, 6), (2, 1, 5), (1, 2, 5), (0, 2, 5), (2, 2, 4),
+])
+def test_diagonal_values_match_gram_schmidt(m, n, level_max):
+    """The pivot rows over M_(k-1) are the Gram-Schmidt vectors, and the
+    diagonal values read from them equal the Gram-Schmidt ones."""
+    radicals = 0
+    for p in (1, 2, 3):
+        for blk in vm.gram_blocks_up_to(m, n, p, level_max):
+            kept, _ = orthogonalize(blk)
+            minor = 1
+            assert len(blk.pivot_rows) == len(kept) == blk.rank
+            for (u, _, _), d, v in zip(blk.pivot_rows, blk.pivots, kept):
+                assert [Fraction(x, minor) for x in u] == v
+                minor *= d
+            assert vm.diagonal_values(blk) == reference_diagonal_values(blk)
+            radicals += blk.size - blk.rank
+    assert radicals
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(3, 2)])
+def test_diagonal_values_on_indefinite_forms(p):
+    """Off the positive orders the form is indefinite (negative pivots) and
+    the block's denominators are cleared before eliminating; there the
+    elimination still takes the basis order, so the values equal the
+    Gram-Schmidt ones."""
+    negative = 0
+    for m, n, level_max in ((1, 1, 6), (2, 1, 5), (1, 2, 5), (2, 2, 4)):
+        for blk in vm.gram_blocks_up_to(m, n, p, level_max):
+            assert vm.diagonal_values(blk) == reference_diagonal_values(blk)
+            negative += not blk.psd
+    assert negative
+
+
+def test_diagonal_values_raise_on_stalled_elimination():
+    """At p = -1 the (1, 1, 2) block of (3, 0) leaves a nonzero block with a
+    zero diagonal, so there are no pivot rows to read."""
+    blk = vm.gram_block_for_content(3, 0, -1, (1, 1, 2))
+    assert blk.pivot_rows is None and not blk.psd
+    with pytest.raises(ArithmeticError):
+        vm.diagonal_values(blk)
