@@ -162,12 +162,12 @@ def check_against_reference(gram):
 def test_symmetric_elimination_on_rank_deficient_gram(seed):
     rng = random.Random(seed)
     size = rng.randint(1, 8)
-    b = [[rng.randint(-3, 3) for _ in range(rng.randint(0, size))]
-         for _ in range(size)]
-    width = min(map(len, b))
-    gram = [[dot(r[:width], s[:width]) for s in b] for r in b]
+    width = rng.randint(0, size - 1)
+    b = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(size)]
+    gram = [[dot(r, s) for s in b] for r in b]
     assert check_against_reference(gram)
-    assert symmetric_rank_psd(gram)[1]
+    rank, psd = symmetric_rank_psd(gram)[:2]
+    assert psd and rank <= width < size
 
 
 @pytest.mark.parametrize("seed", range(40))
