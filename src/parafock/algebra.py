@@ -97,10 +97,6 @@ class SuperMatrix:
         return (self.sqrt2_power == other.sqrt2_power
                 and self.entries == other.entries)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __add__(self, other):
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("size mismatch")

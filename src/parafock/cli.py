@@ -192,9 +192,8 @@ def cmd_dims(args) -> int:
         return _fail_usage("dims takes at most one --p value")
     p = args.p[0] if args.p else None
     for level in range(args.levels + 1):
-        tops = patterns.top_rows_for_level(
-            args.m, args.n, p if p else 1, level, cap=p is not None)
-        for top in tops:
+        for top in patterns.top_rows_for_level(args.m, args.n, level,
+                                               max_width=p):
             la = patterns.partition_from_top_row(top, args.m, args.n)
             fills = patterns.fillings(top, args.m, args.n)
             schur_dim = sum(
@@ -320,8 +319,8 @@ def cmd_gk_table(args) -> int:
                    levels=args.levels, variant=variant.short()))
     code = EXIT_OK
     for level in range(args.levels + 1):
-        for top in patterns.top_rows_for_level(args.m, args.n, p, level,
-                                               cap=not args.no_cap):
+        for top in patterns.top_rows_for_level(
+                args.m, args.n, level, max_width=None if args.no_cap else p):
             for k in range(1, args.m + args.n + 1):
                 try:
                     val = reduced.reduced_me(top, k, p, args.m, args.n, variant)
@@ -346,14 +345,12 @@ def cmd_gram(args) -> int:
         return _fail_usage(err)
     out = Emitter(args.format, args.out)
     out.emit(_meta("gram", m=args.m, n=args.n, p=p, levels=args.levels))
-    ch = symfunc.irreducible_character(args.m, args.n, p, args.levels)
-    char_mult = {
-        ch.doubled_weight(expo): mult for expo, mult in ch.coeffs.items()
-    }
+    char_mult = symfunc.irreducible_character(
+        args.m, args.n, p, args.levels).coeffs
     ok = True
     blocks = verma.collect_gram_blocks(args.m, args.n, p, args.levels)
     for blk in blocks:
-        expected = char_mult.get(blk.weight, 0)
+        expected = char_mult.get(blk.content, 0)
         match = blk.rank == expected
         ok &= match and blk.psd
         out.emit({"weight": list(blk.weight), "level": sum(blk.content),

@@ -11,9 +11,11 @@ pattern reports exactly which condition broke.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .symfunc import check_partition, conjugate
+from .symfunc import (check_partition, conjugate, hook_partitions,
+                       lowest_weight_offset)
 
 
 @dataclass(frozen=True)
@@ -100,16 +102,12 @@ def top_row_is_valid(top, m: int, n: int) -> bool:
     return True
 
 
-def top_rows_for_level(m: int, n: int, p: int, level: int,
-                       cap: bool = True) -> list[tuple[int, ...]]:
-    """All top rows of the given level, from hook partitions; cap filters width <= p."""
-    from .symfunc import hook_partitions
-
-    width = p if cap else None
-    rows = [top_row_from_partition(la, m, n)
-            for la in hook_partitions(level, m, n, max_width=width)]
-    rows.sort()
-    return rows
+def top_rows_for_level(m: int, n: int, level: int,
+                       max_width: int | None = None) -> list[tuple[int, ...]]:
+    """All top rows of the given level, from the hook partitions of width
+    <= max_width (all of them when None), sorted."""
+    return sorted(top_row_from_partition(la, m, n)
+                  for la in hook_partitions(level, m, n, max_width=max_width))
 
 
 def raise_top_row(top, m: int, n: int, k: int):
@@ -277,35 +275,35 @@ def fillings(top, m: int, n: int) -> list[GZPattern]:
     return pats
 
 
-def pattern_weight(pat: GZPattern, p: int) -> tuple[int, ...]:
-    """Doubled weight: entry k is 2x the k-th Cartan eigenvalue.
+def pattern_content(pat: GZPattern) -> tuple[int, ...]:
+    """Creation content: entry k is the k-th row sum minus the (k-1)-th, rows
+    counted by length from below."""
+    sums = [0] + [sum(pat.row(k)) for k in range(1, pat.m + pat.n + 1)]
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
 
-    Equals -p (fermionic slots) or +p (bosonic slots) plus twice the k-th row
-    sum minus twice the (k-1)-th row sum, rows counted by length from below.
-    """
-    if pattern_failures(pat):
-        raise ValueError("invalid pattern")
-    m, r = pat.m, pat.m + pat.n
-    out = []
-    prev = 0
-    for k in range(1, r + 1):
-        cur = sum(pat.row(k))
-        base = -p if k <= m else p
-        out.append(base + 2 * (cur - prev))
-        prev = cur
-    return tuple(out)
+
+def doubled_weight(content, m: int, n: int, p: int) -> tuple[int, ...]:
+    """The vacuum shift: doubled weight (2x the Cartan eigenvalues) of a
+    creation content in the module of order p."""
+    return tuple(o + 2 * c
+                 for o, c in zip(lowest_weight_offset(m, n, p), content))
 
 
 def content_from_doubled_weight(w, m: int, n: int, p: int) -> tuple[int, ...]:
-    """Inverse of the vacuum shift: nonnegative creation content per slot."""
-    out = []
-    for k, x in enumerate(w):
-        base = -p if k < m else p
-        num = x - base
-        if num % 2 != 0 or num < 0:
-            raise ValueError(f"{w} is not a reachable doubled weight")
-        out.append(num // 2)
-    return tuple(out)
+    """Inverse of doubled_weight: nonnegative creation content per slot."""
+    w = tuple(w)
+    offset = lowest_weight_offset(m, n, p)
+    nums = [x - o for x, o in zip(w, offset)]
+    if len(w) != len(offset) or any(x % 2 or x < 0 for x in nums):
+        raise ValueError(f"{w} is not a reachable doubled weight")
+    return tuple(x // 2 for x in nums)
+
+
+def pattern_weight(pat: GZPattern, p: int) -> tuple[int, ...]:
+    """Doubled weight of a valid pattern in the module of order p."""
+    if pattern_failures(pat):
+        raise ValueError("invalid pattern")
+    return doubled_weight(pattern_content(pat), pat.m, pat.n, p)
 
 
 def valid_subrows(top, m: int, n: int) -> list[tuple[int, ...]]:
@@ -321,23 +319,10 @@ def valid_subrows(top, m: int, n: int) -> list[tuple[int, ...]]:
     return sorted(_next_rows(m, n, r, top))
 
 
-def weight_pattern_counts(m: int, n: int, p: int, level: int,
-                          cap: bool = True, width: int | None = None) -> dict:
-    """Multiset of doubled pattern weights at one level.
-
-    cap=True restricts to top rows of width <= p; an explicit width overrides
-    the cap entirely (used to witness overcounting past the cut).
-    """
-    counts: dict[tuple[int, ...], int] = {}
-    if width is not None:
-        from .symfunc import hook_partitions
-
-        rows = [top_row_from_partition(la, m, n)
-                for la in hook_partitions(level, m, n, max_width=width)]
-    else:
-        rows = top_rows_for_level(m, n, p, level, cap=cap)
-    for top in rows:
-        for pat in fillings(top, m, n):
-            w = pattern_weight(pat, p)
-            counts[w] = counts.get(w, 0) + 1
-    return counts
+def pattern_counts(m: int, n: int, level: int,
+                   max_width: int | None = None) -> Counter:
+    """Content -> number of patterns at one level, over the top rows of
+    width <= max_width (all of them when None)."""
+    return Counter(pattern_content(pat)
+                   for top in top_rows_for_level(m, n, level, max_width)
+                   for pat in fillings(top, m, n))

@@ -358,7 +358,7 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
 def recurrence_configs(m: int, n: int, level_max: int):
     """All admissible (top row, subrow) pairs with level <= level_max."""
     for level in range(level_max + 1):
-        for top in gz.top_rows_for_level(m, n, 1, level, cap=False):
+        for top in gz.top_rows_for_level(m, n, level):
             for subrow in gz.valid_subrows(top, m, n):
                 yield top, subrow
 

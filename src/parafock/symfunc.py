@@ -415,10 +415,6 @@ class TruncatedCharacter:
             and self.coeffs == other.coeffs
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def level_totals(self) -> list[int]:
         """Total multiplicity per total degree, degrees 0..cap."""
         totals = [0] * (self.cap + 1)

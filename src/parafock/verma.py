@@ -161,12 +161,6 @@ class PBWMonomial:
                 out[j - 1] += e
         return tuple(out)
 
-    def doubled_weight(self, m: int, n: int, p: int) -> tuple[int, ...]:
-        return tuple(
-            (-p if k < m else p) + 2 * c
-            for k, c in enumerate(self.content(m, n))
-        )
-
     def sort_key(self):
         return (self.singles, self.pairs)
 
@@ -519,20 +513,10 @@ def basis_for_content(m: int, n: int, content) -> list[PBWMonomial]:
     return list(groups.get(tuple(content), ()))
 
 
-def doubled_weight_of_content(content, m: int, n: int, p: int) -> tuple[int, ...]:
-    return tuple((-p if k < m else p) + 2 * c for k, c in enumerate(content))
-
-
-def gram_block_for_content(m: int, n: int, p: int, content,
-                           order: str = "standard") -> GramBlock:
-    """Gram block of one weight space; `order` flips the basis enumeration
-    (for the ordering-independence check)."""
+def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
+    """Gram block of the weight space of one creation content."""
     engine = get_engine(m, n)
     basis = basis_for_content(m, n, content)
-    if order == "reversed":
-        basis = list(reversed(basis))
-    elif order != "standard":
-        raise ValueError(f"unknown order {order!r}")
     mat = [[Fraction(0)] * len(basis) for _ in basis]
     for i, a in enumerate(basis):
         for j in range(i, len(basis)):
@@ -551,7 +535,7 @@ def gram_block_for_content(m: int, n: int, p: int, content,
     ]
     return GramBlock(
         m=m, n=n, p=p, content=tuple(content),
-        weight=doubled_weight_of_content(content, m, n, p),
+        weight=gz.doubled_weight(content, m, n, p),
         basis=basis, matrix=mat, rank=rank, psd=psd, pivots=pivots,
         radical_basis=rad_vectors, pivot_rows=pivot_rows,
     )
@@ -563,11 +547,10 @@ def gram_block(m: int, n: int, p: int, weight) -> GramBlock:
     return gram_block_for_content(m, n, p, content)
 
 
-def gram_blocks_up_to(m: int, n: int, p: int, level_max: int,
-                      order: str = "standard"):
+def gram_blocks_up_to(m: int, n: int, p: int, level_max: int):
     for level in range(level_max + 1):
         for content in level_contents(m, n, level):
-            yield gram_block_for_content(m, n, p, content, order=order)
+            yield gram_block_for_content(m, n, p, content)
 
 
 def irreducible_dims(m: int, n: int, p: int, level_max: int) -> dict:
@@ -640,23 +623,19 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")
     by_level = _blocks_by_level(m, n, p, level_max, blocks)
-    r = m + n
     failures = []
     checked = 0
     for level in range(level_max + 1):
-        expected_by_weight: dict[tuple, list] = {}
-        for top in gz.top_rows_for_level(m, n, p, level, cap=True):
-            for pat in gz.fillings(top, m, n):
-                w = gz.pattern_weight(pat, p)
-                val = p + 2 * (sum(pat.row(r)) - (sum(pat.row(r - 1)) if r > 1 else 0))
-                expected_by_weight.setdefault(w, []).append(Fraction(val))
+        counts = gz.pattern_counts(m, n, level, max_width=p)
         for blk in by_level.get(level, ()):
             try:
                 values = diagonal_values(blk)
             except ArithmeticError as exc:
                 failures.append({"weight": list(blk.weight), "error": str(exc)})
                 continue
-            expected = sorted(expected_by_weight.get(blk.weight, []))
+            # a pattern's p + 2*(top row sum - second row sum) is the last
+            # entry of its doubled weight
+            expected = [Fraction(blk.weight[-1])] * counts[blk.content]
             checked += len(values)
             if values != expected:
                 failures.append({
@@ -678,30 +657,33 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
     `blocks` are those of collect_gram_blocks(m, n, p, level_max), built here
     when not given.
     """
+    def weight(content):
+        return list(gz.doubled_weight(content, m, n, p))
+
     by_level = _blocks_by_level(m, n, p, level_max, blocks)
     failures = []
     witness = None
     saw_wide = False
     for level in range(level_max + 1):
-        capped = gz.weight_pattern_counts(m, n, p, level, cap=True)
-        wide = gz.weight_pattern_counts(m, n, p, level, width=p + 1)
-        ranks = {blk.weight: blk.rank for blk in by_level.get(level, ())}
-        for w, rank in ranks.items():
-            if rank != capped.get(w, 0):
-                failures.append({"level": level, "weight": list(w),
-                                 "rank": rank, "patterns": capped.get(w, 0)})
-        for w, cnt in capped.items():
-            if w not in ranks and cnt:
-                failures.append({"level": level, "weight": list(w),
+        capped = gz.pattern_counts(m, n, level, max_width=p)
+        wide = gz.pattern_counts(m, n, level, max_width=p + 1)
+        ranks = {blk.content: blk.rank for blk in by_level.get(level, ())}
+        for c, rank in ranks.items():
+            if rank != capped[c]:
+                failures.append({"level": level, "weight": weight(c),
+                                 "rank": rank, "patterns": capped[c]})
+        for c, cnt in capped.items():
+            if c not in ranks:
+                failures.append({"level": level, "weight": weight(c),
                                  "rank": 0, "patterns": cnt})
         if wide != capped:
             saw_wide = True
             if witness is None:
-                for w in sorted(wide):
-                    if wide[w] > capped.get(w, 0):
-                        witness = {"level": level, "weight": list(w),
-                                   "wide_count": wide[w],
-                                   "capped_count": capped.get(w, 0)}
+                for c in sorted(wide):
+                    if wide[c] > capped[c]:
+                        witness = {"level": level, "weight": weight(c),
+                                   "wide_count": wide[c],
+                                   "capped_count": capped[c]}
                         break
     cut_expected = any(
         la and la[0] == p + 1

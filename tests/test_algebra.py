@@ -170,3 +170,13 @@ def test_matrix_serialization_roundtrip():
     assert all(r["sqrt2_power"] == 1 for r in recs)
     back = alg.SuperMatrix.from_records(2, 2, recs)
     assert back == g
+
+
+def test_not_equal_follows_equality():
+    g = alg.make_generator(alg.GeneratorId(1, "+"), 1, 1)
+    same = alg.make_generator(alg.GeneratorId(1, "+"), 1, 1)
+    other = alg.make_generator(alg.GeneratorId(1, "-"), 1, 1)
+    assert g == same and not g != same
+    assert g != other and not g == other
+    assert g != "c1+" and not g == "c1+"
+    assert alg.SuperMatrix(1, 1) != alg.SuperMatrix(2, 1)

@@ -1,5 +1,7 @@
 """End-to-end CLI checks: exit codes, record shapes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parafock
 from parafock.cli import main
@@ -182,6 +185,19 @@ def test_dims_and_pattern_validation(tmp_path):
     assert "top_row" in recs[1]["failures"]
 
 
+@pytest.mark.parametrize("p,tops", [
+    (None, [[0, 0], [1, 0], [1, 1], [2, 0]]),
+    (2, [[0, 0], [1, 0], [1, 1], [2, 0]]),
+    (1, [[0, 0], [1, 0], [1, 1]]),
+    (0, [[0, 0]]),
+])
+def test_dims_p_caps_the_top_row_width(p, tops, capsys):
+    argv = ["dims", "--m", "1", "--n", "1", "--levels", "2"]
+    assert main(argv + (["--p", str(p)] if p is not None else [])) == 0
+    assert [r["top_row"] for r in records(capsys.readouterr().out)[1:]] \
+        == tops
+
+
 def test_determinism_byte_identical():
     args = ("gram", "--m", "1", "--n", "1", "--p", "2", "--levels", "2")
     _, out1, _ = run_cli(*args)
@@ -309,3 +325,56 @@ def test_verify_algebra_m2n2():
     assert code == 0
     recs = {r.get("check"): r for r in records(out)}
     assert recs["structure_constants"]["dimension"] == 40
+
+
+# per command: bounded size options (drawn options may override them) and
+# the command's own flags; every command also takes COMMON
+COMMANDS = {
+    "verify-algebra": ((), ()),
+    "char": (("--degree", "3"), ("--degree",)),
+    "dims": (("--levels", "2"), ("--levels", "--patterns")),
+    "verify-id2": (("--levels", "2"), ("--levels", "--variant", "--domains")),
+    "gk-table": (("--levels", "2"), ("--levels", "--variant", "--no-cap")),
+    "gram": (("--levels", "2"), ("--levels",)),
+    "matelems": (("--levels", "2"), ("--levels",)),
+}
+COMMON = ("--m", "--n", "--p", "--format", "--bogus")
+VALUES = {
+    "--m": ("-1", "0", "1", "2", "x", ""),
+    "--n": ("-1", "0", "1", "2", "x", ""),
+    "--p": ("-1", "0", "1", "3", "1,2", "2,2", "1,x", ""),
+    "--levels": ("-1", "0", "1", "2", "13", "x"),
+    "--degree": ("-1", "0", "1", "3", "13", "x"),
+    "--variant": ("auto", "mult:cancel:boson", "mult:cancel:printed",
+                  "mult:strict:boson", "add:cancel:boson", ""),
+    "--domains": ("1,1", "1,1;2,1", "0,1", "1,0", "1,2,3", "x", ""),
+    "--format": ("json", "csv", "xml"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    bounded, flags = COMMANDS[command]
+    argv = [command, "--m", str(draw(st.integers(0, 2))),
+            "--n", str(draw(st.integers(0, 2))), *bounded]
+    for flag in draw(st.lists(st.sampled_from(COMMON + flags), max_size=4)):
+        argv.append(flag)
+        if flag in VALUES:
+            argv.append(draw(st.sampled_from(VALUES[flag])))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argv=command_lines())
+def test_exit_code_contract_holds_for_any_argv(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert "error:" in err.getvalue(), argv

@@ -46,15 +46,15 @@ def test_pattern_weights_doubled():
 
 def test_weight_parity_matches_p():
     for p in (1, 2, 3):
-        for top in gz.top_rows_for_level(1, 2, p, 3, cap=False):
+        for top in gz.top_rows_for_level(1, 2, 3):
             for pat in gz.fillings(top, 1, 2):
                 assert all((w - p) % 2 == 0 for w in gz.pattern_weight(pat, p))
 
 
 def test_top_rows_for_level():
-    assert gz.top_rows_for_level(1, 1, 1, 2, cap=False) == [(1, 1), (2, 0)]
-    assert gz.top_rows_for_level(1, 1, 1, 2, cap=True) == [(1, 1)]
-    assert gz.top_rows_for_level(2, 2, 1, 0, cap=False) == [(0, 0, 0, 0)]
+    assert gz.top_rows_for_level(1, 1, 2) == [(1, 1), (2, 0)]
+    assert gz.top_rows_for_level(1, 1, 2, max_width=1) == [(1, 1)]
+    assert gz.top_rows_for_level(2, 2, 0) == [(0, 0, 0, 0)]
 
 
 def test_partition_top_row_roundtrip():
@@ -74,7 +74,7 @@ def test_raise_and_lower():
     assert gz.lower_top_row((1, 0), 1, 1, 2) is None
     for m, n in ((1, 1), (2, 1), (1, 2)):
         for d in range(5):
-            for top in gz.top_rows_for_level(m, n, 1, d, cap=False):
+            for top in gz.top_rows_for_level(m, n, d):
                 for k in range(1, m + n + 1):
                     up = gz.raise_top_row(top, m, n, k)
                     if up is not None:
@@ -92,7 +92,7 @@ def test_fillings_examples():
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (2, 0)])
 def test_fillings_count_equals_schur_dimension(m, n):
     for d in range(7):
-        for top in gz.top_rows_for_level(m, n, 1, d, cap=False):
+        for top in gz.top_rows_for_level(m, n, d):
             la = gz.partition_from_top_row(top, m, n)
             dim = sum(sf.super_schur(la, m, n).coeffs.values())
             assert len(gz.fillings(top, m, n)) == dim, (m, n, top)
@@ -103,7 +103,7 @@ def test_weight_multiset_matches_schur_monomials(m, n):
     p = 3
     off = sf.lowest_weight_offset(m, n, p)
     for d in range(5):
-        for top in gz.top_rows_for_level(m, n, p, d, cap=False):
+        for top in gz.top_rows_for_level(m, n, d):
             la = gz.partition_from_top_row(top, m, n)
             expected = {}
             for e, c in sf.super_schur(la, m, n).coeffs.items():
@@ -146,7 +146,7 @@ def test_fillings_match_brute_force(m, n, top):
 def test_valid_subrows_are_prefixes_of_fillings():
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         for d in range(4):
-            for top in gz.top_rows_for_level(m, n, 1, d, cap=False):
+            for top in gz.top_rows_for_level(m, n, d):
                 subs = set(gz.valid_subrows(top, m, n))
                 from_fillings = {pat.rows[1] for pat in gz.fillings(top, m, n)}
                 assert subs == from_fillings, (m, n, top)
@@ -157,3 +157,64 @@ def test_serialization_roundtrip():
     rows = pat.to_rows()
     assert rows == [[2, 1, 1], [2, 1], [1]]
     assert gz.GZPattern.from_rows(2, 1, rows) == pat
+
+
+SHIFT_CASES = [(1, 1, 2), (2, 1, 1), (1, 2, 3), (2, 2, 2), (0, 2, 1),
+               (3, 0, 2), (0, 1, 3), (1, 0, 1)]
+
+
+def _contents(m, n, level_max):
+    """Every creation content of a pattern at levels <= level_max."""
+    return {c for level in range(level_max + 1)
+            for c in gz.pattern_counts(m, n, level)}
+
+
+@pytest.mark.parametrize("m,n,p", SHIFT_CASES)
+def test_vacuum_shift_roundtrip(m, n, p):
+    contents = _contents(m, n, 4)
+    assert (0,) * (m + n) in contents
+    for c in contents:
+        w = gz.doubled_weight(c, m, n, p)
+        assert w == tuple(o + 2 * x for o, x in
+                          zip(sf.lowest_weight_offset(m, n, p), c))
+        assert gz.content_from_doubled_weight(w, m, n, p) == c
+
+
+@pytest.mark.parametrize("m,n,p", SHIFT_CASES)
+def test_pattern_weight_is_shifted_content(m, n, p):
+    for level in range(4):
+        for top in gz.top_rows_for_level(m, n, level):
+            for pat in gz.fillings(top, m, n):
+                c = gz.pattern_content(pat)
+                assert sum(c) == level and min(c) >= 0
+                assert gz.pattern_weight(pat, p) == gz.doubled_weight(c, m, n, p)
+
+
+def test_content_from_doubled_weight_rejects_unreachable_weights():
+    assert gz.content_from_doubled_weight((-2, 2), 1, 1, 2) == (0, 0)
+    for w in ((-1, 2), (-2, 3), (-4, 2), (-2, 0), (-2,), (-2, 2, 2)):
+        with pytest.raises(ValueError):
+            gz.content_from_doubled_weight(w, 1, 1, 2)
+
+
+@pytest.mark.parametrize("m,n,p", [c for c in SHIFT_CASES if c[1] >= 1])
+def test_last_pair_value_is_last_doubled_weight_entry(m, n, p):
+    """p + 2*(top row sum - second row sum) is the pattern's last doubled
+    weight entry; diagonal_check reads its expected values from this."""
+    r = m + n
+    for level in range(5):
+        for top in gz.top_rows_for_level(m, n, level, max_width=p):
+            for pat in gz.fillings(top, m, n):
+                second = sum(pat.row(r - 1)) if r > 1 else 0
+                value = p + 2 * (sum(pat.row(r)) - second)
+                assert value == gz.pattern_weight(pat, p)[-1]
+
+
+def test_pattern_counts_by_width():
+    assert gz.pattern_counts(1, 1, 2) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert gz.pattern_counts(1, 1, 2, max_width=1) == {(1, 1): 1, (0, 2): 1}
+    for m, n, p in SHIFT_CASES:
+        ch = sf.irreducible_character(m, n, p, 4).coeffs
+        for level in range(5):
+            expected = {c: k for c, k in ch.items() if sum(c) == level}
+            assert gz.pattern_counts(m, n, level, max_width=p) == expected

@@ -101,7 +101,7 @@ def test_nonnegative_in_unitary_range():
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         for p in (1, 2, 3):
             for level in range(5):
-                for top in gz.top_rows_for_level(m, n, p, level, cap=True):
+                for top in gz.top_rows_for_level(m, n, level, max_width=p):
                     for k in range(1, m + n + 1):
                         sq = rm.reduced_me_squared(top, k, p, m, n, V)
                         assert sq >= 0, (m, n, p, top, k)

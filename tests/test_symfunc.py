@@ -235,3 +235,12 @@ def test_truncated_character_product_rejects_out_of_range_degree():
     bad.coeffs[(2, 2)] = 1
     with pytest.raises(ValueError):
         bad * one
+
+
+def test_truncated_character_not_equal_follows_equality():
+    x = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1})
+    same = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1})
+    shifted = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1}, offset=(-1, 1))
+    assert x == same and not x != same
+    assert x != shifted and not x == shifted
+    assert x != {(1, 0): 1} and not x == {(1, 0): 1}

@@ -1,5 +1,6 @@
 """Induced-module oracle: straightening, Gram blocks, radical structure."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from parafock import patterns as gz
 from parafock import symfunc as sf
 from parafock import verma as vm
+from parafock.rational_linalg import symmetric_rank_psd
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -199,7 +201,8 @@ def test_weight_grading_of_action():
         v = {mono: Fraction(1)}
         for k in range(1, 4):
             img = eng.act(("h", k), v, p)
-            expect = Fraction(mono.doubled_weight(2, 1, p)[k - 1], 2)
+            weight = gz.doubled_weight(mono.content(2, 1), 2, 1, p)
+            expect = Fraction(weight[k - 1], 2)
             assert img == ({mono: expect} if expect else {})
 
 
@@ -350,9 +353,11 @@ def test_positive_semidefinite_full_range(m, n):
 
 def test_rank_independent_of_basis_order():
     for content in vm.level_contents(1, 1, 3):
-        a = vm.gram_block_for_content(1, 1, 2, content, order="standard")
-        b = vm.gram_block_for_content(1, 1, 2, content, order="reversed")
-        assert a.rank == b.rank and a.psd == b.psd
+        blk = vm.gram_block_for_content(1, 1, 2, content)
+        flipped = [[x.numerator for x in reversed(row)]
+                   for row in reversed(blk.matrix)]
+        rank, psd, *_ = symmetric_rank_psd(flipped)
+        assert rank == blk.rank and psd == blk.psd
 
 
 def test_diagonal_check():
@@ -376,6 +381,23 @@ def test_radical_cut_check():
     assert rep["ok"] and rep["cut_expected"] is False
     rep = vm.radical_cut_check(1, 1, 2, 3)
     assert rep["ok"] and rep["cut_witness"]["level"] == 3
+    rep = vm.radical_cut_check(1, 1, 1, 2)
+    assert rep["cut_witness"] == {"level": 2, "weight": [1, 3],
+                                  "wide_count": 2, "capped_count": 1}
+
+
+def test_radical_cut_check_reports_mismatches_by_doubled_weight():
+    blocks = vm.collect_gram_blocks(1, 1, 2, 2)
+    bumped = [dataclasses.replace(blk, rank=blk.rank + 1)
+              if blk.content == (1, 1) else blk for blk in blocks]
+    rep = vm.radical_cut_check(1, 1, 2, 2, bumped)
+    assert not rep["ok"]
+    assert rep["failures"] == [
+        {"level": 2, "weight": [0, 4], "rank": 3, "patterns": 2}]
+    missing = [blk for blk in blocks if blk.content != (1, 1)]
+    rep = vm.radical_cut_check(1, 1, 2, 2, missing)
+    assert rep["failures"] == [
+        {"level": 2, "weight": [0, 4], "rank": 0, "patterns": 2}]
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
