@@ -68,7 +68,6 @@ from .verma import (
     GramBlock,
     PBWMonomial,
     VermaEngine,
-    act,
     collect_gram_blocks,
     diagonal_check,
     get_engine,

@@ -41,8 +41,7 @@ class SuperMatrix:
     """Sparse rational matrix with a sqrt(2) power tag and a parity tag.
 
     The represented value is sqrt(2)**sqrt2_power * entries.  Powers are
-    normalized to 0 or 1 by folding sqrt(2)**2 = 2 into the entries; a matrix
-    can only be exported as plain rational when the power is 0.
+    normalized to 0 or 1 by folding sqrt(2)**2 = 2 into the entries.
     """
 
     __slots__ = ("m", "n", "entries", "sqrt2_power", "parity")
@@ -140,11 +139,6 @@ class SuperMatrix:
         return SuperMatrix(self.m, self.n, ent,
                            self.sqrt2_power + other.sqrt2_power, par)
 
-    def rational_entries(self) -> dict:
-        if self.sqrt2_power != 0:
-            raise ValueError("matrix carries an odd sqrt(2) power")
-        return dict(self.entries)
-
     def coordinates(self) -> dict:
         """Sparse coordinates tagged with the sqrt(2) power, for linear algebra."""
         return {(self.sqrt2_power, i, j): v for (i, j), v in self.entries.items()}
@@ -158,15 +152,6 @@ class SuperMatrix:
                 "sqrt2_power": self.sqrt2_power,
             })
         return recs
-
-    @classmethod
-    def from_records(cls, m, n, records) -> "SuperMatrix":
-        ent = {}
-        power = 0
-        for r in records:
-            ent[(r["row"], r["col"])] = Fraction(r["numerator"], r["denominator"])
-            power = r["sqrt2_power"]
-        return cls(m, n, ent, power)
 
     def __repr__(self):
         tag = "" if self.sqrt2_power == 0 else " * sqrt2"
@@ -409,12 +394,6 @@ class AlgebraBasis:
                 self.brackets[(a, b)] = {
                     lab: c for lab, c in zip(self.labels, coeffs) if c
                 }
-
-    def matrix(self, label) -> SuperMatrix:
-        return dict(self.elements)[label]
-
-    def bracket_expansion(self, a, b) -> dict:
-        return self.brackets[(a, b)]
 
     @property
     def dimension(self) -> int:

@@ -1,8 +1,14 @@
 """Batch command-line interface: verification suites and table generation.
 
 Output is JSON lines (CSV available as a flat projection).  Exit codes:
-0 = all checks pass, 1 = mathematical mismatch, 2 = usage or config error.
-Identical invocations produce byte-identical output.
+0 = all checks pass, 1 = mathematical mismatch, 2 = usage or config error
+(a negative --p is one on every command).  Identical invocations produce
+byte-identical output.
+
+Each cmd_*(args, out) emits its records into out and returns its verdict,
+or raises UsageError.  main builds the one Emitter, flushes it only once a
+verdict is returned (so a usage error leaves stdout empty) and maps the
+verdict or the UsageError to the exit code.
 """
 
 from __future__ import annotations
@@ -71,47 +77,41 @@ class Emitter:
             sys.stdout.write(text + "\n")
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _meta(command: str, **extra) -> dict:
     return {"meta": command, "schema_version": 1, **extra}
 
 
-def _check_session(args, need_p=True) -> str | None:
+def _check_session(args, need_p=True):
+    """Raise UsageError for out-of-range options.  --p must be >= 1, or
+    >= 0 where need_p is False (p = 0 caps dims at the vacuum)."""
     if args.m < 0 or args.n < 0 or args.m + args.n < 1:
-        return "need m >= 0, n >= 0 and m + n >= 1"
-    if need_p and args.p is not None and min(args.p) < 1:
-        return "p must be >= 1"
+        raise UsageError("need m >= 0, n >= 0 and m + n >= 1")
+    low = 1 if need_p else 0
+    if args.p is not None and min(args.p) < low:
+        raise UsageError(f"p must be >= {low}")
     levels = getattr(args, "levels", None)
     if levels is not None and not 0 <= levels <= MAX_LEVEL:
-        return f"levels must be in 0..{MAX_LEVEL}"
+        raise UsageError(f"levels must be in 0..{MAX_LEVEL}")
     degree = getattr(args, "degree", None)
     if degree is not None and not 0 <= degree <= MAX_DEGREE:
-        return f"degree must be in 0..{MAX_DEGREE}"
-    return None
+        raise UsageError(f"degree must be in 0..{MAX_DEGREE}")
 
 
-def _single_p(args) -> tuple[int, str | None]:
-    """(the order, or 1 when --p is absent; a usage error or None)."""
+def _single_p(args) -> int:
+    """The order, or 1 when --p is absent."""
     if args.p is None:
-        return 1, None
+        return 1
     if len(args.p) != 1:
-        return 0, "this command takes a single --p value"
-    return args.p[0], None
+        raise UsageError("this command takes a single --p value")
+    return args.p[0]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_verify_algebra(args) -> int:
-    err = _check_session(args, need_p=False)
-    if err:
-        return _fail_usage(err)
-    out = Emitter(args.format, args.out)
+def cmd_verify_algebra(args, out: Emitter) -> bool:
+    _check_session(args, need_p=False)
     out.emit(_meta("verify-algebra", m=args.m, n=args.n))
     ok = True
     rep = algebra.verify_triple_relations(args.m, args.n)
@@ -145,8 +145,7 @@ def cmd_verify_algebra(args) -> int:
     except ArithmeticError as exc:
         out.emit({"check": "structure_constants", "error": str(exc)})
         ok = False
-    out.flush()
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return ok
 
 
 def _read_patterns(path: str, m: int, n: int) -> list:
@@ -173,11 +172,8 @@ def _read_patterns(path: str, m: int, n: int) -> list:
     return out
 
 
-def cmd_dims(args) -> int:
-    err = _check_session(args, need_p=False)
-    if err:
-        return _fail_usage(err)
-    out = Emitter(args.format, args.out)
+def cmd_dims(args, out: Emitter) -> bool:
+    _check_session(args, need_p=False)
     out.emit(_meta("dims", m=args.m, n=args.n, levels=args.levels))
     ok = True
     if args.validate:
@@ -186,10 +182,9 @@ def cmd_dims(args) -> int:
             ok &= not fails
             out.emit({"pattern": rows, "valid": not fails,
                       "failures": fails})
-        out.flush()
-        return EXIT_OK if ok else EXIT_MISMATCH
+        return ok
     if args.p is not None and len(args.p) != 1:
-        return _fail_usage("dims takes at most one --p value")
+        raise UsageError("dims takes at most one --p value")
     p = args.p[0] if args.p else None
     for level in range(args.levels + 1):
         for top in patterns.top_rows_for_level(args.m, args.n, level,
@@ -207,16 +202,12 @@ def cmd_dims(args) -> int:
                 for pat in fills:
                     out.emit({"top_row": list(top),
                               "pattern": pat.to_rows()})
-    out.flush()
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return ok
 
 
-def cmd_char(args) -> int:
-    p, err = _single_p(args)
-    err = _check_session(args) or err
-    if err:
-        return _fail_usage(err)
-    out = Emitter(args.format, args.out)
+def cmd_char(args, out: Emitter) -> bool:
+    _check_session(args)
+    p = _single_p(args)
     out.emit(_meta("char", m=args.m, n=args.n, p=p, degree=args.degree))
     verma_ch = symfunc.verma_character(args.m, args.n, p, args.degree)
     irr = symfunc.irreducible_character(args.m, args.n, p, args.degree)
@@ -233,8 +224,7 @@ def cmd_char(args) -> int:
                                    method="schur_sum")
     expansion_ok = both == verma_ch
     out.emit({"check": "weight_series_expansion", "ok": expansion_ok})
-    out.flush()
-    return EXIT_OK if rep["ok"] and expansion_ok else EXIT_MISMATCH
+    return rep["ok"] and expansion_ok
 
 
 def _parse_domains(text: str):
@@ -245,32 +235,29 @@ def _parse_domains(text: str):
     return domains
 
 
-def cmd_verify_id2(args) -> int:
-    err = _check_session(args)
-    if err:
-        return _fail_usage(err)
+def cmd_verify_id2(args, out: Emitter) -> bool:
+    _check_session(args)
     p_values = args.p or [1, 2, 3]
     if len(set(p_values)) != len(p_values):
-        return _fail_usage("--p values must be distinct")
+        raise UsageError("--p values must be distinct")
     if args.domains:
         try:
             domains = _parse_domains(args.domains)
-        except ValueError:
-            return _fail_usage("--domains expects 'm,n;m,n;...'")
+        except ValueError as exc:
+            raise UsageError("--domains expects 'm,n;m,n;...'") from exc
     else:
         domains = [(args.m, args.n)]
     if any(m < 0 or n < 1 for m, n in domains):
-        return _fail_usage(
+        raise UsageError(
             "every domain needs m >= 0 and n >= 1 (the recurrence needs a "
             "bosonic slot)")
-    out = Emitter(args.format, args.out)
     out.emit(_meta("verify-id2", domains=[list(d) for d in domains],
                    p=p_values, levels=args.levels))
     if args.variant != "auto":
         try:
             variant = reduced.ParsingVariant.from_short(args.variant)
-        except (KeyError, ValueError):
-            return _fail_usage(f"unknown variant {args.variant!r}")
+        except (KeyError, ValueError) as exc:
+            raise UsageError(f"unknown variant {args.variant!r}") from exc
         ok = True
         for (m, n) in domains:
             sweep = reduced.residual_sweep(m, n, p_values, args.levels, variant)
@@ -281,17 +268,15 @@ def cmd_verify_id2(args) -> int:
                       "zero_division_errors": sweep["errors"],
                       "sample_failures": sweep["failures"][:3]})
         out.emit({"check": "recurrence", "variant": variant.short(), "ok": ok})
-        out.flush()
-        return EXIT_OK if ok else EXIT_MISMATCH
+        return ok
     if len(p_values) < 2:
-        return _fail_usage("variant selection needs at least two --p values")
+        raise UsageError("variant selection needs at least two --p values")
     try:
         rep = reduced.select_parsing_variant_multi(domains, p_values, args.levels)
     except reduced.VariantSelectionError as exc:
         out.emit({"check": "variant_selection", "ok": False,
                   "error": str(exc)})
-        out.flush()
-        return EXIT_MISMATCH
+        return False
     for stat in rep["per_variant"]:
         out.emit({"domain": [stat["m"], stat["n"]],
                   "variant": stat["variant"], "configs": stat["configs"],
@@ -300,24 +285,20 @@ def cmd_verify_id2(args) -> int:
     out.emit({"check": "variant_selection", "ok": True,
               "selected": rep["selected"].short(),
               "survivors": rep["survivors"]})
-    out.flush()
-    return EXIT_OK
+    return True
 
 
-def cmd_gk_table(args) -> int:
-    p, err = _single_p(args)
-    err = _check_session(args) or err
-    if err:
-        return _fail_usage(err)
+def cmd_gk_table(args, out: Emitter) -> bool:
+    _check_session(args)
+    p = _single_p(args)
     try:
         variant = (reduced.DEFAULT_VARIANT if args.variant == "auto"
                    else reduced.ParsingVariant.from_short(args.variant))
-    except (KeyError, ValueError):
-        return _fail_usage(f"unknown variant {args.variant!r}")
-    out = Emitter(args.format, args.out)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"unknown variant {args.variant!r}") from exc
     out.emit(_meta("gk-table", m=args.m, n=args.n, p=p,
                    levels=args.levels, variant=variant.short()))
-    code = EXIT_OK
+    ok = True
     for level in range(args.levels + 1):
         for top in patterns.top_rows_for_level(
                 args.m, args.n, level, max_width=None if args.no_cap else p):
@@ -327,23 +308,19 @@ def cmd_gk_table(args) -> int:
                 except (reduced.UncancelledZeroError, ArithmeticError) as exc:
                     out.emit({"top_row": list(top), "k": k, "p": p,
                               "error": str(exc)})
-                    code = EXIT_MISMATCH
+                    ok = False
                     continue
                 out.emit({
                     "top_row": list(top), "k": k, "p": p, "sign": val.sign,
                     "radicand_num": val.radicand.numerator,
                     "radicand_den": val.radicand.denominator,
                 })
-    out.flush()
-    return code
+    return ok
 
 
-def cmd_gram(args) -> int:
-    p, err = _single_p(args)
-    err = _check_session(args) or err
-    if err:
-        return _fail_usage(err)
-    out = Emitter(args.format, args.out)
+def cmd_gram(args, out: Emitter) -> bool:
+    _check_session(args)
+    p = _single_p(args)
     out.emit(_meta("gram", m=args.m, n=args.n, p=p, levels=args.levels))
     char_mult = symfunc.irreducible_character(
         args.m, args.n, p, args.levels).coeffs
@@ -367,19 +344,15 @@ def cmd_gram(args) -> int:
     out.emit({"check": "radical_cut", "ok": rep["ok"],
               "cut_expected": rep["cut_expected"],
               "cut_witness": rep["cut_witness"]})
-    out.flush()
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return ok
 
 
-def cmd_matelems(args) -> int:
-    p, err = _single_p(args)
-    err = _check_session(args) or err
-    if err:
-        return _fail_usage(err)
-    out = Emitter(args.format, args.out)
+def cmd_matelems(args, out: Emitter) -> bool:
+    _check_session(args)
+    p = _single_p(args)
     out.emit(_meta("matelems", m=args.m, n=args.n, p=p,
                    levels=args.levels))
-    code = EXIT_OK
+    ok = True
     for level in range(args.levels + 1):
         for content in verma.level_contents(args.m, args.n, level):
             blk = verma.gram_block_for_content(args.m, args.n, p, content)
@@ -395,13 +368,12 @@ def cmd_matelems(args) -> int:
                     values = verma.diagonal_values(blk)
                 except ArithmeticError as exc:
                     out.emit({"weight": list(blk.weight), "error": str(exc)})
-                    code = EXIT_MISMATCH
+                    ok = False
                     continue
                 out.emit({"weight": list(blk.weight),
                           "diagonal_values":
                               [[v.numerator, v.denominator] for v in values]})
-    out.flush()
-    return code
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +451,15 @@ def _p_list(text: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Emitter(args.format, args.out)
     try:
-        return args.func(args)
+        ok = args.func(args, out)
+        out.flush()
     except UsageError as exc:
-        return _fail_usage(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

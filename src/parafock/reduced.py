@@ -294,7 +294,7 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
         if theta not in (0, 1):
             raise ValueError(f"invalid theta step at slot {i}")
         # raising term
-        if theta == 0 and gz.raise_top_row(top, m, n, i) is not None:
+        if theta == 0:
             g = _squared(squares, top, i, p, m, n, variant)
             if g:
                 num = [mu(i) - mu(j) - i + j + 1
@@ -323,17 +323,16 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
                     total += _ratio(num, den, variant) * g
 
     for q in range(m + 1, r + 1):
-        if gz.raise_top_row(top, m, n, q) is not None:
-            g = _squared(squares, top, q, p, m, n, variant)
-            if g:
-                num = [mu(j) + mu(q) + 2 * m - j - q + 1
-                       for j in range(1, m + 1)]
-                num += [mu(q) - nu(s) - q + s + 1 for s in range(m + 1, r)]
-                den = [nu(j) + mu(q) + 2 * m - j - q + 2
-                       for j in range(1, m + 1)]
-                den += [mu(q) - mu(s) - q + s
-                        for s in range(m + 1, r + 1) if s != q]
-                total += _ratio(num, den, variant) * g
+        g = _squared(squares, top, q, p, m, n, variant)
+        if g:
+            num = [mu(j) + mu(q) + 2 * m - j - q + 1
+                   for j in range(1, m + 1)]
+            num += [mu(q) - nu(s) - q + s + 1 for s in range(m + 1, r)]
+            den = [nu(j) + mu(q) + 2 * m - j - q + 2
+                   for j in range(1, m + 1)]
+            den += [mu(q) - mu(s) - q + s
+                    for s in range(m + 1, r + 1) if s != q]
+            total += _ratio(num, den, variant) * g
         lowered = gz.lower_top_row(top, m, n, q)
         if lowered is not None:
             g = _squared(squares, lowered, q, p, m, n, variant)

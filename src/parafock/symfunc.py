@@ -330,12 +330,6 @@ class TruncatedCharacter:
     def one(cls, m, n, cap):
         return cls(m, n, cap, {(0,) * (m + n): 1})
 
-    def nvars(self):
-        return self.m + self.n
-
-    def copy(self):
-        return TruncatedCharacter(self.m, self.n, self.cap, self.coeffs, self.offset)
-
     def with_offset(self, offset):
         return TruncatedCharacter(self.m, self.n, self.cap, self.coeffs, offset)
 

@@ -467,11 +467,6 @@ def get_engine(m: int, n: int) -> VermaEngine:
     return VermaEngine(m, n)
 
 
-def act(label, vector: dict, m: int, n: int, p) -> dict:
-    """Module action of an algebra basis element (module-level convenience)."""
-    return get_engine(m, n).act(label, vector, p)
-
-
 # ---------------------------------------------------------------------------
 # Gram blocks
 # ---------------------------------------------------------------------------
@@ -663,7 +658,6 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
     by_level = _blocks_by_level(m, n, p, level_max, blocks)
     failures = []
     witness = None
-    saw_wide = False
     for level in range(level_max + 1):
         capped = gz.pattern_counts(m, n, level, max_width=p)
         wide = gz.pattern_counts(m, n, level, max_width=p + 1)
@@ -676,21 +670,19 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
             if c not in ranks:
                 failures.append({"level": level, "weight": weight(c),
                                  "rank": 0, "patterns": cnt})
-        if wide != capped:
-            saw_wide = True
-            if witness is None:
-                for c in sorted(wide):
-                    if wide[c] > capped[c]:
-                        witness = {"level": level, "weight": weight(c),
-                                   "wide_count": wide[c],
-                                   "capped_count": capped[c]}
-                        break
+        if witness is None:
+            for c in sorted(wide):
+                if wide[c] > capped[c]:
+                    witness = {"level": level, "weight": weight(c),
+                               "wide_count": wide[c],
+                               "capped_count": capped[c]}
+                    break
     cut_expected = any(
         la and la[0] == p + 1
         for level in range(level_max + 1)
         for la in hook_partitions(level, m, n)
     )
-    ok = not failures and (witness is not None) == cut_expected == saw_wide
+    ok = not failures and (witness is not None) == cut_expected
     return {"m": m, "n": n, "p": p, "level_max": level_max,
             "failures": failures, "cut_witness": witness,
             "cut_expected": cut_expected, "ok": ok}

@@ -198,6 +198,16 @@ def test_dims_p_caps_the_top_row_width(p, tops, capsys):
         == tops
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--m", "1", "--n", "1", "--p", "-1", "--levels", "2"],
+    ["verify-algebra", "--m", "1", "--n", "1", "--p", "-3"],
+])
+def test_negative_order_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: p must be >= 0\n"
+
+
 def test_determinism_byte_identical():
     args = ("gram", "--m", "1", "--n", "1", "--p", "2", "--levels", "2")
     _, out1, _ = run_cli(*args)
@@ -368,9 +378,8 @@ def command_lines(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(argv=command_lines())
 def test_exit_code_contract_holds_for_any_argv(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the command line
@@ -378,3 +387,4 @@ def test_exit_code_contract_holds_for_any_argv(argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert "error:" in err.getvalue(), argv
+        assert out.getvalue() == "", argv

@@ -274,7 +274,7 @@ def test_action_respects_structure_constants():
         lhs = add(eng.act(x, eng.act(y, v, p), p),
                   eng.act(y, eng.act(x, v, p), p), Fraction(-sgn))
         rhs: dict = {}
-        for lab, c in basis.bracket_expansion(x, y).items():
+        for lab, c in basis.brackets[(x, y)].items():
             rhs = add(rhs, eng.act(lab, v, p), c)
         assert lhs == rhs, (x, y, v)
 
