@@ -2,8 +2,8 @@
 
 Everything here is exact integer arithmetic: characters are finitely truncated
 multivariate series with nonnegative integer coefficients, and Schur-type
-polynomials are computed by direct semistandard-tableau enumeration (no
-determinants, no division).
+polynomials are computed by the branching rule, one variable at a time, with
+each intermediate skew shape cached (no determinants, no division).
 """
 
 from __future__ import annotations
@@ -160,19 +160,26 @@ def offset_family_partitions(p: int, max_weight: int):
 
 
 # ---------------------------------------------------------------------------
-# tableau enumeration: (skew) Schur polynomials and Littlewood-Richardson
+# (skew) Schur polynomials by the branching rule; Littlewood-Richardson
 # ---------------------------------------------------------------------------
 
-def _skew_cells(la, mu):
-    la = check_partition(la)
-    mu = check_partition(mu)
-    if len(mu) > len(la) or any(mu[i] > la[i] for i in range(len(mu))):
-        return None
-    rows = []
-    for i in range(len(la)):
-        lo = mu[i] if i < len(mu) else 0
-        rows.append((lo, la[i]))
-    return tuple(rows)
+def _contains(la, mu) -> bool:
+    """True iff the partition mu is contained in the partition la."""
+    return len(mu) <= len(la) and all(map(operator.le, mu, la))
+
+
+def _columns_fit(la, mu, nvars: int) -> bool:
+    """True iff no column of la/mu (mu inside la) has more than nvars cells."""
+    return all(la[i + nvars] <= (mu[i] if i < len(mu) else 0)
+               for i in range(len(la) - nvars))
+
+
+def _few_letters(la, mu, nvars: int) -> dict:
+    """s_{la/mu} in nvars <= 1 variables, mu inside la: 1 when la == mu, and
+    x_1^|la/mu| when la/mu is a horizontal strip."""
+    if not _columns_fit(la, mu, nvars):
+        return {}
+    return {(weight(la) - weight(mu),)[:nvars]: 1}
 
 
 @lru_cache(maxsize=None)
@@ -181,41 +188,35 @@ def skew_schur_monomials(la, mu, nvars: int) -> dict:
 
     Returns {exponent tuple: multiplicity}. Empty dict when the skew shape is
     not fillable (e.g. some column is taller than nvars) or mu is not contained
-    in la.
+    in la.  Branching rule: the entries equal to the largest letter k form a
+    horizontal strip la/nu, so s_{la/mu}(x_1..x_k) is the sum over nu of
+    s_{nu/mu}(x_1..x_{k-1}) x_k^|la/nu|.  The recursion goes through this
+    cache, so intermediate shapes are shared; the one-letter case is not
+    cached.
     """
-    rows = _skew_cells(la, mu)
-    if rows is None:
+    la = check_partition(la)
+    mu = check_partition(mu)
+    if not _contains(la, mu):
         return {}
+    if nvars <= 1:
+        return _few_letters(la, mu, nvars)
+    if not _columns_fit(la, mu, nvars):
+        return {}
+    top = weight(la)
+    # row i of nu lies between max(mu_i, la_(i+1)) and la_i
+    inner = mu + (0,) * (len(la) - len(mu))
+    below = la[1:] + (0,)
+    choices = [range(max(a, b), x + 1) for a, b, x in zip(inner, below, la)]
     out: dict[tuple[int, ...], int] = {}
-    nrows = len(rows)
-    counts = [0] * nvars
-
-    def fill(i, prev_row):
-        if i == nrows:
-            key = tuple(counts)
-            out[key] = out.get(key, 0) + 1
-            return
-        lo, hi = rows[i]
-        row_vals = [0] * hi
-
-        def fill_row(j, minval):
-            if j == hi:
-                fill(i + 1, row_vals)
-                return
-            lower = minval
-            if i > 0 and rows[i - 1][0] <= j < len(prev_row) and prev_row[j]:
-                lower = max(lower, prev_row[j] + 1)
-            for v in range(lower, nvars + 1):
-                counts[v - 1] += 1
-                row_vals[j] = v
-                fill_row(j + 1, v)
-                counts[v - 1] -= 1
-                row_vals[j] = 0
-
-        fill_row(lo, 1)
-
-    fill(0, [])
-    return dict(out)
+    for rows in itertools.product(*choices):
+        nu = tuple(x for x in rows if x)  # nu is a partition: zeros trail
+        rest = (skew_schur_monomials(nu, mu, nvars - 1) if nvars > 2
+                else _few_letters(nu, mu, 1))
+        last = (top - weight(nu),)
+        for e, c in rest.items():
+            key = e + last
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def schur_monomials(la, nvars: int) -> dict:
@@ -232,11 +233,9 @@ def lr_coefficient(gamma, nu, sigma) -> int:
     gamma = check_partition(gamma)
     nu = check_partition(nu)
     sigma = check_partition(sigma)
-    if weight(gamma) != weight(nu) + weight(sigma):
+    if weight(gamma) != weight(nu) + weight(sigma) or not _contains(gamma, nu):
         return 0
-    rows = _skew_cells(gamma, nu)
-    if rows is None:
-        return 0
+    rows = [(nu[i] if i < len(nu) else 0, hi) for i, hi in enumerate(gamma)]
     nvals = len(sigma)
     remaining = list(sigma)
     grid = [[0] * hi for (_, hi) in rows]
@@ -448,31 +447,36 @@ def lowest_weight_offset(m: int, n: int, p: int) -> tuple[int, ...]:
     return tuple([-p] * m + [p] * n)
 
 
+def _add_super_schur(acc: dict, la, m: int, n: int, sign: int = 1) -> None:
+    """acc += sign * s_la(x_1..x_m | y_1..y_n), la a normalised partition.
+
+    s_la(x|y) is the sum over partitions tau contained in la (with at most n
+    columns) of skew Schur in x times Schur of the conjugate in y.
+    """
+    for tau in subpartitions(la):
+        if tau and tau[0] > n:
+            continue
+        xpart = skew_schur_monomials(la, tau, m)
+        if not xpart:
+            continue
+        ypart = schur_monomials(conjugate(tau), n)
+        for ex, cx in xpart.items():
+            for ey, cy in ypart.items():
+                key = ex + ey
+                acc[key] = acc.get(key, 0) + sign * cx * cy
+
+
 def super_schur(la, m: int, n: int, cap: int | None = None) -> TruncatedCharacter:
     """Supersymmetric Schur polynomial s_la(x_1..x_m | y_1..y_n).
 
-    Computed as the sum over partitions tau contained in la (with at most n
-    columns) of skew Schur in x times Schur of the conjugate in y.  Identically
-    zero exactly when la violates the (m|n)-hook condition.
+    Identically zero exactly when la violates the (m|n)-hook condition.
     """
     la = check_partition(la)
     if cap is None:
         cap = weight(la)
     coeffs: dict[tuple[int, ...], int] = {}
     if weight(la) <= cap:
-        for tau in subpartitions(la):
-            if tau and tau[0] > n:
-                continue
-            xpart = skew_schur_monomials(la, tau, m)
-            if not xpart:
-                continue
-            ypart = schur_monomials(conjugate(tau), n)
-            if not ypart:
-                continue
-            for ex, cx in xpart.items():
-                for ey, cy in ypart.items():
-                    key = ex + ey
-                    coeffs[key] = coeffs.get(key, 0) + cx * cy
+        _add_super_schur(coeffs, la, m, n)
     return TruncatedCharacter(m, n, cap, coeffs)
 
 
@@ -526,10 +530,11 @@ def verma_character(m: int, n: int, p: int, cap: int,
     if method == "product":
         ch = weight_series_product(m, n, cap)
     elif method == "schur_sum":
-        ch = TruncatedCharacter(m, n, cap)
+        coeffs: dict[tuple[int, ...], int] = {}
         for d in range(cap + 1):
             for la in hook_partitions(d, m, n):
-                ch = ch + super_schur(la, m, n, cap)
+                _add_super_schur(coeffs, la, m, n)
+        ch = TruncatedCharacter(m, n, cap, coeffs)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ch.with_offset(lowest_weight_offset(m, n, p))
@@ -537,22 +542,24 @@ def verma_character(m: int, n: int, p: int, cap: int,
 
 def irreducible_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
     """Character of the irreducible lowest-weight module: hook partitions of width <= p."""
-    ch = TruncatedCharacter(m, n, cap)
+    coeffs: dict[tuple[int, ...], int] = {}
     for d in range(cap + 1):
         for la in hook_partitions(d, m, n, max_width=p):
-            ch = ch + super_schur(la, m, n, cap)
-    return ch.with_offset(lowest_weight_offset(m, n, p))
+            _add_super_schur(coeffs, la, m, n)
+    return TruncatedCharacter(m, n, cap, coeffs, lowest_weight_offset(m, n, p))
+
+
+def _alternating_sign(sigma, p: int) -> int:
+    return -1 if sign_exponent(sigma, p) % 2 else 1
 
 
 def alternating_cut_sum(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
     """Signed sum of s_sigma(x|y) over the hook partitions with arm-leg offset p."""
-    ch = TruncatedCharacter(m, n, cap)
+    coeffs: dict[tuple[int, ...], int] = {}
     for sigma in offset_family_partitions(p, cap):
-        if not in_hook(sigma, m, n):
-            continue
-        sign = -1 if sign_exponent(sigma, p) % 2 else 1
-        ch = ch + super_schur(sigma, m, n, cap).scale(sign)
-    return ch
+        if in_hook(sigma, m, n):
+            _add_super_schur(coeffs, sigma, m, n, _alternating_sign(sigma, p))
+    return TruncatedCharacter(m, n, cap, coeffs)
 
 
 def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
@@ -570,19 +577,17 @@ def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
     series_equal = lhs == rhs
 
     lr_failures = []
-    sigmas = offset_family_partitions(p, cap)
+    sigmas = [(sigma, weight(sigma), _alternating_sign(sigma, p))
+              for sigma in offset_family_partitions(p, cap)]
     for d in range(cap + 1):
         for gamma in partitions_of(d):
             total = 0
-            for sigma in sigmas:
-                ws = weight(sigma)
+            for sigma, ws, sign in sigmas:
                 if ws > d:
                     continue
-                sign = -1 if sign_exponent(sigma, p) % 2 else 1
                 for nu in partitions_of(d - ws):
-                    c = lr_coefficient(gamma, nu, sigma)
-                    if c:
-                        total += sign * c
+                    if _contains(gamma, nu):  # else c^gamma_(nu,sigma) = 0
+                        total += sign * lr_coefficient(gamma, nu, sigma)
             expected = 1 if (not gamma or gamma[0] <= p) else 0
             if total != expected:
                 lr_failures.append({"gamma": list(gamma), "got": total,

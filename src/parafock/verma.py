@@ -210,9 +210,11 @@ _LABEL_SCALARS = {"c": 1, "h": Fraction(1, 2), "bb": 1}
 
 
 def _accumulate(out: dict, vector: dict, factor) -> None:
-    """out += factor * vector, on {monomial: PPoly} dicts."""
+    """out += factor * vector, on {monomial: PPoly} dicts; factor is an int
+    or a PPoly, and a factor of +-1 builds no product."""
+    unit = factor if isinstance(factor, int) and factor in (1, -1) else 0
     for mono, poly in vector.items():
-        val = poly * factor
+        val = poly if unit == 1 else -poly if unit else poly * factor
         prev = out.get(mono)
         out[mono] = val if prev is None else prev + val
 
@@ -405,7 +407,8 @@ class VermaEngine:
         total = _ZERO if lead else _ONE
         for coeff, l, rest in lead:
             for z, poly in self.low(l, y).items():
-                total = total + (poly * coeff) * self._pair(rest, z)
+                term = poly if coeff == 1 else -poly
+                total = total + term * self._pair(rest, z)
         self._pair_cache[key] = total
         return total
 

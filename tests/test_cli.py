@@ -299,6 +299,15 @@ def test_char_matches_golden_file():
     assert out == golden.read_text()
 
 
+def test_char_deep_branching_matches_golden_file():
+    """Three x letters, so the branching rule recurses two letters deep."""
+    golden = Path(__file__).parent / "fixtures" / "char_m3_n2_p2_d6.jsonl"
+    code, out, _ = run_cli("char", "--m", "3", "--n", "2", "--p", "2",
+                           "--degree", "6")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_verify_id2_matches_golden_file():
     golden = Path(__file__).parent / "fixtures" / "id2_m1_n1_d11_21_p123_l4.jsonl"
     code, out, _ = run_cli("verify-id2", "--m", "1", "--n", "1",

@@ -244,3 +244,111 @@ def test_truncated_character_not_equal_follows_equality():
     assert x == same and not x != same
     assert x != shifted and not x == shifted
     assert x != {(1, 0): 1} and not x == {(1, 0): 1}
+
+
+# ---------------------------------------------------------------------------
+# the branching rule and the in-place sums against the direct computations
+# ---------------------------------------------------------------------------
+
+def tableau_skew_schur(la, mu, nvars):
+    """Reference: enumerate the semistandard fillings of la/mu with entries
+    1..nvars row by row and count their contents."""
+    la = sf.check_partition(la)
+    mu = sf.check_partition(mu)
+    if len(mu) > len(la) or any(mu[i] > la[i] for i in range(len(mu))):
+        return {}
+    rows = [(mu[i] if i < len(mu) else 0, la[i]) for i in range(len(la))]
+    out = {}
+    counts = [0] * nvars
+
+    def fill(i, prev_row):
+        if i == len(rows):
+            key = tuple(counts)
+            out[key] = out.get(key, 0) + 1
+            return
+        lo, hi = rows[i]
+        row_vals = [0] * hi
+
+        def fill_row(j, minval):
+            if j == hi:
+                fill(i + 1, row_vals)
+                return
+            lower = minval
+            if i > 0 and rows[i - 1][0] <= j < len(prev_row) and prev_row[j]:
+                lower = max(lower, prev_row[j] + 1)
+            for v in range(lower, nvars + 1):
+                counts[v - 1] += 1
+                row_vals[j] = v
+                fill_row(j + 1, v)
+                counts[v - 1] -= 1
+                row_vals[j] = 0
+
+        fill_row(lo, 1)
+
+    fill(0, [])
+    return out
+
+
+def test_branching_rule_matches_tableau_enumeration():
+    shapes = [la for k in range(9) for la in sf.partitions_of(k)]
+    for la in shapes:
+        for mu in shapes:
+            if sum(mu) > sum(la):
+                continue
+            for nvars in range(5):
+                assert (sf.skew_schur_monomials(la, mu, nvars)
+                        == tableau_skew_schur(la, mu, nvars)), (la, mu, nvars)
+
+
+def test_branching_rule_edge_shapes():
+    # a column taller than the number of letters cannot be filled
+    assert sf.skew_schur_monomials((1,) * 5, (), 4) == {}
+    assert sf.skew_schur_monomials((2, 2, 2), (1,), 2) == {}
+    assert sf.skew_schur_monomials((3, 1), (2, 2), 3) == {}  # mu not in la
+    assert sf.skew_schur_monomials((2, 1), (2, 1), 0) == {(): 1}
+    assert sf.skew_schur_monomials((2, 1), (1,), 0) == {}
+    assert sf.skew_schur_monomials((3, 1), (1,), 1) == {(3,): 1}
+    assert sf.skew_schur_monomials((2, 0), (1, 0, 0), 2) == {(1, 0): 1, (0, 1): 1}
+
+
+def reference_sum(m, n, cap, partitions, signs=None):
+    """Sum of sign * super_schur over the partitions, one character at a
+    time, the way the sums were built before they shared one dict."""
+    ch = sf.TruncatedCharacter(m, n, cap)
+    for k, la in enumerate(partitions):
+        term = sf.super_schur(la, m, n, cap)
+        ch = ch + (term.scale(signs[k]) if signs else term)
+    return ch
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2), (0, 3), (3, 0)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_in_place_sums_match_character_sums(m, n, p):
+    for cap in range(8):
+        hooks = [la for d in range(cap + 1) for la in sf.hook_partitions(d, m, n)]
+        narrow = [la for la in hooks if not la or la[0] <= p]
+        offset = sf.lowest_weight_offset(m, n, p)
+        assert (sf.irreducible_character(m, n, p, cap)
+                == reference_sum(m, n, cap, narrow).with_offset(offset))
+        assert (sf.verma_character(m, n, p, cap, method="schur_sum")
+                == reference_sum(m, n, cap, hooks).with_offset(offset))
+        sigmas = [s for s in sf.offset_family_partitions(p, cap)
+                  if sf.in_hook(s, m, n)]
+        signs = [(-1) ** sf.sign_exponent(s, p) for s in sigmas]
+        cut = sf.alternating_cut_sum(m, n, p, cap)
+        assert cut == reference_sum(m, n, cap, sigmas, signs)
+        assert all(cut.coeffs.values())  # cancelled terms are dropped
+
+
+def test_lr_coefficient_normalises_its_input():
+    for gamma in [(2, 1), (3, 2, 1), (3, 3, 2), (4, 2, 1, 1)]:
+        d = sum(gamma)
+        for k in range(d + 1):
+            for nu in sf.partitions_of(k):
+                for sigma in sf.partitions_of(d - k):
+                    want = sf.lr_coefficient(gamma, nu, sigma)
+                    assert sf.lr_coefficient(gamma + (0,), nu + (0, 0),
+                                             sigma + (0,)) == want
+    assert sf.lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
+    with pytest.raises(ValueError):
+        sf.lr_coefficient((1, 2), (1,), (1,))
