@@ -245,6 +245,8 @@ def cmd_verify_id2(args, out: Emitter) -> bool:
             domains = _parse_domains(args.domains)
         except ValueError as exc:
             raise UsageError("--domains expects 'm,n;m,n;...'") from exc
+        if len(set(domains)) != len(domains):
+            raise UsageError("--domains values must be distinct")
     else:
         domains = [(args.m, args.n)]
     if any(m < 0 or n < 1 for m, n in domains):

@@ -9,10 +9,14 @@ recurrence over all admissible (top row, subrow) configurations to find the
 unique reading with identically vanishing residuals.  Values are exact:
 squares are rational, square roots stay symbolic as (sign, radicand) pairs.
 
-A sweep evaluates each squared matrix element once: residual_sweep keeps, for
-each order p, a table keyed by (top row, slot) that every recurrence residual
-of that order and the sweep's own values read.  The table lives only as long
-as the sweep; the module keeps no cache.
+A recurrence residual is a linear form in squared matrix elements whose
+coefficients do not depend on p.  recurrence_terms builds that term table
+(source top row, slot, coefficient) once per (top row, subrow), and
+residual_from_terms evaluates it at one order.  residual_sweep prepares every
+config's term table once, then keeps, for each order p, a table keyed by (top
+row, slot) so that each squared matrix element is evaluated once and read by
+every residual of that order and by the sweep's own values.  Both tables live
+only as long as the sweep; the module keeps no cache.
 """
 
 from __future__ import annotations
@@ -265,19 +269,30 @@ def _squared(squares: dict, top, k: int, p: int, m: int, n: int,
     return g
 
 
-def recurrence_residual(top, subrow, p: int, m: int, n: int,
-                        variant: ParsingVariant = DEFAULT_VARIANT, *,
-                        squares: dict | None = None) -> Fraction:
-    """Left side minus right side of the diagonal two-row recurrence.
+def _coefficient(num_factors, den_factors, variant: ParsingVariant):
+    """_ratio of the factor lists, or None where a zero denominator factor
+    survives pairing."""
+    try:
+        return _ratio(num_factors, den_factors, variant)
+    except UncancelledZeroError:
+        return None
 
-    Terms whose raised or lowered top row is inadmissible are absent from the
-    module and are dropped; each surviving coefficient is evaluated as paired
-    numerator/denominator factor lists under the variant's zero policy.
-    squares, if given, is a (top, k) -> G_k^2 table for this (m, n, p,
-    variant) that the call reads and fills (see residual_sweep).
+
+def recurrence_terms(top, subrow, m: int, n: int,
+                     variant: ParsingVariant = DEFAULT_VARIANT):
+    """The p-free half of the diagonal two-row recurrence at (top, subrow).
+
+    Returns (terms, shift).  The residual at order p is
+
+        sum(c * G_k^2(source) for source, k, c in terms) - (p + shift)
+
+    (see residual_from_terms).  Each term is (source top row, slot k,
+    coefficient c).  A term whose raised or lowered top row is inadmissible
+    is absent from the module, its G_k^2 is 0 at every p, and it is left
+    out.  c is the paired numerator/denominator factor ratio under the
+    variant's zero policy, or None where a zero denominator factor survives
+    pairing; of the variant only zero_policy is read.
     """
-    if squares is None:
-        squares = {}
     if n < 1:
         raise ValueError("the diagonal recurrence needs a bosonic last slot")
     r = m + n
@@ -287,44 +302,39 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
         raise ValueError("subrow must have length m+n-1")
     mu = lambda i: top[i - 1]
     nu = lambda i: subrow[i - 1]
-    total = Fraction(0)
+    terms = []
 
     for i in range(1, m + 1):
         theta = mu(i) - nu(i)
         if theta not in (0, 1):
             raise ValueError(f"invalid theta step at slot {i}")
         # raising term
-        if theta == 0:
-            g = _squared(squares, top, i, p, m, n, variant)
-            if g:
-                num = [mu(i) - mu(j) - i + j + 1
-                       for j in range(1, m + 1) if j != i]
-                num += [mu(i) + nu(s) + 2 * m - i - s + 1
-                        for s in range(m + 1, r)]
-                den = [mu(i) - nu(j) - i + j
-                       for j in range(1, m + 1) if j != i]
-                den += [mu(i) + mu(s) + 2 * m - i - s + 2
-                        for s in range(m + 1, r + 1)]
-                total += _ratio(num, den, variant) * g
+        if theta == 0 and gz.raise_top_row(top, m, n, i) is not None:
+            num = [mu(i) - mu(j) - i + j + 1
+                   for j in range(1, m + 1) if j != i]
+            num += [mu(i) + nu(s) + 2 * m - i - s + 1
+                    for s in range(m + 1, r)]
+            den = [mu(i) - nu(j) - i + j
+                   for j in range(1, m + 1) if j != i]
+            den += [mu(i) + mu(s) + 2 * m - i - s + 2
+                    for s in range(m + 1, r + 1)]
+            terms.append((top, i, _coefficient(num, den, variant)))
         # lowering term
         if theta == 1:
             lowered = gz.lower_top_row(top, m, n, i)
             if lowered is not None:
-                g = _squared(squares, lowered, i, p, m, n, variant)
-                if g:
-                    num = [mu(i) - mu(j) - i + j
-                           for j in range(1, m + 1) if j != i]
-                    num += [mu(i) + nu(s) + 2 * m - i - s
-                            for s in range(m + 1, r)]
-                    den = [mu(i) - nu(j) - i + j - 1
-                           for j in range(1, m + 1) if j != i]
-                    den += [mu(i) + mu(s) + 2 * m - i - s + 1
-                            for s in range(m + 1, r + 1)]
-                    total += _ratio(num, den, variant) * g
+                num = [mu(i) - mu(j) - i + j
+                       for j in range(1, m + 1) if j != i]
+                num += [mu(i) + nu(s) + 2 * m - i - s
+                        for s in range(m + 1, r)]
+                den = [mu(i) - nu(j) - i + j - 1
+                       for j in range(1, m + 1) if j != i]
+                den += [mu(i) + mu(s) + 2 * m - i - s + 1
+                        for s in range(m + 1, r + 1)]
+                terms.append((lowered, i, _coefficient(num, den, variant)))
 
     for q in range(m + 1, r + 1):
-        g = _squared(squares, top, q, p, m, n, variant)
-        if g:
+        if gz.raise_top_row(top, m, n, q) is not None:
             num = [mu(j) + mu(q) + 2 * m - j - q + 1
                    for j in range(1, m + 1)]
             num += [mu(q) - nu(s) - q + s + 1 for s in range(m + 1, r)]
@@ -332,22 +342,60 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
                    for j in range(1, m + 1)]
             den += [mu(q) - mu(s) - q + s
                     for s in range(m + 1, r + 1) if s != q]
-            total += _ratio(num, den, variant) * g
+            terms.append((top, q, _coefficient(num, den, variant)))
         lowered = gz.lower_top_row(top, m, n, q)
         if lowered is not None:
-            g = _squared(squares, lowered, q, p, m, n, variant)
-            if g:
-                num = [mu(j) + mu(q) + 2 * m - j - q
-                       for j in range(1, m + 1)]
-                num += [mu(q) - nu(s) - q + s for s in range(m + 1, r)]
-                den = [nu(j) + mu(q) + 2 * m - j - q + 1
-                       for j in range(1, m + 1)]
-                den += [mu(q) - mu(s) - q + s - 1
-                        for s in range(m + 1, r + 1) if s != q]
-                total += _ratio(num, den, variant) * g
+            num = [mu(j) + mu(q) + 2 * m - j - q
+                   for j in range(1, m + 1)]
+            num += [mu(q) - nu(s) - q + s for s in range(m + 1, r)]
+            den = [nu(j) + mu(q) + 2 * m - j - q + 1
+                   for j in range(1, m + 1)]
+            den += [mu(q) - mu(s) - q + s - 1
+                    for s in range(m + 1, r + 1) if s != q]
+            terms.append((lowered, q, _coefficient(num, den, variant)))
 
-    rhs = p + 2 * (sum(top) - sum(subrow))
-    return total - rhs
+    return terms, 2 * (sum(top) - sum(subrow))
+
+
+def residual_from_terms(terms, shift: int, p: int, m: int, n: int,
+                        variant: ParsingVariant, squares: dict) -> Fraction:
+    """Evaluate a recurrence_terms table at order p.
+
+    G_k^2 is read through squares, the (top, k) table of this (m, n, p,
+    variant), which the call fills.  The sum is kept as one integer
+    numerator and denominator and becomes a single Fraction.  Raises
+    UncancelledZeroError where a G_k^2 read has an uncancelled zero, or
+    where a term with nonzero G_k^2 has no coefficient; a missing
+    coefficient against G_k^2 = 0 drops out.
+    """
+    num, den = 0, 1
+    for source, k, coefficient in terms:
+        g = _squared(squares, source, k, p, m, n, variant)
+        if not g:
+            continue
+        if coefficient is None:
+            raise UncancelledZeroError(
+                f"the coefficient of G_{k}^2 at top row {source} has an "
+                f"uncancelled zero (policy {variant.zero_policy})")
+        d = coefficient.denominator * g.denominator
+        num = num * d + coefficient.numerator * g.numerator * den
+        den *= d
+    return Fraction(num - (p + shift) * den, den)
+
+
+def recurrence_residual(top, subrow, p: int, m: int, n: int,
+                        variant: ParsingVariant = DEFAULT_VARIANT, *,
+                        squares: dict | None = None) -> Fraction:
+    """Left side minus right side of the diagonal two-row recurrence.
+
+    The p-free term table of recurrence_terms, evaluated at p by
+    residual_from_terms.  squares, if given, is a (top, k) -> G_k^2 table
+    for this (m, n, p, variant) that the call reads and fills (see
+    residual_sweep).
+    """
+    terms, shift = recurrence_terms(top, subrow, m, n, variant)
+    return residual_from_terms(terms, shift, p, m, n, variant,
+                               {} if squares is None else squares)
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +414,37 @@ def residual_sweep(m: int, n: int, p_values, level_max: int,
                    variant: ParsingVariant, max_failures: int = 10) -> dict:
     """Run the recurrence over the whole config range under one variant.
 
-    For each p in p_values the sweep keeps one (top row, slot) -> G_k^2
-    table.  Every recurrence_residual call of that order fills and reads it,
-    and the returned values, keyed (top row, slot, p), are its entries for
-    the raisable slots of each top row whose residual evaluated.  The tables
-    are dropped when the sweep returns.
+    The p-free half is prepared once per call: the config list, each
+    config's recurrence_terms table and the raisable slots of each top row.
+    Then, for each p in p_values, the sweep keeps one (top row, slot) ->
+    G_k^2 table.  Every residual of that order is evaluated from its term
+    table through it (residual_from_terms), and the returned values, keyed
+    (top row, slot, p), are its entries for the raisable slots of each top
+    row whose residual evaluated.  The term tables and the G_k^2 tables are
+    dropped when the sweep returns.
     """
+    prepared = []
+    raisable = {}
+    for top, subrow in recurrence_configs(m, n, level_max):
+        if top not in raisable:
+            raisable[top] = [k for k in range(1, m + n + 1)
+                             if gz.raise_top_row(top, m, n, k) is not None]
+        terms, shift = recurrence_terms(top, subrow, m, n, variant)
+        prepared.append((top, subrow, terms, shift))
     configs = 0
     failures = []
     errors = 0
     values = {}
     for p in p_values:
         squares = {}
-        for top, subrow in recurrence_configs(m, n, level_max):
+        for top, subrow, terms, shift in prepared:
             configs += 1
             try:
-                res = recurrence_residual(top, subrow, p, m, n, variant,
-                                          squares=squares)
-                for k in range(1, m + n + 1):
-                    if gz.raise_top_row(top, m, n, k) is not None:
-                        values[(top, k, p)] = _squared(
-                            squares, top, k, p, m, n, variant)
+                res = residual_from_terms(terms, shift, p, m, n, variant,
+                                          squares)
+                for k in raisable[top]:
+                    values[(top, k, p)] = _squared(
+                        squares, top, k, p, m, n, variant)
             except UncancelledZeroError:
                 errors += 1
                 continue

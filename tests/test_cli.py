@@ -119,6 +119,16 @@ def test_verify_id2_out_of_range_domain_is_usage_error(domains):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("domains", ["1,1;1,1", "1,1;2,1;1,1"])
+@pytest.mark.parametrize("variant", ["auto", "mult:cancel:boson"])
+def test_verify_id2_repeated_domains_are_a_usage_error(domains, variant):
+    code, out, err = run_cli("verify-id2", "--m", "1", "--n", "1",
+                             "--domains", domains, "--p", "2,3",
+                             "--levels", "2", "--variant", variant)
+    assert code == 2 and out == ""
+    assert err == "error: --domains values must be distinct\n"
+
+
 @pytest.mark.parametrize("orders", ["2,2", "1,2,1"])
 @pytest.mark.parametrize("variant", ["auto", "mult:cancel:boson"])
 def test_verify_id2_repeated_orders_are_a_usage_error(orders, variant):
@@ -314,6 +324,19 @@ def test_verify_id2_matches_golden_file():
                            "--domains", "1,1;2,1", "--p", "1,2,3",
                            "--levels", "4")
     assert code == 0
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("variant", ["mult:cancel:printed",
+                                     "argsum:strict:boson"])
+def test_verify_id2_failing_variant_matches_golden_file(variant):
+    """Sample failure residuals and uncancelled-zero counts, as whole stdout."""
+    name = "id2_m1_n1_d11_21_22_p123_l5_" + variant.replace(":", "_")
+    golden = Path(__file__).parent / "fixtures" / f"{name}.jsonl"
+    code, out, _ = run_cli("verify-id2", "--m", "1", "--n", "1",
+                           "--domains", "1,1;2,1;2,2", "--p", "1,2,3",
+                           "--levels", "5", "--variant", variant)
+    assert code == 1
     assert out == golden.read_text()
 
 

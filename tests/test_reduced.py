@@ -265,3 +265,194 @@ def test_single_domain_selection_is_the_joint_one():
                 "level_max"):
         assert single[key] == joint[key]
     assert (single["m"], single["n"]) == (2, 1)
+
+
+def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):
+    """recurrence_residual as it was before the p-free term table: every
+    coefficient is recomputed at each call, and a raising term is read even
+    where its raised row is inadmissible (G_k^2 is 0 there)."""
+    if squares is None:
+        squares = {}
+    if n < 1:
+        raise ValueError("the diagonal recurrence needs a bosonic last slot")
+    r = m + n
+    top = tuple(top)
+    subrow = tuple(subrow)
+    if len(subrow) != r - 1:
+        raise ValueError("subrow must have length m+n-1")
+    mu = lambda i: top[i - 1]
+    nu = lambda i: subrow[i - 1]
+    total = Fraction(0)
+
+    for i in range(1, m + 1):
+        theta = mu(i) - nu(i)
+        if theta not in (0, 1):
+            raise ValueError(f"invalid theta step at slot {i}")
+        # raising term
+        if theta == 0:
+            g = rm._squared(squares, top, i, p, m, n, variant)
+            if g:
+                num = [mu(i) - mu(j) - i + j + 1
+                       for j in range(1, m + 1) if j != i]
+                num += [mu(i) + nu(s) + 2 * m - i - s + 1
+                        for s in range(m + 1, r)]
+                den = [mu(i) - nu(j) - i + j
+                       for j in range(1, m + 1) if j != i]
+                den += [mu(i) + mu(s) + 2 * m - i - s + 2
+                        for s in range(m + 1, r + 1)]
+                total += rm._ratio(num, den, variant) * g
+        # lowering term
+        if theta == 1:
+            lowered = gz.lower_top_row(top, m, n, i)
+            if lowered is not None:
+                g = rm._squared(squares, lowered, i, p, m, n, variant)
+                if g:
+                    num = [mu(i) - mu(j) - i + j
+                           for j in range(1, m + 1) if j != i]
+                    num += [mu(i) + nu(s) + 2 * m - i - s
+                            for s in range(m + 1, r)]
+                    den = [mu(i) - nu(j) - i + j - 1
+                           for j in range(1, m + 1) if j != i]
+                    den += [mu(i) + mu(s) + 2 * m - i - s + 1
+                            for s in range(m + 1, r + 1)]
+                    total += rm._ratio(num, den, variant) * g
+
+    for q in range(m + 1, r + 1):
+        g = rm._squared(squares, top, q, p, m, n, variant)
+        if g:
+            num = [mu(j) + mu(q) + 2 * m - j - q + 1
+                   for j in range(1, m + 1)]
+            num += [mu(q) - nu(s) - q + s + 1 for s in range(m + 1, r)]
+            den = [nu(j) + mu(q) + 2 * m - j - q + 2
+                   for j in range(1, m + 1)]
+            den += [mu(q) - mu(s) - q + s
+                    for s in range(m + 1, r + 1) if s != q]
+            total += rm._ratio(num, den, variant) * g
+        lowered = gz.lower_top_row(top, m, n, q)
+        if lowered is not None:
+            g = rm._squared(squares, lowered, q, p, m, n, variant)
+            if g:
+                num = [mu(j) + mu(q) + 2 * m - j - q
+                       for j in range(1, m + 1)]
+                num += [mu(q) - nu(s) - q + s for s in range(m + 1, r)]
+                den = [nu(j) + mu(q) + 2 * m - j - q + 1
+                       for j in range(1, m + 1)]
+                den += [mu(q) - mu(s) - q + s - 1
+                        for s in range(m + 1, r + 1) if s != q]
+                total += rm._ratio(num, den, variant) * g
+
+    rhs = p + 2 * (sum(top) - sum(subrow))
+    return total - rhs
+
+def reference_sweep(m, n, p_values, level_max, variant, max_failures=10):
+    """residual_sweep as it was before the p-free term table, on
+    reference_residual: configs, residuals and raisable slots are rebuilt at
+    every order."""
+    configs = 0
+    failures = []
+    errors = 0
+    values = {}
+    for p in p_values:
+        squares = {}
+        for top, subrow in rm.recurrence_configs(m, n, level_max):
+            configs += 1
+            try:
+                res = reference_residual(top, subrow, p, m, n, variant,
+                                         squares=squares)
+                for k in range(1, m + n + 1):
+                    if gz.raise_top_row(top, m, n, k) is not None:
+                        values[(top, k, p)] = rm._squared(
+                            squares, top, k, p, m, n, variant)
+            except rm.UncancelledZeroError:
+                errors += 1
+                continue
+            if res != 0:
+                if len(failures) < max_failures:
+                    failures.append({"top": list(top), "subrow": list(subrow),
+                                     "p": p, "residual": str(res)})
+    return {"m": m, "n": n, "level_max": level_max,
+            "p_values": list(p_values), "variant": variant.short(),
+            "configs": configs, "failures": failures,
+            "failure_count": len(failures), "errors": errors,
+            "values": values,
+            "ok": not failures and not errors}
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
+                                 (3, 1)])
+def test_term_table_residual_matches_the_reference(m, n):
+    """Value or exception of every residual up to level 5, all variants."""
+    outcomes = set()
+    for variant in rm.ALL_VARIANTS:
+        for p in (1, 2, 3, 5):
+            ref_squares, squares = {}, {}
+            for top, subrow in rm.recurrence_configs(m, n, 5):
+                want = _outcome(reference_residual, top, subrow, p, m, n,
+                                variant, squares=ref_squares)
+                got = _outcome(rm.recurrence_residual, top, subrow, p, m, n,
+                               variant, squares=squares)
+                assert got == want, (variant.short(), p, top, subrow)
+                assert want == "uncancelled" or type(got) is Fraction
+                outcomes.add("uncancelled" if want == "uncancelled"
+                             else "zero" if want == 0 else "nonzero")
+    # the strict variants reach an uncancelled zero wherever there is a
+    # fermionic slot
+    assert outcomes == {"zero", "nonzero"} | ({"uncancelled"} if m else set())
+
+
+def test_term_table_is_p_free_and_reads_only_the_zero_policy():
+    top, subrow, m, n = (2, 1, 1), (1, 1), 2, 1
+    terms, shift = rm.recurrence_terms(top, subrow, m, n, V)
+    assert shift == 2 * (sum(top) - sum(subrow))
+    assert all(len(term) == 3 for term in terms)
+    for variant in rm.ALL_VARIANTS:
+        same_policy = rm.ParsingVariant(zero_policy=variant.zero_policy)
+        assert rm.recurrence_terms(top, subrow, m, n, variant) \
+            == rm.recurrence_terms(top, subrow, m, n, same_policy)
+    for p in (1, 2, 3, 5):
+        assert rm.residual_from_terms(terms, shift, p, m, n, V, {}) \
+            == reference_residual(top, subrow, p, m, n, V)
+
+
+def test_missing_coefficient_against_zero_square_drops_out():
+    """Under the strict policy the vacuum term of (1|2) has no coefficient.
+    Its G_1^2 raises on its own, so a table that reads 0 there is filled in
+    by hand: the term then drops out, as it did before."""
+    strict = rm.ParsingVariant(zero_policy="strict")
+    top, subrow, m, n = (1, 0, 0), (0, 0), 1, 2
+    terms, shift = rm.recurrence_terms(top, subrow, m, n, strict)
+    assert ((0, 0, 0), 1, None) in terms
+    for p in (1, 2, 3):
+        want = reference_residual(top, subrow, p, m, n, strict,
+                                  squares={((0, 0, 0), 1): Fraction(0)})
+        got = rm.recurrence_residual(top, subrow, p, m, n, strict,
+                                     squares={((0, 0, 0), 1): Fraction(0)})
+        assert got == want
+        assert got == rm.residual_from_terms(
+            terms, shift, p, m, n, strict, {((0, 0, 0), 1): Fraction(0)})
+        for square in (Fraction(3), None):
+            with pytest.raises(rm.UncancelledZeroError):
+                rm.residual_from_terms(terms, shift, p, m, n, strict,
+                                       {((0, 0, 0), 1): square})
+
+
+def test_square_that_raises_raises_the_residual():
+    strict = rm.ParsingVariant(zero_policy="strict")
+    top, subrow, m, n = (0, 0), (0,), 1, 1
+    terms, shift = rm.recurrence_terms(top, subrow, m, n, strict)
+    assert all(coefficient is not None for _, _, coefficient in terms)
+    with pytest.raises(rm.UncancelledZeroError):
+        rm.reduced_me_squared((0, 0), 1, 2, m, n, strict)
+    for p in (1, 2, 3, 5):
+        assert _outcome(reference_residual, top, subrow, p, m, n, strict) \
+            == "uncancelled"
+        with pytest.raises(rm.UncancelledZeroError):
+            rm.recurrence_residual(top, subrow, p, m, n, strict)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2)])
+@pytest.mark.parametrize("variant", rm.ALL_VARIANTS, ids=lambda v: v.short())
+def test_sweep_matches_the_reference_sweep(m, n, variant):
+    want = reference_sweep(m, n, [1, 2, 3], 4, variant)
+    got = rm.residual_sweep(m, n, [1, 2, 3], 4, variant)
+    assert got == want
