@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .symfunc import (check_partition, conjugate, hook_partitions,
                        lowest_weight_offset)
@@ -319,10 +320,17 @@ def valid_subrows(top, m: int, n: int) -> list[tuple[int, ...]]:
     return sorted(_next_rows(m, n, r, top))
 
 
+@lru_cache(maxsize=None)
+def _count_table(m: int, n: int, level: int) -> tuple:
+    """(width, content Counter of its patterns) per top row of one level."""
+    return tuple((max(partition_from_top_row(top, m, n), default=0),
+                  Counter(map(pattern_content, fillings(top, m, n))))
+                 for top in top_rows_for_level(m, n, level))
+
+
 def pattern_counts(m: int, n: int, level: int,
                    max_width: int | None = None) -> Counter:
     """Content -> number of patterns at one level, over the top rows of
-    width <= max_width (all of them when None)."""
-    return Counter(pattern_content(pat)
-                   for top in top_rows_for_level(m, n, level, max_width)
-                   for pat in fillings(top, m, n))
+    width <= max_width (all of them when None), as a fresh Counter."""
+    return sum((counts for width, counts in _count_table(m, n, level)
+                if max_width is None or width <= max_width), Counter())

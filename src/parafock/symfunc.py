@@ -223,7 +223,6 @@ def schur_monomials(la, nvars: int) -> dict:
     return skew_schur_monomials(check_partition(la), (), nvars)
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient(gamma, nu, sigma) -> int:
     """Littlewood-Richardson coefficient: multiplicity of gamma in nu * sigma.
 

@@ -230,10 +230,10 @@ class VermaEngine:
     action low(a, X) = c_a^- X, the bracket action B(a, b) X with
     B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>.  Their values, and
     the action image of every (label, monomial), are kept as integer
-    polynomials in p, and the PBW basis is kept grouped by content, per
-    level.  The caches are unbounded and never evicted: they grow with the
-    levels and monomials asked for, and get_engine keeps one engine per
-    (m, n) for the life of the process.
+    polynomials in p, the PBW basis grouped by content, per level, and each
+    monomial's acts_by_weight verdict.  The caches are unbounded and never
+    evicted: they grow with the levels and monomials asked for, and
+    get_engine keeps one engine per (m, n) for the life of the process.
     """
 
     def __init__(self, m: int, n: int):
@@ -247,6 +247,7 @@ class VermaEngine:
         self._bracket_cache: dict[tuple, dict] = {}
         self._pair_cache: dict[tuple, PPoly] = {}
         self._image_cache: dict[tuple, dict] = {}
+        self._weight_cache: dict[PBWMonomial, bool] = {}
         self._level_cache: dict[int, dict] = {}
 
     def parity(self, a: int) -> int:
@@ -447,6 +448,14 @@ class VermaEngine:
         self._image_cache[key] = out
         return out
 
+    def acts_by_weight(self, mono: PBWMonomial) -> bool:
+        """Whether the last generator pair maps mono to (p + 2 content_r) mono."""
+        if mono not in self._weight_cache:
+            eigen = PPoly((2 * mono.content(self.m, self.n)[-1], 1))
+            self._weight_cache[mono] = {mono: eigen} == self._action_image(
+                ("bb", self.r, self.r, "-", "+"), mono)
+        return self._weight_cache[mono]
+
     def act(self, label, vector: dict, p) -> dict:
         """Left action of a basis element on a module vector, order p.
 
@@ -582,41 +591,33 @@ def diagonal_values(block: GramBlock) -> list[Fraction]:
     """Sorted values of the last generator pair's anticommutator on the
     block's G-orthogonal basis of its non-radical part, at the block's order.
 
-    The basis vectors are the elimination's pivot rows u_k / M_(k-1) (in the
-    PSD case, Gram-Schmidt in basis order); with w = act(u_k), the value is
-    (u_k^T G w) / (M_(k-1) * M_k).  Raises ArithmeticError if the action
-    leaves the block's weight space, or if the elimination stalled on an
-    indefinite block.
+    On a pivot row u_k the value is (u_k^T G B u_k) / (M_(k-1) * M_k), B the
+    pair.  If B acts by the weight's last entry w on each monomial of the
+    rows' support (acts_by_weight), B u_k = w u_k and u_k^T G u_k =
+    M_(k-1) * M_k make every value w.  Raises ArithmeticError, naming the
+    weight, if that Cartan identity fails or the elimination stalled.
     """
     if block.pivot_rows is None:
         raise ArithmeticError(
             f"the elimination stalled on the indefinite weight space "
             f"{list(block.weight)}")
-    r = block.m + block.n
-    label = ("bb", r, r, "-", "+")
     engine = get_engine(block.m, block.n)
-    index = {mono: i for i, mono in enumerate(block.basis)}
-    values = []
-    for u, ug, scale in block.pivot_rows:
-        vec = {mono: c for mono, c in zip(block.basis, u) if c}
-        image = engine.act(label, vec, block.p)
-        if any(mono not in index for mono in image):
-            raise ArithmeticError(
-                f"the action left the weight space {list(block.weight)}")
-        num = sum(ug[index[mono]] * c for mono, c in image.items())
-        values.append(Fraction(num, scale))
-    return sorted(values)
+    if not all(engine.acts_by_weight(mono) for u, _, _ in block.pivot_rows
+               for mono, c in zip(block.basis, u) if c):
+        raise ArithmeticError(
+            f"the Cartan identity fails on the weight space {list(block.weight)}")
+    return [Fraction(block.weight[-1])] * len(block.pivot_rows)
 
 
 def diagonal_check(m: int, n: int, p: int, level_max: int,
                    blocks: list[GramBlock] | None = None) -> dict:
     """Diagonal action of the last generator pair versus the pattern labels.
 
-    For an orthogonal basis of every non-radical block, the value of the
-    anticommutator of the last lowering/raising pair on a unit vector must
-    reproduce p + 2*(top row sum - second row sum) of the matching patterns,
-    as a multiset per weight.  `blocks` are those of collect_gram_blocks(m,
-    n, p, level_max), built here when not given.
+    On a G-orthogonal basis of every non-radical block, the last pair's
+    anticommutator (diagonal_values, read off the Cartan identity) must take
+    the patterns' p + 2*(top row sum - second row sum) as a multiset per
+    weight; a failed identity is an "error" failure.  `blocks` are those of
+    collect_gram_blocks(m, n, p, level_max), built here when not given.
     """
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")

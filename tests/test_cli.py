@@ -345,9 +345,13 @@ def test_verify_id2_failing_variant_matches_golden_file(variant):
      ("gram", "--m", "2", "--n", "2", "--p", "1", "--levels", "4")),
     ("matelems_m2_n1_p2_l3.jsonl",
      ("matelems", "--m", "2", "--n", "1", "--p", "2", "--levels", "3")),
+    ("gram_m2_n2_p3_l4.jsonl",
+     ("gram", "--m", "2", "--n", "2", "--p", "3", "--levels", "4")),
+    ("matelems_m2_n2_p2_l4.jsonl",
+     ("matelems", "--m", "2", "--n", "2", "--p", "2", "--levels", "4")),
 ])
 def test_gram_oracle_matches_golden_file(fixture, argv):
-    """Ranks with radicals (p = 1) and diagonal values, as whole stdout."""
+    """Ranks with radicals (p = 1, 3) and diagonal values, as whole stdout."""
     golden = Path(__file__).parent / "fixtures" / fixture
     code, out, _ = run_cli(*argv)
     assert code == 0
@@ -420,3 +424,27 @@ def test_exit_code_contract_holds_for_any_argv(argv):
     if code == 2:
         assert "error:" in err.getvalue(), argv
         assert out.getvalue() == "", argv
+
+
+def test_one_parser_serves_many_calls(capsys, tmp_path):
+    """main reuses one parser; a sequence of calls in one process prints
+    what the same calls print as separate runs."""
+    from parafock.cli import build_parser
+
+    assert build_parser() is build_parser()
+    target = tmp_path / "out.jsonl"
+    gram = ("gram", "--m", "1", "--n", "1", "--p", "2", "--levels", "2")
+    calls = [gram + ("--format", "csv"), gram,
+             gram + ("--out", str(target)), gram,
+             gram[:-1] + ("two",),
+             ("dims", "--m", "1", "--n", "1", "--p", "-1"), gram]
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        written = target.read_text() if "--out" in argv else None
+        assert (code, out, err) == run_cli(*argv), argv
+        assert written is None or written == target.read_text()
+    assert target.read_text() == run_cli(*gram)[1]

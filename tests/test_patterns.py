@@ -1,6 +1,7 @@
 """Pattern validity, enumeration and weights, cross-checked two ways."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -218,3 +219,28 @@ def test_pattern_counts_by_width():
         for level in range(5):
             expected = {c: k for c, k in ch.items() if sum(c) == level}
             assert gz.pattern_counts(m, n, level, max_width=p) == expected
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 2),
+                                 (3, 1)])
+def test_pattern_counts_equal_a_direct_count(m, n):
+    """The per-level table sums to a Counter over the fillings of the
+    capped top rows, with the same key order."""
+    for level in range(5):
+        for max_width in [*range(1, level + 2), None]:
+            want = Counter(
+                gz.pattern_content(pat)
+                for top in gz.top_rows_for_level(m, n, level, max_width)
+                for pat in gz.fillings(top, m, n))
+            got = gz.pattern_counts(m, n, level, max_width)
+            assert list(got.items()) == list(want.items())
+
+
+def test_pattern_counts_hands_out_fresh_counters():
+    want = dict(gz.pattern_counts(2, 1, 3, max_width=2))
+    for max_width in (2, None):
+        got = gz.pattern_counts(2, 1, 3, max_width)
+        got[next(iter(got))] += 5
+        got[(9, 9, 9)] = 1
+    assert gz.pattern_counts(2, 1, 3, max_width=2) == want
+    assert (9, 9, 9) not in gz.pattern_counts(2, 1, 3)

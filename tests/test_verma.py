@@ -637,3 +637,44 @@ def test_diagonal_values_raise_on_stalled_elimination():
     assert blk.pivot_rows is None and not blk.psd
     with pytest.raises(ArithmeticError):
         vm.diagonal_values(blk)
+
+
+# -- the Cartan identity diagonal_values rests on ------------------------------
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 2),
+                                 (3, 1)])
+def test_last_pair_acts_by_the_weight_on_every_monomial(m, n):
+    """{c_r^-, c_r^+}, read as the cached action image and as the bracket
+    action B(r, r), maps every PBW monomial x to (2 content_r + p) x."""
+    eng = vm.get_engine(m, n)
+    r = m + n
+    for level in range(5):
+        for x in vm.pbw_basis(m, n, level):
+            want = {x: vm.PPoly((2 * x.content(m, n)[-1], 1))}
+            assert eng._action_image(("bb", r, r, "-", "+"), x) == want
+            assert eng.bracket(r, r, x) == want
+            assert eng.acts_by_weight(x)
+
+
+def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
+    """One wrong cached image of the last pair fails the verdict of its
+    monomial: diagonal_check reports an "error" failure at that weight and
+    gram and matelems exit 1."""
+    from parafock.cli import main
+
+    eng = vm.VermaEngine(1, 1)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    mono = eng.level_basis(1)[(0, 1)][0]
+    eng._image_cache[(("bb", 2, 2, "-", "+"), mono)] = {mono: vm.PPoly((3, 1))}
+    weight = list(gz.doubled_weight((0, 1), 1, 1, 2))
+    with pytest.raises(ArithmeticError) as exc:
+        vm.diagonal_values(vm.gram_block_for_content(1, 1, 2, (0, 1)))
+    assert str(weight) in str(exc.value)
+    rep = vm.diagonal_check(1, 1, 2, 2)
+    assert not rep["ok"]
+    assert [f["weight"] for f in rep["failures"]] == [weight]
+    assert "error" in rep["failures"][0]
+    for command in ("gram", "matelems"):
+        assert main([command, "--m", "1", "--n", "1", "--p", "2",
+                     "--levels", "2"]) == 1
+    assert '"failures":1' in capsys.readouterr().out
