@@ -34,7 +34,6 @@ from .patterns import (
     raise_top_row,
     top_row_from_partition,
     top_rows_for_level,
-    validate_pattern,
 )
 from .reduced import (
     ParsingVariant,
@@ -70,10 +69,10 @@ from .verma import (
     GramBlock,
     PBWMonomial,
     VermaEngine,
-    collect_gram_blocks,
     diagonal_check,
     get_engine,
     gram_block,
+    gram_blocks_up_to,
     irreducible_dims,
     pbw_basis,
     radical_cut_check,

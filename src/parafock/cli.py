@@ -228,6 +228,14 @@ def cmd_char(args, out: Emitter) -> bool:
     return rep["ok"] and expansion_ok
 
 
+def _parse_variant(text: str) -> reduced.ParsingVariant:
+    """The variant named eo:zero:tail, or UsageError."""
+    try:
+        return reduced.ParsingVariant.from_short(text)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"unknown variant {text!r}") from exc
+
+
 def _parse_domains(text: str):
     domains = []
     for part in text.split(";"):
@@ -257,10 +265,7 @@ def cmd_verify_id2(args, out: Emitter) -> bool:
     out.emit(_meta("verify-id2", domains=[list(d) for d in domains],
                    p=p_values, levels=args.levels))
     if args.variant != "auto":
-        try:
-            variant = reduced.ParsingVariant.from_short(args.variant)
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"unknown variant {args.variant!r}") from exc
+        variant = _parse_variant(args.variant)
         ok = True
         for (m, n) in domains:
             sweep = reduced.residual_sweep(m, n, p_values, args.levels, variant)
@@ -294,11 +299,8 @@ def cmd_verify_id2(args, out: Emitter) -> bool:
 def cmd_gk_table(args, out: Emitter) -> bool:
     _check_session(args)
     p = _single_p(args)
-    try:
-        variant = (reduced.DEFAULT_VARIANT if args.variant == "auto"
-                   else reduced.ParsingVariant.from_short(args.variant))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"unknown variant {args.variant!r}") from exc
+    variant = (reduced.DEFAULT_VARIANT if args.variant == "auto"
+               else _parse_variant(args.variant))
     out.emit(_meta("gk-table", m=args.m, n=args.n, p=p,
                    levels=args.levels, variant=variant.short()))
     ok = True
@@ -328,7 +330,7 @@ def cmd_gram(args, out: Emitter) -> bool:
     char_mult = symfunc.irreducible_character(
         args.m, args.n, p, args.levels).coeffs
     ok = True
-    blocks = verma.collect_gram_blocks(args.m, args.n, p, args.levels)
+    blocks = list(verma.gram_blocks_up_to(args.m, args.n, p, args.levels))
     for blk in blocks:
         expected = char_mult.get(blk.content, 0)
         match = blk.rank == expected
@@ -356,26 +358,24 @@ def cmd_matelems(args, out: Emitter) -> bool:
     out.emit(_meta("matelems", m=args.m, n=args.n, p=p,
                    levels=args.levels))
     ok = True
-    for level in range(args.levels + 1):
-        for content in verma.level_contents(args.m, args.n, level):
-            blk = verma.gram_block_for_content(args.m, args.n, p, content)
-            for mono, norm in zip(blk.basis,
-                                  (row[i] for i, row in enumerate(blk.matrix))):
-                out.emit({"weight": list(blk.weight),
-                          "monomial": {"singles": list(mono.singles),
-                                       "pairs": list(mono.pairs)},
-                          "norm_sq_num": norm.numerator,
-                          "norm_sq_den": norm.denominator})
-            if args.n >= 1:
-                try:
-                    values = verma.diagonal_values(blk)
-                except ArithmeticError as exc:
-                    out.emit({"weight": list(blk.weight), "error": str(exc)})
-                    ok = False
-                    continue
-                out.emit({"weight": list(blk.weight),
-                          "diagonal_values":
-                              [[v.numerator, v.denominator] for v in values]})
+    for blk in verma.gram_blocks_up_to(args.m, args.n, p, args.levels):
+        for mono, norm in zip(blk.basis,
+                              (row[i] for i, row in enumerate(blk.matrix))):
+            out.emit({"weight": list(blk.weight),
+                      "monomial": {"singles": list(mono.singles),
+                                   "pairs": list(mono.pairs)},
+                      "norm_sq_num": norm.numerator,
+                      "norm_sq_den": norm.denominator})
+        if args.n >= 1:
+            try:
+                values = verma.diagonal_values(blk)
+            except ArithmeticError as exc:
+                out.emit({"weight": list(blk.weight), "error": str(exc)})
+                ok = False
+                continue
+            out.emit({"weight": list(blk.weight),
+                      "diagonal_values":
+                          [[v.numerator, v.denominator] for v in values]})
     return ok
 
 

@@ -43,9 +43,6 @@ class GZPattern:
     def top(self) -> tuple[int, ...]:
         return self.rows[0]
 
-    def level(self) -> int:
-        return sum(self.top)
-
     def to_rows(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
@@ -210,10 +207,6 @@ CONDITIONS = (
 def pattern_failures(pat: GZPattern) -> list[str]:
     """Names of the validity conditions the pattern violates."""
     return [name for name, pred in CONDITIONS if not pred(pat)]
-
-
-def validate_pattern(pat: GZPattern) -> bool:
-    return not pattern_failures(pat)
 
 
 # ---------------------------------------------------------------------------

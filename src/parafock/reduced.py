@@ -16,7 +16,9 @@ residual_from_terms evaluates it at one order.  residual_sweep prepares every
 config's term table once, then keeps, for each order p, a table keyed by (top
 row, slot) so that each squared matrix element is evaluated once and read by
 every residual of that order and by the sweep's own values.  Both tables live
-only as long as the sweep; the module keeps no cache.
+only as long as the sweep; the module keeps no cache.  A sweep keeps at most
+MAX_FAILURE_SAMPLES nonzero residuals, and its failure_count counts those
+samples, not every nonzero residual.
 """
 
 from __future__ import annotations
@@ -102,9 +104,6 @@ class SignedSqrtRational:
             raise ValueError("radicand must be nonnegative")
         if (self.sign == 0) != (self.radicand == 0):
             raise ValueError("sign is 0 exactly when the radicand is 0")
-
-    def __float__(self):
-        return self.sign * float(self.radicand) ** 0.5
 
 
 def _eo_factor(kind: str, sub: int, arg, variant: ParsingVariant):
@@ -384,23 +383,24 @@ def residual_from_terms(terms, shift: int, p: int, m: int, n: int,
 
 
 def recurrence_residual(top, subrow, p: int, m: int, n: int,
-                        variant: ParsingVariant = DEFAULT_VARIANT, *,
-                        squares: dict | None = None) -> Fraction:
+                        variant: ParsingVariant = DEFAULT_VARIANT) -> Fraction:
     """Left side minus right side of the diagonal two-row recurrence.
 
     The p-free term table of recurrence_terms, evaluated at p by
-    residual_from_terms.  squares, if given, is a (top, k) -> G_k^2 table
-    for this (m, n, p, variant) that the call reads and fills (see
-    residual_sweep).
+    residual_from_terms through a fresh G_k^2 table.  To share one table
+    across residuals of one order, call residual_from_terms (as
+    residual_sweep does).
     """
     terms, shift = recurrence_terms(top, subrow, m, n, variant)
-    return residual_from_terms(terms, shift, p, m, n, variant,
-                               {} if squares is None else squares)
+    return residual_from_terms(terms, shift, p, m, n, variant, {})
 
 
 # ---------------------------------------------------------------------------
 # variant selection
 # ---------------------------------------------------------------------------
+
+MAX_FAILURE_SAMPLES = 10
+
 
 def recurrence_configs(m: int, n: int, level_max: int):
     """All admissible (top row, subrow) pairs with level <= level_max."""
@@ -411,7 +411,7 @@ def recurrence_configs(m: int, n: int, level_max: int):
 
 
 def residual_sweep(m: int, n: int, p_values, level_max: int,
-                   variant: ParsingVariant, max_failures: int = 10) -> dict:
+                   variant: ParsingVariant) -> dict:
     """Run the recurrence over the whole config range under one variant.
 
     The p-free half is prepared once per call: the config list, each
@@ -422,6 +422,10 @@ def residual_sweep(m: int, n: int, p_values, level_max: int,
     (top row, slot, p), are its entries for the raisable slots of each top
     row whose residual evaluated.  The term tables and the G_k^2 tables are
     dropped when the sweep returns.
+
+    failures keeps the first MAX_FAILURE_SAMPLES nonzero residuals, and
+    failure_count is the number of samples kept, so it is capped at
+    MAX_FAILURE_SAMPLES too; ok is False on any nonzero residual.
     """
     prepared = []
     raisable = {}
@@ -449,7 +453,7 @@ def residual_sweep(m: int, n: int, p_values, level_max: int,
                 errors += 1
                 continue
             if res != 0:
-                if len(failures) < max_failures:
+                if len(failures) < MAX_FAILURE_SAMPLES:
                     failures.append({"top": list(top), "subrow": list(subrow),
                                      "p": p, "residual": str(res)})
     return {"m": m, "n": n, "level_max": level_max,

@@ -52,9 +52,6 @@ class FrobeniusForm:
     def rank(self) -> int:
         return len(self.arms)
 
-    def conjugate(self) -> "FrobeniusForm":
-        return FrobeniusForm(self.legs, self.arms)
-
 
 def frobenius(la) -> FrobeniusForm:
     """Arm/leg encoding: arms[k] = la[k]-k-1 boxes right of diagonal box k."""
@@ -142,10 +139,8 @@ def offset_family_partitions(p: int, max_weight: int):
     out = [()]
 
     def extend(legs, used):
-        top = legs[-1] - 1 if legs else None
-        lo = 0
         hi = (legs[-1] - 1) if legs else (max_weight - p - 1) // 2
-        for b in range(hi, lo - 1, -1):
+        for b in range(hi, -1, -1):
             w = used + 2 * b + p + 1
             if w > max_weight:
                 continue
@@ -335,21 +330,6 @@ class TruncatedCharacter:
         if (self.m, self.n, self.cap) != (other.m, other.n, other.cap):
             raise ValueError("incompatible truncated characters")
 
-    def __add__(self, other):
-        self._check(other)
-        if self.offset != other.offset:
-            raise ValueError("offset mismatch in character sum")
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, 0) + c
-        return TruncatedCharacter(self.m, self.n, self.cap, coeffs, self.offset)
-
-    def scale(self, k: int):
-        return TruncatedCharacter(
-            self.m, self.n, self.cap,
-            {e: k * c for e, c in self.coeffs.items()}, self.offset,
-        )
-
     def __mul__(self, other):
         self._check(other)
         offset = tuple(a + b for a, b in zip(self.offset, other.offset))
@@ -387,16 +367,13 @@ class TruncatedCharacter:
             cur = nxt
         return TruncatedCharacter(self.m, self.n, self.cap, out, self.offset)
 
-    def mul_binomial(self, mono, sign=1):
-        """Multiply by (1 + sign * x^mono), truncated."""
-        shifted = {}
-        for e, c in self.coeffs.items():
-            key = tuple(a + b for a, b in zip(e, mono))
-            if sum(key) <= self.cap:
-                shifted[key] = sign * c
+    def mul_binomial(self, mono):
+        """Multiply by (1 + x^mono), truncated."""
         out = dict(self.coeffs)
-        for e, c in shifted.items():
-            out[e] = out.get(e, 0) + c
+        for e, c in self.coeffs.items():
+            key = tuple(map(operator.add, e, mono))
+            if sum(key) <= self.cap:
+                out[key] = out.get(key, 0) + c
         return TruncatedCharacter(self.m, self.n, self.cap, out, self.offset)
 
     def __eq__(self, other):
@@ -465,18 +442,16 @@ def _add_super_schur(acc: dict, la, m: int, n: int, sign: int = 1) -> None:
                 acc[key] = acc.get(key, 0) + sign * cx * cy
 
 
-def super_schur(la, m: int, n: int, cap: int | None = None) -> TruncatedCharacter:
-    """Supersymmetric Schur polynomial s_la(x_1..x_m | y_1..y_n).
+def super_schur(la, m: int, n: int) -> TruncatedCharacter:
+    """Supersymmetric Schur polynomial s_la(x_1..x_m | y_1..y_n), truncated
+    at its own degree |la|.
 
     Identically zero exactly when la violates the (m|n)-hook condition.
     """
     la = check_partition(la)
-    if cap is None:
-        cap = weight(la)
     coeffs: dict[tuple[int, ...], int] = {}
-    if weight(la) <= cap:
-        _add_super_schur(coeffs, la, m, n)
-    return TruncatedCharacter(m, n, cap, coeffs)
+    _add_super_schur(coeffs, la, m, n)
+    return TruncatedCharacter(m, n, weight(la), coeffs)
 
 
 def _denominator_monomials(m, n):
@@ -513,7 +488,7 @@ def weight_series_product(m: int, n: int, cap: int) -> TruncatedCharacter:
     """prod(1+x_i y_j) / [prod(1-x_i) prod(1-x_i x_k) prod(1-y_j) prod(1-y_j y_l)]."""
     ch = TruncatedCharacter.one(m, n, cap)
     for mono in _numerator_monomials(m, n):
-        ch = ch.mul_binomial(mono, +1)
+        ch = ch.mul_binomial(mono)
     for mono in _denominator_monomials(m, n):
         ch = ch.geometric_divide(mono)
     return ch

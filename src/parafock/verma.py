@@ -150,9 +150,6 @@ class PBWMonomial:
     singles: tuple[int, ...]
     pairs: tuple[int, ...]
 
-    def degree(self) -> int:
-        return sum(self.singles) + 2 * sum(self.pairs)
-
     def content(self, m: int, n: int) -> tuple[int, ...]:
         out = list(self.singles)
         for (i, j), e in zip(pair_slots(m, n), self.pairs):
@@ -555,6 +552,8 @@ def gram_block(m: int, n: int, p: int, weight) -> GramBlock:
 
 
 def gram_blocks_up_to(m: int, n: int, p: int, level_max: int):
+    """The blocks of levels <= level_max in canonical order (level, then
+    content), each built when the walk reaches it."""
     for level in range(level_max + 1):
         for content in level_contents(m, n, level):
             yield gram_block_for_content(m, n, p, content)
@@ -567,16 +566,11 @@ def irreducible_dims(m: int, n: int, p: int, level_max: int) -> dict:
     }
 
 
-def collect_gram_blocks(m: int, n: int, p: int, level_max: int) -> list[GramBlock]:
-    """All blocks up to level_max in canonical order (level, then content)."""
-    return list(gram_blocks_up_to(m, n, p, level_max))
-
-
 def _blocks_by_level(m: int, n: int, p: int, level_max: int,
                      blocks: list[GramBlock] | None) -> dict[int, list[GramBlock]]:
-    """Level -> the given blocks, or freshly built ones when blocks is None."""
+    """Level -> the given blocks, or gram_blocks_up_to's when blocks is None."""
     if blocks is None:
-        blocks = collect_gram_blocks(m, n, p, level_max)
+        blocks = gram_blocks_up_to(m, n, p, level_max)
     by_level: dict[int, list[GramBlock]] = {}
     for blk in blocks:
         by_level.setdefault(sum(blk.content), []).append(blk)
@@ -617,7 +611,7 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
     anticommutator (diagonal_values, read off the Cartan identity) must take
     the patterns' p + 2*(top row sum - second row sum) as a multiset per
     weight; a failed identity is an "error" failure.  `blocks` are those of
-    collect_gram_blocks(m, n, p, level_max), built here when not given.
+    gram_blocks_up_to(m, n, p, level_max), built here when not given.
     """
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")
@@ -653,7 +647,7 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
     Verifies per weight that the Gram rank equals the number of patterns with
     top-row width <= p, and that admitting width p+1 strictly overcounts at
     some weight of some level (whenever such patterns exist in range).
-    `blocks` are those of collect_gram_blocks(m, n, p, level_max), built here
+    `blocks` are those of gram_blocks_up_to(m, n, p, level_max), built here
     when not given.
     """
     def weight(content):

@@ -1,10 +1,13 @@
 """Matrix realization: generators, brackets, defining relations, basis."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from parafock import algebra as alg
+from parafock import rational_linalg
+from parafock.cli import main
 
 
 def test_generator_matrices_m1n1():
@@ -153,6 +156,30 @@ def test_basis_brackets_each_unordered_pair_once(m, n, monkeypatch):
     assert len(calls) == label_brackets + d * (d + 1) // 2
     assert list(basis.brackets) == [(a, b) for a in basis.labels
                                     for b in basis.labels]
+
+
+def test_even_dimension_needs_no_dense_elimination(monkeypatch):
+    """The column solver has proven every basis matrix independent, so the
+    even part is checked without a dense rank computation."""
+
+    def no_rref(rows):
+        raise AssertionError("dense elimination reached")
+
+    monkeypatch.setattr(rational_linalg, "rref", no_rref)
+    basis = alg.structure_constants(3, 3)
+    assert len(basis.even_labels()) == alg.expected_even_dimension(3, 3)
+
+
+def test_even_dimension_mismatch_is_an_error(monkeypatch, capsys):
+    expected = alg.expected_even_dimension
+    monkeypatch.setattr(alg, "expected_even_dimension",
+                        lambda m, n: expected(m, n) + 1)
+    with pytest.raises(ArithmeticError, match="even part"):
+        alg.structure_constants(1, 1)
+    assert main(["verify-algebra", "--m", "1", "--n", "1"]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert recs[-1] == {"check": "structure_constants",
+                        "error": "even part has unexpected dimension"}
 
 
 def test_cartan_acts_with_root_value():

@@ -267,20 +267,30 @@ def test_several_orders_are_a_returned_usage_error(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_gram_builds_each_block_once(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["gram", "matelems"])
+def test_gram_builds_each_block_once(command, monkeypatch, capsys):
+    """One walk of the blocks serves the command and all its checks."""
     from parafock import verma
 
-    real = verma.gram_block_for_content
+    real_block = verma.gram_block_for_content
+    real_walk = verma.gram_blocks_up_to
     built = []
+    walks = []
 
-    def counting(m, n, p, content, *args, **kwargs):
+    def counting_block(m, n, p, content, *args, **kwargs):
         built.append(tuple(content))
-        return real(m, n, p, content, *args, **kwargs)
+        return real_block(m, n, p, content, *args, **kwargs)
 
-    monkeypatch.setattr(verma, "gram_block_for_content", counting)
-    assert main(["gram", "--m", "1", "--n", "1", "--p", "2",
+    def counting_walk(*args, **kwargs):
+        walks.append(args)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(verma, "gram_block_for_content", counting_block)
+    monkeypatch.setattr(verma, "gram_blocks_up_to", counting_walk)
+    assert main([command, "--m", "1", "--n", "1", "--p", "2",
                  "--levels", "3"]) == 0
     capsys.readouterr()
+    assert walks == [(1, 1, 2, 3)]
     assert len(built) == len(set(built)) \
         == sum(len(verma.level_contents(1, 1, lv)) for lv in range(4))
 

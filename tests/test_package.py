@@ -1,0 +1,69 @@
+"""Package-wide checks: no floating point in the sources, and the README's
+library quick tour runs as printed."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import parafock
+
+PACKAGE = Path(parafock.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
+
+
+def float_uses(tree):
+    """(line, what) for each float literal, use of the name float, __float__
+    method or math.sqrt in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, f"float literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node.lineno, "float"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == "__float__":
+            yield node.lineno, "__float__"
+        elif isinstance(node, ast.Attribute) and node.attr == "sqrt" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "math":
+            yield node.lineno, "math.sqrt"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" \
+                and any(alias.name == "sqrt" for alias in node.names):
+            yield node.lineno, "from math import sqrt"
+
+
+def test_float_scan_sees_each_form():
+    src = ("import math\nfrom math import sqrt\nx = 0.5\ny = float(1)\n"
+           "z = math.sqrt(2)\nclass A:\n    def __float__(self):\n"
+           "        return 1\n")
+    kinds = [what for _, what in float_uses(ast.parse(src))]
+    assert sorted(kinds) == sorted(["from math import sqrt",
+                                    "float literal 0.5", "float",
+                                    "math.sqrt", "__float__"])
+
+
+def test_package_has_no_floating_point():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{line}: {what}" for path in modules
+             for line, what in float_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def readme_quick_tour():
+    text = README.read_text()
+    section = text.split("## Library quick tour", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "no python block in the quick tour"
+    return match.group(1)
+
+
+def test_readme_quick_tour_runs():
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", readme_quick_tour()],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -11,12 +11,12 @@ from parafock import symfunc as sf
 
 def test_validate_examples():
     vac = gz.GZPattern.from_rows(1, 1, [[0, 0], [0]])
-    assert gz.validate_pattern(vac)
+    assert not gz.pattern_failures(vac)
     bad = gz.GZPattern.from_rows(1, 1, [[0, 1], [0]])
-    assert not gz.validate_pattern(bad)
+    assert gz.pattern_failures(bad)
     assert "top_row" in gz.pattern_failures(bad)
     ok = gz.GZPattern.from_rows(1, 1, [[1, 1], [1]])
-    assert gz.validate_pattern(ok)
+    assert not gz.pattern_failures(ok)
 
 
 def test_validate_reports_condition_names():
@@ -28,7 +28,7 @@ def test_validate_reports_condition_names():
     fails = gz.pattern_failures(p)
     assert "hook_rows" in fails and "top_row" in fails
     p = gz.GZPattern.from_rows(2, 1, [[1, 1, 1], [1, 0], [1]])
-    assert gz.validate_pattern(p)
+    assert not gz.pattern_failures(p)
 
 
 def test_shape_mismatch_rejected():
@@ -128,7 +128,7 @@ def _brute_force_fillings(top, m, n):
     out = []
     for rows in itertools.product(*candidates):
         pat = gz.GZPattern.from_rows(m, n, (tuple(top),) + rows)
-        if gz.validate_pattern(pat):
+        if not gz.pattern_failures(pat):
             out.append(pat)
     return sorted(out, key=lambda p: p.rows)
 

@@ -387,7 +387,7 @@ def test_radical_cut_check():
 
 
 def test_radical_cut_check_reports_mismatches_by_doubled_weight():
-    blocks = vm.collect_gram_blocks(1, 1, 2, 2)
+    blocks = list(vm.gram_blocks_up_to(1, 1, 2, 2))
     bumped = [dataclasses.replace(blk, rank=blk.rank + 1)
               if blk.content == (1, 1) else blk for blk in blocks]
     rep = vm.radical_cut_check(1, 1, 2, 2, bumped)
