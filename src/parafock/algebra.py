@@ -366,11 +366,14 @@ class AlgebraBasis:
         self.elements = [(lab, label_matrix(lab, m, n)) for lab in self.labels]
         mats = dict(self.elements)
         if any(mat.is_zero() for mat in mats.values()):
-            raise ValueError("degenerate basis element")
+            raise ArithmeticError("degenerate basis element")
 
         keys = sorted({k for mat in mats.values() for k in mat.coordinates()})
         columns = [mats[lab].coordinates() for lab in self.labels]
-        solver = build_column_solver(columns, keys)
+        try:
+            solver = build_column_solver(columns, keys)
+        except ValueError as exc:
+            raise ArithmeticError(f"basis matrices: {exc}") from exc
 
         # [b, a] = -(-1)^(deg a * deg b) [a, b]: each unordered pair is
         # bracketed and solved once, the later ordered pair negates or copies

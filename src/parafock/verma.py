@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
+from typing import NamedTuple
 
 from .rational_linalg import symmetric_rank_psd
 from . import patterns as gz
@@ -129,7 +130,7 @@ _P = PPoly.variable()
 # PBW monomials
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@cache
 def pair_slots(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """Lexicographic list of bracket factors (i, j), i < j, 1-based."""
     r = m + n
@@ -140,11 +141,11 @@ def is_mixed_pair(pr, m: int) -> bool:
     return pr[0] <= m < pr[1]
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
+class PBWMonomial(NamedTuple):
     """Exponents of the ordered product: singles first, bracket factors after.
 
     Mixed bracket factors square to zero, so their exponents stay in {0, 1}.
+    The tuple order (singles, then pairs) is the canonical basis order.
     """
 
     singles: tuple[int, ...]
@@ -157,9 +158,6 @@ class PBWMonomial:
                 out[i - 1] += e
                 out[j - 1] += e
         return tuple(out)
-
-    def sort_key(self):
-        return (self.singles, self.pairs)
 
 
 def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
@@ -195,7 +193,7 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
             continue
         for sv in single_vectors(0, level - used):
             out.append(PBWMonomial(sv, pv))
-    out.sort(key=PBWMonomial.sort_key)
+    out.sort()
     return out
 
 
@@ -223,14 +221,17 @@ def _nonzero(vector: dict) -> dict:
 class VermaEngine:
     """The p-independent caches of one algebra (m, n), shared by every order.
 
-    Three memoized per-monomial primitives carry the module: the lowering
-    action low(a, X) = c_a^- X, the bracket action B(a, b) X with
-    B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>.  Their values, and
-    the action image of every (label, monomial), are kept as integer
-    polynomials in p, the PBW basis grouped by content, per level, and each
-    monomial's acts_by_weight verdict.  The caches are unbounded and never
-    evicted: they grow with the levels and monomials asked for, and
-    get_engine keeps one engine per (m, n) for the life of the process.
+    Three per-monomial primitives carry the module: the lowering action
+    low(a, X) = c_a^- X, the bracket action B(a, b) X with
+    B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>, all integer
+    polynomials in p.  Seven methods are memoized: those three, the lead
+    expansion of a monomial, the action image of a (label, monomial), the
+    PBW basis of a level grouped by content, and a monomial's acts_by_weight
+    verdict.  __init__ wraps each bound method in functools.cache, so the
+    caches belong to the engine and each reports cache_info().  They are
+    unbounded and never evicted: they grow with the levels and monomials
+    asked for, and get_engine keeps one engine per (m, n) for the life of
+    the process.
     """
 
     def __init__(self, m: int, n: int):
@@ -239,28 +240,20 @@ class VermaEngine:
         self.r = m + n
         self.slots = pair_slots(m, n)
         self.slot_index = {pr: i for i, pr in enumerate(self.slots)}
-        self._lead_cache: dict[PBWMonomial, tuple] = {}
-        self._low_cache: dict[tuple, dict] = {}
-        self._bracket_cache: dict[tuple, dict] = {}
-        self._pair_cache: dict[tuple, PPoly] = {}
-        self._image_cache: dict[tuple, dict] = {}
-        self._weight_cache: dict[PBWMonomial, bool] = {}
-        self._level_cache: dict[int, dict] = {}
+        for name in ("level_basis", "_lead", "low", "bracket", "_pair",
+                     "_action_image", "acts_by_weight"):
+            setattr(self, name, cache(getattr(self, name)))
 
     def parity(self, a: int) -> int:
         return 0 if a <= self.m else 1
 
     def level_basis(self, level: int) -> dict:
         """Content -> tuple of the PBW monomials of that content, in canonical
-        order; pbw_basis runs once per level."""
-        groups = self._level_cache.get(level)
-        if groups is None:
-            grouped: dict[tuple, list] = {}
-            for mono in pbw_basis(self.m, self.n, level):
-                grouped.setdefault(mono.content(self.m, self.n), []).append(mono)
-            groups = {c: tuple(monos) for c, monos in grouped.items()}
-            self._level_cache[level] = groups
-        return groups
+        order."""
+        grouped: dict[tuple, list] = {}
+        for mono in pbw_basis(self.m, self.n, level):
+            grouped.setdefault(mono.content(self.m, self.n), []).append(mono)
+        return {c: tuple(monos) for c, monos in grouped.items()}
 
     # -- creation: prepend a letter and straighten ------------------------
 
@@ -318,58 +311,42 @@ class VermaEngine:
         coefficient * c_l^+ rest, each rest a monomial one level lower; empty
         for the vacuum.  A leading bracket factor [c_i^+, c_j^+] expands into
         c_i^+ c_j^+ - (-1)^(p(i)p(j)) c_j^+ c_i^+."""
-        cached = self._lead_cache.get(mono)
-        if cached is not None:
-            return cached
         s = next((k for k, e in enumerate(mono.singles) if e), None)
-        q = next((k for k, e in enumerate(mono.pairs) if e), None)
         if s is not None:
             singles = list(mono.singles)
             singles[s] -= 1
-            out = ((1, s + 1, PBWMonomial(tuple(singles), mono.pairs)),)
-        elif q is not None:
-            i, j = self.slots[q]
-            pairs = list(mono.pairs)
-            pairs[q] -= 1
-            pairs = tuple(pairs)
+            return ((1, s + 1, PBWMonomial(tuple(singles), mono.pairs)),)
+        q = next((k for k, e in enumerate(mono.pairs) if e), None)
+        if q is None:
+            return ()
+        i, j = self.slots[q]
+        pairs = list(mono.pairs)
+        pairs[q] -= 1
+        pairs = tuple(pairs)
 
-            def one(letter):
-                return PBWMonomial(
-                    tuple(int(k == letter) for k in range(1, self.r + 1)), pairs)
+        def one(letter):
+            return PBWMonomial(
+                tuple(int(k == letter) for k in range(1, self.r + 1)), pairs)
 
-            sigma = -1 if self.parity(i) * self.parity(j) else 1
-            out = ((1, i, one(j)), (-sigma, j, one(i)))
-        else:
-            out = ()
-        self._lead_cache[mono] = out
-        return out
+        sigma = -1 if self.parity(i) * self.parity(j) else 1
+        return ((1, i, one(j)), (-sigma, j, one(i)))
 
     def low(self, a: int, mono: PBWMonomial) -> dict:
         """c_a^- mono as {monomial: PPoly}:
         c_a^- c_l^+ R = (-1)^(p(a)p(l)) c_l^+ c_a^- R + B(a, l) R."""
-        key = (a, mono)
-        cached = self._low_cache.get(key)
-        if cached is not None:
-            return cached
         out: dict[PBWMonomial, PPoly] = {}
         odd = self.parity(a)
         for coeff, l, rest in self._lead(mono):
             sign = -coeff if odd and self.parity(l) else coeff
             self._add_raised(out, l, self.low(a, rest), sign)
             _accumulate(out, self.bracket(a, l, rest), coeff)
-        out = _nonzero(out)
-        self._low_cache[key] = out
-        return out
+        return _nonzero(out)
 
     def bracket(self, a: int, b: int, mono: PBWMonomial) -> dict:
         """B(a, b) mono as {monomial: PPoly}, B(a, b) = [c_a^-, c_b^+]:
         p on the vacuum when a == b, else 0, and
         B(a, b) c_l^+ R = (-1)^((p(a)+p(b))p(l)) c_l^+ B(a, b) R
                           - 2 (-1)^(p(b)p(l)) delta_(a,l) c_b^+ R."""
-        key = (a, b, mono)
-        cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
         lead = self._lead(mono)
         out: dict[PBWMonomial, PPoly] = {}
         if not lead and a == b:
@@ -382,9 +359,7 @@ class VermaEngine:
             if a == l:
                 extra = 2 * coeff if self.parity(b) and odd_l else -2 * coeff
                 self._add_raised(out, b, {rest: _ONE}, extra)
-        out = _nonzero(out)
-        self._bracket_cache[key] = out
-        return out
+        return _nonzero(out)
 
     # -- contravariant pairing ----------------------------------------------
 
@@ -397,17 +372,12 @@ class VermaEngine:
     def _pair(self, x: PBWMonomial, y: PBWMonomial) -> PPoly:
         """Shapovalov recursion <c_l^+ R, Y> = <R, c_l^- Y>, <vac, vac> = 1;
         x and y have the same content."""
-        key = (x, y)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
         lead = self._lead(x)
         total = _ZERO if lead else _ONE
         for coeff, l, rest in lead:
             for z, poly in self.low(l, y).items():
                 term = poly if coeff == 1 else -poly
                 total = total + term * self._pair(rest, z)
-        self._pair_cache[key] = total
         return total
 
     # -- generator action -----------------------------------------------------
@@ -424,13 +394,9 @@ class VermaEngine:
 
     def _action_image(self, label, mono: PBWMonomial) -> dict:
         """{monomial: PPoly}: the label applied to one monomial, before the
-        label's scalar; cached per (label, monomial).  ('h', k) is
+        label's scalar.  ('h', k) is
         ('bb', k, k, '+', '-') and ('bb', a, b, s, t) is
         c_a^s c_b^t - (-1)^(p(a)p(b)) c_b^t c_a^s."""
-        key = (label, mono)
-        cached = self._image_cache.get(key)
-        if cached is not None:
-            return cached
         unit = {mono: _ONE}
         if label[0] == "c":
             _, a, s = label
@@ -441,17 +407,13 @@ class VermaEngine:
             out = self._apply(s, a, self._apply(t, b, unit))
             sigma = -1 if self.parity(a) * self.parity(b) else 1
             _accumulate(out, self._apply(t, b, self._apply(s, a, unit)), -sigma)
-        out = _nonzero(out)
-        self._image_cache[key] = out
-        return out
+        return _nonzero(out)
 
     def acts_by_weight(self, mono: PBWMonomial) -> bool:
         """Whether the last generator pair maps mono to (p + 2 content_r) mono."""
-        if mono not in self._weight_cache:
-            eigen = PPoly((2 * mono.content(self.m, self.n)[-1], 1))
-            self._weight_cache[mono] = {mono: eigen} == self._action_image(
-                ("bb", self.r, self.r, "-", "+"), mono)
-        return self._weight_cache[mono]
+        eigen = PPoly((2 * mono.content(self.m, self.n)[-1], 1))
+        return {mono: eigen} == self._action_image(
+            ("bb", self.r, self.r, "-", "+"), mono)
 
     def act(self, label, vector: dict, p) -> dict:
         """Left action of a basis element on a module vector, order p.
@@ -471,7 +433,7 @@ class VermaEngine:
         return {k: v for k, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
+@cache
 def get_engine(m: int, n: int) -> VermaEngine:
     return VermaEngine(m, n)
 

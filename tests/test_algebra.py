@@ -182,6 +182,31 @@ def test_even_dimension_mismatch_is_an_error(monkeypatch, capsys):
                         "error": "even part has unexpected dimension"}
 
 
+@pytest.mark.parametrize("fault,error", [
+    ("duplicate", "basis matrices: columns are linearly dependent"),
+    ("zero", "degenerate basis element"),
+])
+def test_basis_fault_is_an_error_record(fault, error, monkeypatch, capsys):
+    """A linearly dependent or zero basis matrix is a structure_constants
+    failure (exit 1, an "error" record), not a traceback."""
+    original = alg.label_matrix
+    first, second = alg.basis_labels(1, 1)[:2]
+
+    def faulty(label, m, n):
+        if label != second:
+            return original(label, m, n)
+        if fault == "zero":
+            return alg.SuperMatrix(m, n)
+        return original(first, m, n)
+
+    monkeypatch.setattr(alg, "label_matrix", faulty)
+    with pytest.raises(ArithmeticError, match=error):
+        alg.structure_constants(1, 1)
+    assert main(["verify-algebra", "--m", "1", "--n", "1"]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert recs[-1] == {"check": "structure_constants", "error": error}
+
+
 def test_cartan_acts_with_root_value():
     basis = alg.structure_constants(1, 1)
     h1 = alg.cartan(1, 1, 1)

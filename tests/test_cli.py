@@ -359,9 +359,14 @@ def test_verify_id2_failing_variant_matches_golden_file(variant):
      ("gram", "--m", "2", "--n", "2", "--p", "3", "--levels", "4")),
     ("matelems_m2_n2_p2_l4.jsonl",
      ("matelems", "--m", "2", "--n", "2", "--p", "2", "--levels", "4")),
+    ("gram_m3_n3_p2_l4.jsonl",
+     ("gram", "--m", "3", "--n", "3", "--p", "2", "--levels", "4")),
+    ("matelems_m1_n2_p3_l5.jsonl",
+     ("matelems", "--m", "1", "--n", "2", "--p", "3", "--levels", "5")),
 ])
 def test_gram_oracle_matches_golden_file(fixture, argv):
-    """Ranks with radicals (p = 1, 3) and diagonal values, as whole stdout."""
+    """Ranks with radicals (p = 1, 3) and diagonal values, as whole stdout;
+    the records pin the block order and the monomial order within a block."""
     golden = Path(__file__).parent / "fixtures" / fixture
     code, out, _ = run_cli(*argv)
     assert code == 0

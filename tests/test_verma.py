@@ -657,7 +657,7 @@ def test_last_pair_acts_by_the_weight_on_every_monomial(m, n):
 
 
 def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
-    """One wrong cached image of the last pair fails the verdict of its
+    """One wrong action image of the last pair fails the verdict of its
     monomial: diagonal_check reports an "error" failure at that weight and
     gram and matelems exit 1."""
     from parafock.cli import main
@@ -665,7 +665,15 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
     eng = vm.VermaEngine(1, 1)
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     mono = eng.level_basis(1)[(0, 1)][0]
-    eng._image_cache[(("bb", 2, 2, "-", "+"), mono)] = {mono: vm.PPoly((3, 1))}
+    label = ("bb", 2, 2, "-", "+")
+    image = eng._action_image
+
+    def poisoned(lab, x):
+        if (lab, x) == (label, mono):
+            return {mono: vm.PPoly((3, 1))}
+        return image(lab, x)
+
+    monkeypatch.setattr(eng, "_action_image", poisoned)
     weight = list(gz.doubled_weight((0, 1), 1, 1, 2))
     with pytest.raises(ArithmeticError) as exc:
         vm.diagonal_values(vm.gram_block_for_content(1, 1, 2, (0, 1)))
@@ -678,3 +686,54 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
         assert main([command, "--m", "1", "--n", "1", "--p", "2",
                      "--levels", "2"]) == 1
     assert '"failures":1' in capsys.readouterr().out
+
+
+MEMOIZED = ("level_basis", "_lead", "low", "bracket", "_pair",
+            "_action_image", "acts_by_weight")
+
+
+def test_engine_caches_are_per_engine():
+    """Each memoized primitive reports cache_info(), and a fresh engine fills
+    its own caches without touching those of get_engine's engine."""
+    shared = vm.get_engine(1, 1)
+    vm.gram_block_for_content(1, 1, 2, (1, 1))
+    before = {name: getattr(shared, name).cache_info().currsize
+              for name in MEMOIZED}
+    fresh = vm.VermaEngine(1, 1)
+    for level in range(4):
+        for monos in fresh.level_basis(level).values():
+            for x in monos:
+                fresh.pair_poly(x, x)
+                fresh.acts_by_weight(x)
+    for name in MEMOIZED:
+        assert getattr(fresh, name).cache_info().currsize > 0, name
+        assert getattr(shared, name).cache_info().currsize == before[name], name
+
+
+# -- symmetry of the index permutations within each parity class -------------
+
+@pytest.mark.parametrize("m,n,level_max", [(2, 2, 4), (3, 1, 4), (2, 1, 5),
+                                           (1, 2, 5), (0, 3, 4), (3, 0, 4)])
+def test_same_parity_index_permutations_are_symmetries(m, n, level_max):
+    """Permuting the parafermion indices among themselves, or the paraboson
+    indices among themselves, is an automorphism of the triple relations
+    fixing the vacuum and the form: it leaves the pattern counts of every
+    width cap, and every Gram block's size, rank and PSD flag, unchanged."""
+    perms = [odd + even for odd in itertools.permutations(range(m))
+             for even in itertools.permutations(range(m, m + n))]
+
+    def permuted(content, perm):
+        return tuple(content[k] for k in perm)
+
+    for level in range(level_max + 1):
+        for width in (None, 1, 2, 3):
+            counts = gz.pattern_counts(m, n, level, max_width=width)
+            for content, cnt in counts.items():
+                for perm in perms:
+                    assert counts[permuted(content, perm)] == cnt
+    for p in (1, 2, 3):
+        blocks = {blk.content: (blk.size, blk.rank, blk.psd)
+                  for blk in vm.gram_blocks_up_to(m, n, p, level_max)}
+        for content, summary in blocks.items():
+            for perm in perms:
+                assert blocks[permuted(content, perm)] == summary
