@@ -10,6 +10,7 @@ sums are rejected so the superbracket sign is always well defined.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -264,51 +265,32 @@ def verify_para_relations(m: int, n: int) -> dict:
     failures = []
     gens = {(j, s): make_generator(GeneratorId(j, s), m, n)
             for j in range(1, m + n + 1) for s in SIGNS}
-    # fermionic sector: [[f_j^xi, f_k^eta], f_l^eps]
-    for j in range(1, m + 1):
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                for xi in SIGNS:
-                    for eta in SIGNS:
-                        for eps in SIGNS:
-                            lhs = superbracket(
-                                superbracket(gens[(j, xi)], gens[(k, eta)]),
-                                gens[(l, eps)])
-                            rhs = SuperMatrix(m, n)
-                            ce, cx, ch = map(_sign_val, (eps, xi, eta))
-                            if k == l:
-                                rhs = rhs + gens[(j, xi)].scale(
-                                    Fraction((ce - ch) ** 2, 2))
-                            if j == l:
-                                rhs = rhs - gens[(k, eta)].scale(
-                                    Fraction((ce - cx) ** 2, 2))
-                            checked += 1
-                            if lhs != rhs:
-                                failures.append({"sector": "parafermion",
-                                                 "j": j, "k": k, "l": l,
-                                                 "signs": xi + eta + eps})
-    # bosonic sector: [{b_j^xi, b_k^eta}, b_l^eps]
-    for j in range(m + 1, m + n + 1):
-        for k in range(m + 1, m + n + 1):
-            for l in range(m + 1, m + n + 1):
-                for xi in SIGNS:
-                    for eta in SIGNS:
-                        for eps in SIGNS:
-                            lhs = superbracket(
-                                superbracket(gens[(j, xi)], gens[(k, eta)]),
-                                gens[(l, eps)])
-                            rhs = SuperMatrix(m, n)
-                            ce, cx, ch = map(_sign_val, (eps, xi, eta))
-                            if j == l:
-                                rhs = rhs + gens[(k, eta)].scale(ce - cx)
-                            if k == l:
-                                rhs = rhs + gens[(j, xi)].scale(ce - ch)
-                            checked += 1
-                            if lhs != rhs:
-                                failures.append({"sector": "paraboson",
-                                                 "j": j - m, "k": k - m,
-                                                 "l": l - m,
-                                                 "signs": xi + eta + eps})
+    # per sector: the coefficients of g_j^xi (when k == l) and g_k^eta (when
+    # j == l) in [[g_j^xi, g_k^eta], g_l^eps], from the sign values
+    sectors = (
+        ("parafermion", range(1, m + 1),
+         lambda ce, cx, ch: (Fraction((ce - ch) ** 2, 2),
+                             -Fraction((ce - cx) ** 2, 2))),
+        ("paraboson", range(m + 1, m + n + 1),
+         lambda ce, cx, ch: (ce - ch, ce - cx)),
+    )
+    for sector, idx, rule in sectors:
+        for j, k, l in itertools.product(idx, repeat=3):
+            for xi, eta, eps in itertools.product(SIGNS, repeat=3):
+                lhs = superbracket(
+                    superbracket(gens[(j, xi)], gens[(k, eta)]), gens[(l, eps)])
+                cj, ck = rule(*map(_sign_val, (eps, xi, eta)))
+                rhs = SuperMatrix(m, n)
+                if k == l:
+                    rhs = rhs + gens[(j, xi)].scale(cj)
+                if j == l:
+                    rhs = rhs + gens[(k, eta)].scale(ck)
+                checked += 1
+                if lhs != rhs:
+                    base = idx.start - 1
+                    failures.append({"sector": sector, "j": j - base,
+                                     "k": k - base, "l": l - base,
+                                     "signs": xi + eta + eps})
     return {"m": m, "n": n, "checked": checked, "failures": failures}
 
 

@@ -210,20 +210,19 @@ def cmd_char(args, out: Emitter) -> bool:
     _check_session(args)
     p = _single_p(args)
     out.emit(_meta("char", m=args.m, n=args.n, p=p, degree=args.degree))
-    verma_ch = symfunc.verma_character(args.m, args.n, p, args.degree)
-    irr = symfunc.irreducible_character(args.m, args.n, p, args.degree)
-    for series, ch in (("verma", verma_ch), ("irreducible", irr)):
+    rep = symfunc.character_formula_report(args.m, args.n, p, args.degree)
+    for series in ("verma", "irreducible"):
+        ch = rep[series]
         for expo, mult in ch.items_sorted():
             out.emit({"series": series, "level": sum(expo),
                       "weight_vector": list(ch.doubled_weight(expo)),
                       "multiplicity": mult})
-    rep = symfunc.character_formula_report(args.m, args.n, p, args.degree)
     out.emit({"check": "character_formula", "series_equal": rep["series_equal"],
               "lr_identity_failures": len(rep["lr_identity_failures"]),
               "ok": rep["ok"]})
     both = symfunc.verma_character(args.m, args.n, p, args.degree,
                                    method="schur_sum")
-    expansion_ok = both == verma_ch
+    expansion_ok = both == rep["verma"]
     out.emit({"check": "weight_series_expansion", "ok": expansion_ok})
     return rep["ok"] and expansion_ok
 

@@ -303,55 +303,39 @@ def recurrence_terms(top, subrow, m: int, n: int,
     nu = lambda i: subrow[i - 1]
     terms = []
 
+    # a lowering term's factors are the raising term's, read at the lowered
+    # entry x = mu_i - 1; the other entries of the two rows agree
+    def fermion_term(i, x, source):
+        num = [x - mu(j) - i + j + 1 for j in range(1, m + 1) if j != i]
+        num += [x + nu(s) + 2 * m - i - s + 1 for s in range(m + 1, r)]
+        den = [x - nu(j) - i + j for j in range(1, m + 1) if j != i]
+        den += [x + mu(s) + 2 * m - i - s + 2 for s in range(m + 1, r + 1)]
+        terms.append((source, i, _coefficient(num, den, variant)))
+
+    def boson_term(q, x, source):
+        num = [mu(j) + x + 2 * m - j - q + 1 for j in range(1, m + 1)]
+        num += [x - nu(s) - q + s + 1 for s in range(m + 1, r)]
+        den = [nu(j) + x + 2 * m - j - q + 2 for j in range(1, m + 1)]
+        den += [x - mu(s) - q + s for s in range(m + 1, r + 1) if s != q]
+        terms.append((source, q, _coefficient(num, den, variant)))
+
     for i in range(1, m + 1):
         theta = mu(i) - nu(i)
         if theta not in (0, 1):
             raise ValueError(f"invalid theta step at slot {i}")
-        # raising term
         if theta == 0 and gz.raise_top_row(top, m, n, i) is not None:
-            num = [mu(i) - mu(j) - i + j + 1
-                   for j in range(1, m + 1) if j != i]
-            num += [mu(i) + nu(s) + 2 * m - i - s + 1
-                    for s in range(m + 1, r)]
-            den = [mu(i) - nu(j) - i + j
-                   for j in range(1, m + 1) if j != i]
-            den += [mu(i) + mu(s) + 2 * m - i - s + 2
-                    for s in range(m + 1, r + 1)]
-            terms.append((top, i, _coefficient(num, den, variant)))
-        # lowering term
+            fermion_term(i, mu(i), top)
         if theta == 1:
             lowered = gz.lower_top_row(top, m, n, i)
             if lowered is not None:
-                num = [mu(i) - mu(j) - i + j
-                       for j in range(1, m + 1) if j != i]
-                num += [mu(i) + nu(s) + 2 * m - i - s
-                        for s in range(m + 1, r)]
-                den = [mu(i) - nu(j) - i + j - 1
-                       for j in range(1, m + 1) if j != i]
-                den += [mu(i) + mu(s) + 2 * m - i - s + 1
-                        for s in range(m + 1, r + 1)]
-                terms.append((lowered, i, _coefficient(num, den, variant)))
+                fermion_term(i, mu(i) - 1, lowered)
 
     for q in range(m + 1, r + 1):
         if gz.raise_top_row(top, m, n, q) is not None:
-            num = [mu(j) + mu(q) + 2 * m - j - q + 1
-                   for j in range(1, m + 1)]
-            num += [mu(q) - nu(s) - q + s + 1 for s in range(m + 1, r)]
-            den = [nu(j) + mu(q) + 2 * m - j - q + 2
-                   for j in range(1, m + 1)]
-            den += [mu(q) - mu(s) - q + s
-                    for s in range(m + 1, r + 1) if s != q]
-            terms.append((top, q, _coefficient(num, den, variant)))
+            boson_term(q, mu(q), top)
         lowered = gz.lower_top_row(top, m, n, q)
         if lowered is not None:
-            num = [mu(j) + mu(q) + 2 * m - j - q
-                   for j in range(1, m + 1)]
-            num += [mu(q) - nu(s) - q + s for s in range(m + 1, r)]
-            den = [nu(j) + mu(q) + 2 * m - j - q + 1
-                   for j in range(1, m + 1)]
-            den += [mu(q) - mu(s) - q + s - 1
-                    for s in range(m + 1, r + 1) if s != q]
-            terms.append((lowered, q, _coefficient(num, den, variant)))
+            boson_term(q, mu(q) - 1, lowered)
 
     return terms, 2 * (sum(top) - sum(subrow))
 

@@ -544,11 +544,14 @@ def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
         form times the alternating cut sum;
       * the universal coefficient identity behind it, verified degree by degree
         through Littlewood-Richardson coefficients (no series arithmetic).
+
+    The two series it builds are returned as "irreducible" and "verma" (the
+    product form), both with the lowest-weight offset attached.
     """
-    lhs = irreducible_character(m, n, p, cap)
-    rhs = (weight_series_product(m, n, cap) * alternating_cut_sum(m, n, p, cap))
-    rhs = rhs.with_offset(lowest_weight_offset(m, n, p))
-    series_equal = lhs == rhs
+    irreducible = irreducible_character(m, n, p, cap)
+    verma = weight_series_product(m, n, cap).with_offset(
+        lowest_weight_offset(m, n, p))
+    series_equal = irreducible == verma * alternating_cut_sum(m, n, p, cap)
 
     lr_failures = []
     sigmas = [(sigma, weight(sigma), _alternating_sign(sigma, p))
@@ -568,6 +571,7 @@ def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
                                     "expected": expected})
     return {
         "m": m, "n": n, "p": p, "degree": cap,
+        "irreducible": irreducible, "verma": verma,
         "series_equal": series_equal,
         "lr_identity_failures": lr_failures,
         "ok": series_equal and not lr_failures,

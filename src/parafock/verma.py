@@ -36,7 +36,8 @@ class PPoly:
     """Univariate polynomial in the module order p, with integer coefficients.
 
     Gram entries and action images lie in Z[p]: the commutation rules only
-    multiply by +-1, +-2 and p.  Values at an order are exact Fractions.
+    multiply by +-1, +-2 and p.  A value at an order is exact and of the
+    order's type: an int at an integer p, a Fraction at a Fraction p.
     """
 
     __slots__ = ("coeffs",)
@@ -95,14 +96,12 @@ class PPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def evaluate(self, p) -> Fraction:
-        """Exact value at p: Horner on the numerator, one division at the end."""
-        p = Fraction(p)
-        num, den = p.numerator, p.denominator
+    def evaluate(self, p):
+        """Exact value at p by Horner's rule, in p's type (int or Fraction)."""
         acc = 0
-        for k, c in enumerate(reversed(self.coeffs)):
-            acc = acc * num + c * den ** k
-        return Fraction(acc, den ** max(len(self.coeffs) - 1, 0))
+        for c in reversed(self.coeffs):
+            acc = acc * p + c
+        return acc
 
     def __repr__(self):
         if self.is_zero():
@@ -224,14 +223,14 @@ class VermaEngine:
     Three per-monomial primitives carry the module: the lowering action
     low(a, X) = c_a^- X, the bracket action B(a, b) X with
     B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>, all integer
-    polynomials in p.  Seven methods are memoized: those three, the lead
-    expansion of a monomial, the action image of a (label, monomial), the
-    PBW basis of a level grouped by content, and a monomial's acts_by_weight
-    verdict.  __init__ wraps each bound method in functools.cache, so the
-    caches belong to the engine and each reports cache_info().  They are
-    unbounded and never evicted: they grow with the levels and monomials
-    asked for, and get_engine keeps one engine per (m, n) for the life of
-    the process.
+    polynomials in p.  Six methods are memoized: those three, the lead
+    expansion of a monomial, the PBW basis of a level grouped by content,
+    and a monomial's acts_by_weight verdict (the action image that act
+    reads is not).  __init__ wraps each bound method in functools.cache, so
+    the caches belong to the engine and each reports cache_info().  They
+    are unbounded and never evicted: they grow with the levels and
+    monomials asked for, and get_engine keeps one engine per (m, n) for the
+    life of the process.
     """
 
     def __init__(self, m: int, n: int):
@@ -241,7 +240,7 @@ class VermaEngine:
         self.slots = pair_slots(m, n)
         self.slot_index = {pr: i for i, pr in enumerate(self.slots)}
         for name in ("level_basis", "_lead", "low", "bracket", "_pair",
-                     "_action_image", "acts_by_weight"):
+                     "acts_by_weight"):
             setattr(self, name, cache(getattr(self, name)))
 
     def parity(self, a: int) -> int:
@@ -446,6 +445,8 @@ def get_engine(m: int, n: int) -> VermaEngine:
 class GramBlock:
     """One weight space's Gram block at order p, with its elimination.
 
+    matrix holds the exact Gram entries in the type of the order p: ints at
+    an integer p, so a block at a positive order holds no Fraction.
     pivots are the LDL pivots (Fractions); pivot_rows are the integer rows
     (u_k, u_k^T G, M_(k-1) * M_k) of symmetric_rank_psd, over the entries
     of matrix times their common denominator, or None when the elimination
@@ -454,11 +455,11 @@ class GramBlock:
 
     m: int
     n: int
-    p: int
+    p: int | Fraction
     content: tuple[int, ...]
     weight: tuple[int, ...]            # doubled weight
     basis: list[PBWMonomial]
-    matrix: list[list[Fraction]]
+    matrix: list[list[int | Fraction]]
     rank: int
     psd: bool
     pivots: list[Fraction]
@@ -483,7 +484,7 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
     """Gram block of the weight space of one creation content."""
     engine = get_engine(m, n)
     basis = basis_for_content(m, n, content)
-    mat = [[Fraction(0)] * len(basis) for _ in basis]
+    mat = [[0] * len(basis) for _ in basis]
     for i, a in enumerate(basis):
         for j in range(i, len(basis)):
             val = engine.pair_poly(a, basis[j]).evaluate(p)

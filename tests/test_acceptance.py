@@ -6,6 +6,7 @@ tolerances anywhere.  Each test prints one PASS/FAIL line.
 
 import math
 import time
+from fractions import Fraction
 
 from parafock import algebra as alg
 from parafock import patterns as gz
@@ -172,7 +173,8 @@ def test_criterion_11_slot_one_against_gram_norms():
                 lower, upper = norms[level], norms[level + 1]
                 if lower:
                     top = (level,) + (0,) * (m + n - 1)
-                    ok &= upper / lower == rm.reduced_me_squared(top, 1, p, m, n)
+                    ok &= Fraction(upper, lower) == rm.reduced_me_squared(
+                        top, 1, p, m, n)
                 else:
                     ok &= upper == 0
     _report(11, "G_1 squared equals the Gram norm ratio of successive powers "

@@ -98,6 +98,32 @@ def test_para_relations(m, n):
     assert rep["failures"] == []
 
 
+def test_para_relation_failure_records(monkeypatch):
+    """With f_1^+ and b_2^- doubled on (2,2), the failure records keep their
+    sector, sector-relative indices, sign string and order."""
+    make = alg.make_generator
+
+    def doubled(gid, m, n):
+        g = make(gid, m, n)
+        return g.scale(2) if (gid.index, gid.sign) in ((1, "+"), (4, "-")) else g
+
+    monkeypatch.setattr(alg, "make_generator", doubled)
+    rep = alg.verify_para_relations(2, 2)
+    expected = [
+        ("parafermion", (1, 1, 1), "+-+ +-- -++ -+-"),
+        ("parafermion", (1, 2, 1), "++- +-- -++ --+"),
+        ("parafermion", (2, 1, 1), "++- +-+ -+- --+"),
+        ("paraboson", (1, 2, 2), "++- +-+ -+- --+"),
+        ("paraboson", (2, 1, 2), "++- +-- -++ --+"),
+        ("paraboson", (2, 2, 2), "++- +-+ +-- -++ -+- --+"),
+    ]
+    assert rep["checked"] == 128
+    assert rep["failures"] == [
+        {"sector": sector, "j": j, "k": k, "l": l, "signs": signs}
+        for sector, (j, k, l), all_signs in expected
+        for signs in all_signs.split()]
+
+
 def test_paraboson_anticommutator_instance():
     # [{b1+, b1+}, b1-] = -4 b1+
     m, n = 0, 2

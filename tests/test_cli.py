@@ -328,6 +328,29 @@ def test_char_deep_branching_matches_golden_file():
     assert out == golden.read_text()
 
 
+def test_char_builds_each_series_once(monkeypatch, capsys):
+    """char reads the irreducible character and the Verma product off
+    character_formula_report instead of building them a second time."""
+    from parafock import symfunc
+
+    calls = {}
+
+    def counted(name):
+        fn = getattr(symfunc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(symfunc, name, wrapper)
+
+    counted("irreducible_character")
+    counted("weight_series_product")
+    assert main(["char", "--m", "2", "--n", "1", "--p", "2",
+                 "--degree", "4"]) == 0
+    capsys.readouterr()
+    assert calls == {"irreducible_character": 1, "weight_series_product": 1}
+
+
 def test_verify_id2_matches_golden_file():
     golden = Path(__file__).parent / "fixtures" / "id2_m1_n1_d11_21_p123_l4.jsonl"
     code, out, _ = run_cli("verify-id2", "--m", "1", "--n", "1",
@@ -337,14 +360,21 @@ def test_verify_id2_matches_golden_file():
     assert out == golden.read_text()
 
 
-@pytest.mark.parametrize("variant", ["mult:cancel:printed",
-                                     "argsum:strict:boson"])
-def test_verify_id2_failing_variant_matches_golden_file(variant):
+@pytest.mark.parametrize("domains,variant", [
+    pytest.param("1,1;2,1;2,2", "mult:cancel:printed", id="mult:cancel:printed"),
+    pytest.param("1,1;2,1;2,2", "argsum:strict:boson", id="argsum:strict:boson"),
+    # fails on every domain, so its residual samples pin the fermion-lowering
+    # (3,1) and pure-boson (0,3) coefficients of recurrence_terms
+    pytest.param("1,2;3,1;2,2;0,3", "argsum:cancel:boson",
+                 id="argsum:cancel:boson"),
+])
+def test_verify_id2_failing_variant_matches_golden_file(domains, variant):
     """Sample failure residuals and uncancelled-zero counts, as whole stdout."""
-    name = "id2_m1_n1_d11_21_22_p123_l5_" + variant.replace(":", "_")
+    name = ("id2_m1_n1_d" + domains.replace(",", "").replace(";", "_")
+            + "_p123_l5_" + variant.replace(":", "_"))
     golden = Path(__file__).parent / "fixtures" / f"{name}.jsonl"
     code, out, _ = run_cli("verify-id2", "--m", "1", "--n", "1",
-                           "--domains", "1,1;2,1;2,2", "--p", "1,2,3",
+                           "--domains", domains, "--p", "1,2,3",
                            "--levels", "5", "--variant", variant)
     assert code == 1
     assert out == golden.read_text()

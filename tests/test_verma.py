@@ -417,6 +417,17 @@ def test_ppoly_evaluates_exactly_at_fractions():
     assert vm.PPoly().evaluate(Fraction(1, 3)) == 0
 
 
+def test_values_take_the_order_type():
+    """An integer order gives ints, so a Gram block at p = 2 holds no
+    Fraction; a Fraction order gives exact Fractions."""
+    poly = vm.PPoly((3, -2, 5))
+    assert type(poly.evaluate(2)) is int and poly.evaluate(2) == 19
+    value = poly.evaluate(Fraction(1, 3))
+    assert type(value) is Fraction and value == Fraction(26, 9)
+    for blk in vm.gram_blocks_up_to(2, 1, 2, 4):
+        assert all(type(x) is int for row in blk.matrix for x in row)
+
+
 def reference_act(eng, label, vector, p):
     """Word-by-word action: expand every monomial into creation words, prepend
     the label's operator words, reduce, evaluate at p and straighten."""
@@ -689,7 +700,7 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
 
 
 MEMOIZED = ("level_basis", "_lead", "low", "bracket", "_pair",
-            "_action_image", "acts_by_weight")
+            "acts_by_weight")
 
 
 def test_engine_caches_are_per_engine():
@@ -708,6 +719,22 @@ def test_engine_caches_are_per_engine():
     for name in MEMOIZED:
         assert getattr(fresh, name).cache_info().currsize > 0, name
         assert getattr(shared, name).cache_info().currsize == before[name], name
+
+
+def test_every_engine_cache_is_hit(monkeypatch):
+    """Driven through the Gram blocks and diagonal values of (2,2) to level 4
+    at p = 1, 2, 3, a fresh engine hits every cache it wraps, and the
+    wrapped methods are exactly MEMOIZED."""
+    eng = vm.VermaEngine(2, 2)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    for p in (1, 2, 3):
+        for blk in vm.gram_blocks_up_to(2, 2, p, 4):
+            vm.diagonal_values(blk)
+    wrapped = {name: fn for name, fn in vars(eng).items()
+               if hasattr(fn, "cache_info")}
+    assert set(wrapped) == set(MEMOIZED)
+    for name, fn in wrapped.items():
+        assert fn.cache_info().hits > 0, name
 
 
 # -- symmetry of the index permutations within each parity class -------------
