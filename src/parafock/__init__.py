@@ -67,12 +67,14 @@ from .symfunc import (
 )
 from .verma import (
     GramBlock,
+    GramRecord,
     PBWMonomial,
     VermaEngine,
     diagonal_check,
     get_engine,
     gram_block,
     gram_blocks_up_to,
+    gram_records_up_to,
     irreducible_dims,
     pbw_basis,
     radical_cut_check,

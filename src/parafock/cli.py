@@ -329,21 +329,21 @@ def cmd_gram(args, out: Emitter) -> bool:
     char_mult = symfunc.irreducible_character(
         args.m, args.n, p, args.levels).coeffs
     ok = True
-    blocks = list(verma.gram_blocks_up_to(args.m, args.n, p, args.levels))
-    for blk in blocks:
-        expected = char_mult.get(blk.content, 0)
-        match = blk.rank == expected
-        ok &= match and blk.psd
-        out.emit({"weight": list(blk.weight), "level": sum(blk.content),
-                  "block_size": blk.size, "rank": blk.rank,
-                  "psd": blk.psd, "char_multiplicity": expected,
+    records = list(verma.gram_records_up_to(args.m, args.n, p, args.levels))
+    for rec in records:
+        expected = char_mult.get(rec.content, 0)
+        match = rec.rank == expected
+        ok &= match and rec.psd
+        out.emit({"weight": list(rec.weight), "level": sum(rec.content),
+                  "block_size": rec.size, "rank": rec.rank,
+                  "psd": rec.psd, "char_multiplicity": expected,
                   "match": match})
     if args.n >= 1:
-        rep = verma.diagonal_check(args.m, args.n, p, args.levels, blocks)
+        rep = verma.diagonal_check(args.m, args.n, p, args.levels, records)
         ok &= rep["ok"]
         out.emit({"check": "diagonal_action", "checked": rep["checked"],
                   "failures": len(rep["failures"]), "ok": rep["ok"]})
-    rep = verma.radical_cut_check(args.m, args.n, p, args.levels, blocks)
+    rep = verma.radical_cut_check(args.m, args.n, p, args.levels, records)
     ok &= rep["ok"]
     out.emit({"check": "radical_cut", "ok": rep["ok"],
               "cut_expected": rep["cut_expected"],

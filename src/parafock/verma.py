@@ -13,6 +13,16 @@ Per-weight Gram matrices of the contravariant form (c_a^+ and c_a^- are
 adjoint, products reverse) have exact rank, positive-semidefiniteness
 certificate and radical; the ranks are the weight multiplicities of the
 irreducible quotient.
+
+Permuting the parafermion indices among themselves, or the paraboson indices
+among themselves, fixes the triple relations, the vacuum and the form, so a
+block's size, rank and PSD flag are constant on each S_m x S_n orbit of
+contents.  gram_records_up_to, which gram and its checks read, builds only
+each orbit representative's block; the other contents' records follow from
+the symmetry.  There the Cartan identity {c_b^-, c_b^+} = p + 2 content_b is
+checked for every boson index b, which covers the last index on every
+content of the orbit.  gram_blocks_up_to builds every block: matelems reads
+it, and the tests compare the orbit walk against it.
 """
 
 from __future__ import annotations
@@ -225,12 +235,12 @@ class VermaEngine:
     B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>, all integer
     polynomials in p.  Six methods are memoized: those three, the lead
     expansion of a monomial, the PBW basis of a level grouped by content,
-    and a monomial's acts_by_weight verdict (the action image that act
-    reads is not).  __init__ wraps each bound method in functools.cache, so
-    the caches belong to the engine and each reports cache_info().  They
-    are unbounded and never evicted: they grow with the levels and
-    monomials asked for, and get_engine keeps one engine per (m, n) for the
-    life of the process.
+    and the acts_by_weight verdict of a (generator pair, monomial) (the
+    action image that act reads is not).  __init__ wraps each bound method
+    in functools.cache, so the caches belong to the engine and each reports
+    cache_info().  They are unbounded and never evicted: they grow with the
+    levels and monomials asked for, and get_engine keeps one engine per
+    (m, n) for the life of the process.
     """
 
     def __init__(self, m: int, n: int):
@@ -408,11 +418,10 @@ class VermaEngine:
             _accumulate(out, self._apply(t, b, self._apply(s, a, unit)), -sigma)
         return _nonzero(out)
 
-    def acts_by_weight(self, mono: PBWMonomial) -> bool:
-        """Whether the last generator pair maps mono to (p + 2 content_r) mono."""
-        eigen = PPoly((2 * mono.content(self.m, self.n)[-1], 1))
-        return {mono: eigen} == self._action_image(
-            ("bb", self.r, self.r, "-", "+"), mono)
+    def acts_by_weight(self, b: int, mono: PBWMonomial) -> bool:
+        """Whether the generator pair b maps mono to (p + 2 content_b) mono."""
+        eigen = PPoly((2 * mono.content(self.m, self.n)[b - 1], 1))
+        return {mono: eigen} == self._action_image(("bb", b, b, "-", "+"), mono)
 
     def act(self, label, vector: dict, p) -> dict:
         """Left action of a basis element on a module vector, order p.
@@ -490,11 +499,14 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
             val = engine.pair_poly(a, basis[j]).evaluate(p)
             mat[i][j] = val
             mat[j][i] = val
-    # at a non-integer p, eliminate den * G over the integers; that scales
-    # every pivot by den and leaves the radical unchanged
-    den = math.lcm(*(x.denominator for row in mat for x in row))
-    rank, psd, pivots, radical, pivot_rows = symmetric_rank_psd(
-        [[x.numerator * (den // x.denominator) for x in row] for row in mat])
+    ints, den = mat, 1
+    if isinstance(p, Fraction):
+        # eliminate den * G over the integers; that scales every pivot by den
+        # and leaves the radical unchanged
+        den = math.lcm(*(x.denominator for row in mat for x in row))
+        ints = [[x.numerator * (den // x.denominator) for x in row]
+                for row in mat]
+    rank, psd, pivots, radical, pivot_rows = symmetric_rank_psd(ints)
     if den != 1:
         pivots = [d / den for d in pivots]
     rad_vectors = [
@@ -522,27 +534,98 @@ def gram_blocks_up_to(m: int, n: int, p: int, level_max: int):
             yield gram_block_for_content(m, n, p, content)
 
 
+class GramRecord(NamedTuple):
+    """What gram and its checks read of one weight space at order p.
+
+    pivot_count is the number of pivot rows, None when the elimination
+    stalled; cartan is whether the Cartan identity of every checked
+    generator pair holds on the pivot rows' support.
+    """
+
+    content: tuple[int, ...]
+    weight: tuple[int, ...]            # doubled weight
+    size: int
+    rank: int
+    psd: bool
+    pivot_count: int | None
+    cartan: bool
+
+
+def gram_record(block: GramBlock, indices) -> GramRecord:
+    """The block's record, with the Cartan identity {c_b^-, c_b^+} =
+    p + 2 content_b checked for each generator index b in indices
+    (engine.acts_by_weight) on every monomial of the pivot rows' support."""
+    rows = block.pivot_rows
+    engine = get_engine(block.m, block.n)
+    support = dict.fromkeys(mono for u, _, _ in rows or ()
+                            for mono, c in zip(block.basis, u) if c)
+    return GramRecord(
+        content=block.content, weight=block.weight, size=block.size,
+        rank=block.rank, psd=block.psd,
+        pivot_count=None if rows is None else len(rows),
+        cartan=rows is not None and all(engine.acts_by_weight(b, mono)
+                                        for b in indices for mono in support))
+
+
+def gram_records_up_to(m: int, n: int, p: int, level_max: int):
+    """The records of levels <= level_max in canonical order (level, then
+    content), one Gram block built per S_m x S_n orbit of contents.
+
+    The block is the orbit representative's, the content with each parity
+    class sorted descending, built when the walk first reaches the orbit.
+    Its record, the Cartan identity checked for every boson index, stands
+    for each content of the orbit under that content's doubled weight.
+    """
+    bosons = tuple(range(m + 1, m + n + 1))
+    for level in range(level_max + 1):
+        by_orbit: dict[tuple, GramRecord] = {}
+        for content in level_contents(m, n, level):
+            rep = (tuple(sorted(content[:m], reverse=True))
+                   + tuple(sorted(content[m:], reverse=True)))
+            rec = by_orbit.get(rep)
+            if rec is None:
+                rec = by_orbit[rep] = gram_record(
+                    gram_block_for_content(m, n, p, rep), bosons)
+            yield rec._replace(content=content,
+                               weight=gz.doubled_weight(content, m, n, p))
+
+
 def irreducible_dims(m: int, n: int, p: int, level_max: int) -> dict:
     """Doubled weight -> Gram rank, over all weight spaces at levels <= level_max."""
     return {
-        blk.weight: blk.rank for blk in gram_blocks_up_to(m, n, p, level_max)
+        rec.weight: rec.rank for rec in gram_records_up_to(m, n, p, level_max)
     }
 
 
-def _blocks_by_level(m: int, n: int, p: int, level_max: int,
-                     blocks: list[GramBlock] | None) -> dict[int, list[GramBlock]]:
-    """Level -> the given blocks, or gram_blocks_up_to's when blocks is None."""
-    if blocks is None:
-        blocks = gram_blocks_up_to(m, n, p, level_max)
-    by_level: dict[int, list[GramBlock]] = {}
-    for blk in blocks:
-        by_level.setdefault(sum(blk.content), []).append(blk)
+def _records_by_level(m: int, n: int, p: int, level_max: int,
+                      records: list[GramRecord] | None
+                      ) -> dict[int, list[GramRecord]]:
+    """Level -> the given records, or gram_records_up_to's when records is
+    None."""
+    if records is None:
+        records = gram_records_up_to(m, n, p, level_max)
+    by_level: dict[int, list[GramRecord]] = {}
+    for rec in records:
+        by_level.setdefault(sum(rec.content), []).append(rec)
     return by_level
 
 
 # ---------------------------------------------------------------------------
 # oracle reports
 # ---------------------------------------------------------------------------
+
+def _record_diagonal_values(rec: GramRecord) -> list[Fraction]:
+    """w = weight[-1] once per pivot row, or ArithmeticError naming the
+    weight when the elimination stalled or the Cartan identity failed."""
+    if rec.pivot_count is None:
+        raise ArithmeticError(
+            f"the elimination stalled on the indefinite weight space "
+            f"{list(rec.weight)}")
+    if not rec.cartan:
+        raise ArithmeticError(
+            f"the Cartan identity fails on the weight space {list(rec.weight)}")
+    return [Fraction(rec.weight[-1])] * rec.pivot_count
+
 
 def diagonal_values(block: GramBlock) -> list[Fraction]:
     """Sorted values of the last generator pair's anticommutator on the
@@ -554,48 +637,42 @@ def diagonal_values(block: GramBlock) -> list[Fraction]:
     M_(k-1) * M_k make every value w.  Raises ArithmeticError, naming the
     weight, if that Cartan identity fails or the elimination stalled.
     """
-    if block.pivot_rows is None:
-        raise ArithmeticError(
-            f"the elimination stalled on the indefinite weight space "
-            f"{list(block.weight)}")
-    engine = get_engine(block.m, block.n)
-    if not all(engine.acts_by_weight(mono) for u, _, _ in block.pivot_rows
-               for mono, c in zip(block.basis, u) if c):
-        raise ArithmeticError(
-            f"the Cartan identity fails on the weight space {list(block.weight)}")
-    return [Fraction(block.weight[-1])] * len(block.pivot_rows)
+    return _record_diagonal_values(
+        gram_record(block, (block.m + block.n,)))
 
 
 def diagonal_check(m: int, n: int, p: int, level_max: int,
-                   blocks: list[GramBlock] | None = None) -> dict:
+                   records: list[GramRecord] | None = None) -> dict:
     """Diagonal action of the last generator pair versus the pattern labels.
 
     On a G-orthogonal basis of every non-radical block, the last pair's
-    anticommutator (diagonal_values, read off the Cartan identity) must take
-    the patterns' p + 2*(top row sum - second row sum) as a multiset per
-    weight; a failed identity is an "error" failure.  `blocks` are those of
-    gram_blocks_up_to(m, n, p, level_max), built here when not given.
+    anticommutator (read off the Cartan identity, as in diagonal_values)
+    must take the patterns' p + 2*(top row sum - second row sum) as a
+    multiset per weight; a failed identity is an "error" failure.
+    `records` are those of gram_records_up_to(m, n, p, level_max), read
+    here when not given, so each content has its orbit representative's
+    verdict, checked there for every boson index.
     """
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")
-    by_level = _blocks_by_level(m, n, p, level_max, blocks)
+    by_level = _records_by_level(m, n, p, level_max, records)
     failures = []
     checked = 0
     for level in range(level_max + 1):
         counts = gz.pattern_counts(m, n, level, max_width=p)
-        for blk in by_level.get(level, ()):
+        for rec in by_level.get(level, ()):
             try:
-                values = diagonal_values(blk)
+                values = _record_diagonal_values(rec)
             except ArithmeticError as exc:
-                failures.append({"weight": list(blk.weight), "error": str(exc)})
+                failures.append({"weight": list(rec.weight), "error": str(exc)})
                 continue
             # a pattern's p + 2*(top row sum - second row sum) is the last
             # entry of its doubled weight
-            expected = [Fraction(blk.weight[-1])] * counts[blk.content]
+            expected = [Fraction(rec.weight[-1])] * counts[rec.content]
             checked += len(values)
             if values != expected:
                 failures.append({
-                    "weight": list(blk.weight),
+                    "weight": list(rec.weight),
                     "got": [str(v) for v in values],
                     "expected": [str(v) for v in expected],
                 })
@@ -604,25 +681,25 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
 
 
 def radical_cut_check(m: int, n: int, p: int, level_max: int,
-                      blocks: list[GramBlock] | None = None) -> dict:
+                      records: list[GramRecord] | None = None) -> dict:
     """Ranks match the width-capped pattern counts; the cap is sharp.
 
     Verifies per weight that the Gram rank equals the number of patterns with
     top-row width <= p, and that admitting width p+1 strictly overcounts at
     some weight of some level (whenever such patterns exist in range).
-    `blocks` are those of gram_blocks_up_to(m, n, p, level_max), built here
-    when not given.
+    `records` are those of gram_records_up_to(m, n, p, level_max), read here
+    when not given, so each content has its orbit representative's rank.
     """
     def weight(content):
         return list(gz.doubled_weight(content, m, n, p))
 
-    by_level = _blocks_by_level(m, n, p, level_max, blocks)
+    by_level = _records_by_level(m, n, p, level_max, records)
     failures = []
     witness = None
     for level in range(level_max + 1):
         capped = gz.pattern_counts(m, n, level, max_width=p)
         wide = gz.pattern_counts(m, n, level, max_width=p + 1)
-        ranks = {blk.content: blk.rank for blk in by_level.get(level, ())}
+        ranks = {rec.content: rec.rank for rec in by_level.get(level, ())}
         for c, rank in ranks.items():
             if rank != capped[c]:
                 failures.append({"level": level, "weight": weight(c),

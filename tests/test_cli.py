@@ -267,13 +267,21 @@ def test_several_orders_are_a_returned_usage_error(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["gram", "matelems"])
-def test_gram_builds_each_block_once(command, monkeypatch, capsys):
-    """One walk of the blocks serves the command and all its checks."""
+@pytest.mark.parametrize("command,m,n", [
+    pytest.param("gram", 1, 1, id="gram"),
+    pytest.param("matelems", 1, 1, id="matelems"),
+    pytest.param("gram", 2, 2, id="gram-2-2"),
+])
+def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
+    """One walk of the blocks serves the command and all its checks.  gram's
+    walk builds the block of each orbit representative (each parity class
+    non-increasing) exactly once and no other; matelems builds every
+    content's block once."""
     from parafock import verma
 
+    walk = "gram_records_up_to" if command == "gram" else "gram_blocks_up_to"
     real_block = verma.gram_block_for_content
-    real_walk = verma.gram_blocks_up_to
+    real_walk = getattr(verma, walk)
     built = []
     walks = []
 
@@ -286,13 +294,17 @@ def test_gram_builds_each_block_once(command, monkeypatch, capsys):
         return real_walk(*args, **kwargs)
 
     monkeypatch.setattr(verma, "gram_block_for_content", counting_block)
-    monkeypatch.setattr(verma, "gram_blocks_up_to", counting_walk)
-    assert main([command, "--m", "1", "--n", "1", "--p", "2",
+    monkeypatch.setattr(verma, walk, counting_walk)
+    assert main([command, "--m", str(m), "--n", str(n), "--p", "2",
                  "--levels", "3"]) == 0
     capsys.readouterr()
-    assert walks == [(1, 1, 2, 3)]
-    assert len(built) == len(set(built)) \
-        == sum(len(verma.level_contents(1, 1, lv)) for lv in range(4))
+    assert walks == [(m, n, 2, 3)]
+    expected = [c for lv in range(4) for c in verma.level_contents(m, n, lv)]
+    if command == "gram":
+        expected = [c for c in expected
+                    if all(a >= b for a, b in zip(c[:m], c[1:m]))
+                    and all(a >= b for a, b in zip(c[m:], c[m + 1:]))]
+    assert sorted(built) == sorted(expected)
 
 
 def test_dump_basis(tmp_path):
@@ -393,6 +405,13 @@ def test_verify_id2_failing_variant_matches_golden_file(domains, variant):
      ("gram", "--m", "3", "--n", "3", "--p", "2", "--levels", "4")),
     ("matelems_m1_n2_p3_l5.jsonl",
      ("matelems", "--m", "1", "--n", "2", "--p", "3", "--levels", "5")),
+    # orbits of up to six contents, whose records the orbit walk inherits
+    ("gram_m2_n2_p1_l6.jsonl",
+     ("gram", "--m", "2", "--n", "2", "--p", "1", "--levels", "6")),
+    ("gram_m1_n3_p2_l5.jsonl",
+     ("gram", "--m", "1", "--n", "3", "--p", "2", "--levels", "5")),
+    ("gram_m3_n1_p3_l5.jsonl",
+     ("gram", "--m", "3", "--n", "1", "--p", "3", "--levels", "5")),
 ])
 def test_gram_oracle_matches_golden_file(fixture, argv):
     """Ranks with radicals (p = 1, 3) and diagonal values, as whole stdout;

@@ -1,6 +1,5 @@
 """Induced-module oracle: straightening, Gram blocks, radical structure."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -387,14 +386,14 @@ def test_radical_cut_check():
 
 
 def test_radical_cut_check_reports_mismatches_by_doubled_weight():
-    blocks = list(vm.gram_blocks_up_to(1, 1, 2, 2))
-    bumped = [dataclasses.replace(blk, rank=blk.rank + 1)
-              if blk.content == (1, 1) else blk for blk in blocks]
+    records = list(vm.gram_records_up_to(1, 1, 2, 2))
+    bumped = [rec._replace(rank=rec.rank + 1)
+              if rec.content == (1, 1) else rec for rec in records]
     rep = vm.radical_cut_check(1, 1, 2, 2, bumped)
     assert not rep["ok"]
     assert rep["failures"] == [
         {"level": 2, "weight": [0, 4], "rank": 3, "patterns": 2}]
-    missing = [blk for blk in blocks if blk.content != (1, 1)]
+    missing = [rec for rec in records if rec.content != (1, 1)]
     rep = vm.radical_cut_check(1, 1, 2, 2, missing)
     assert rep["failures"] == [
         {"level": 2, "weight": [0, 4], "rank": 0, "patterns": 2}]
@@ -655,16 +654,17 @@ def test_diagonal_values_raise_on_stalled_elimination():
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 2),
                                  (3, 1)])
 def test_last_pair_acts_by_the_weight_on_every_monomial(m, n):
-    """{c_r^-, c_r^+}, read as the cached action image and as the bracket
-    action B(r, r), maps every PBW monomial x to (2 content_r + p) x."""
+    """{c_b^-, c_b^+} for the last index b = r, and for every other boson
+    index b, read as the action image and as the bracket action B(b, b),
+    maps every PBW monomial x to (2 content_b + p) x."""
     eng = vm.get_engine(m, n)
-    r = m + n
     for level in range(5):
         for x in vm.pbw_basis(m, n, level):
-            want = {x: vm.PPoly((2 * x.content(m, n)[-1], 1))}
-            assert eng._action_image(("bb", r, r, "-", "+"), x) == want
-            assert eng.bracket(r, r, x) == want
-            assert eng.acts_by_weight(x)
+            for b in range(m + 1, m + n + 1):
+                want = {x: vm.PPoly((2 * x.content(m, n)[b - 1], 1))}
+                assert eng._action_image(("bb", b, b, "-", "+"), x) == want
+                assert eng.bracket(b, b, x) == want
+                assert eng.acts_by_weight(b, x)
 
 
 def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
@@ -699,6 +699,36 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
     assert '"failures":1' in capsys.readouterr().out
 
 
+def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
+    """A wrong action image of the pair b = 2 != r on the representative
+    content (0,1,0) of (1,2) fails the verdict of the whole orbit: at the
+    non-representative (0,0,1) the last pair r = 3 maps c_3^+ as b = 2 maps
+    c_2^+, so diagonal_check reports an "error" failure at both weights and
+    gram exits 1."""
+    from parafock.cli import main
+
+    eng = vm.VermaEngine(1, 2)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    mono = eng.level_basis(1)[(0, 1, 0)][0]
+    label = ("bb", 2, 2, "-", "+")
+    image = eng._action_image
+
+    def poisoned(lab, x):
+        if (lab, x) == (label, mono):
+            return {mono: vm.PPoly((3, 1))}
+        return image(lab, x)
+
+    monkeypatch.setattr(eng, "_action_image", poisoned)
+    rep = vm.diagonal_check(1, 2, 2, 2)
+    assert not rep["ok"]
+    assert [f["weight"] for f in rep["failures"]] == [
+        list(gz.doubled_weight(c, 1, 2, 2)) for c in ((0, 0, 1), (0, 1, 0))]
+    assert all("error" in f for f in rep["failures"])
+    assert main(["gram", "--m", "1", "--n", "2", "--p", "2",
+                 "--levels", "2"]) == 1
+    assert '"failures":2' in capsys.readouterr().out
+
+
 MEMOIZED = ("level_basis", "_lead", "low", "bracket", "_pair",
             "acts_by_weight")
 
@@ -715,7 +745,7 @@ def test_engine_caches_are_per_engine():
         for monos in fresh.level_basis(level).values():
             for x in monos:
                 fresh.pair_poly(x, x)
-                fresh.acts_by_weight(x)
+                fresh.acts_by_weight(2, x)
     for name in MEMOIZED:
         assert getattr(fresh, name).cache_info().currsize > 0, name
         assert getattr(shared, name).cache_info().currsize == before[name], name
@@ -764,3 +794,39 @@ def test_same_parity_index_permutations_are_symmetries(m, n, level_max):
         for content, summary in blocks.items():
             for perm in perms:
                 assert blocks[permuted(content, perm)] == summary
+
+
+def all_content_records(m, n, p, level_max):
+    """The records of every content's own block, the Cartan identity checked
+    for the last pair only: the walk the orbit walk replaces."""
+    last = (m + n,) if n else ()
+    for blk in vm.gram_blocks_up_to(m, n, p, level_max):
+        yield vm.gram_record(blk, last)
+
+
+@pytest.mark.parametrize("m,n,level_max", [
+    (1, 1, 4), (2, 1, 4), (1, 2, 4), (0, 2, 4), (3, 0, 4), (2, 2, 4),
+    (3, 1, 4), (1, 3, 4), (2, 2, 5),
+])
+def test_orbit_walk_matches_the_all_content_walk(m, n, level_max, monkeypatch,
+                                                 capsys):
+    """Every record of the orbit walk, both checks that read it, and the whole
+    gram output equal those built from every content's own block."""
+    from parafock.cli import main
+
+    for p in (1, 2, 3):
+        reference = list(all_content_records(m, n, p, level_max))
+        assert list(vm.gram_records_up_to(m, n, p, level_max)) == reference
+        assert vm.radical_cut_check(m, n, p, level_max) \
+            == vm.radical_cut_check(m, n, p, level_max, reference)
+        if n:
+            assert vm.diagonal_check(m, n, p, level_max) \
+                == vm.diagonal_check(m, n, p, level_max, reference)
+        argv = ["gram", "--m", str(m), "--n", str(n), "--p", str(p),
+                "--levels", str(level_max)]
+        code = main(argv)
+        orbit_out = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(vm, "gram_records_up_to", all_content_records)
+            assert main(argv) == code == 0
+        assert capsys.readouterr().out == orbit_out
