@@ -3,7 +3,7 @@
 Lowest-weight representations of the orthosymplectic Lie superalgebra
 osp(2m+1|2n) of order p, built four independent ways that must agree:
 
-* a sparse rational matrix realization with the defining triple relations
+* a sparse integer matrix realization with the defining triple relations
   checked exhaustively (`algebra`);
 * Gelfand-Zetlin pattern combinatorics for the gl(m|n) branching (`patterns`);
 * supersymmetric Schur characters and a closed character formula (`symfunc`);
@@ -23,6 +23,7 @@ from .algebra import (
     structure_constants,
     superbracket,
     verify_para_relations,
+    verify_relations,
     verify_triple_relations,
 )
 from .patterns import (

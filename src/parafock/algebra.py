@@ -1,18 +1,18 @@
 """Matrix realization of the orthosymplectic Lie superalgebra osp(2m+1|2n).
 
-Matrices are (2m+2n+1)-square, sparse, with exact rational entries plus a
-symbolic power of sqrt(2): the distinguished creation/annihilation generators
-are sqrt(2)-multiples of elementary-matrix combinations, and every bracket of
-two of them is again rational.  Index grading: rows/columns 1..2m+1 are even,
-the remaining 2n are odd.  All stored matrices are parity homogeneous; mixed
-sums are rejected so the superbracket sign is always well defined.
+Matrices are (2m+2n+1)-square, sparse, with integer entries plus a symbolic
+power of sqrt(2): the distinguished creation/annihilation generators are
+sqrt(2)-multiples of elementary matrices with entries +-1, every bracket of
+two of them is an integer matrix (sqrt(2)**2 = 2 folds into the entries), and
+every coefficient the relations scale by is an integer.  Index grading:
+rows/columns 1..2m+1 are even, the remaining 2n are odd.  All stored matrices
+are parity homogeneous; mixed sums are rejected so the superbracket sign is
+always well defined.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rational_linalg import build_column_solver
 
@@ -39,10 +39,13 @@ class GeneratorId:
 
 
 class SuperMatrix:
-    """Sparse rational matrix with a sqrt(2) power tag and a parity tag.
+    """Sparse integer matrix with a sqrt(2) power tag and a parity tag.
 
     The represented value is sqrt(2)**sqrt2_power * entries.  Powers are
-    normalized to 0 or 1 by folding sqrt(2)**2 = 2 into the entries.
+    normalized to 0 or 1 by folding sqrt(2)**2 = 2 into the entries.  Entries
+    are stored as given: the realization and its brackets only ever produce
+    ints, and a matrix scaled by a Fraction structure constant holds
+    Fractions.
     """
 
     __slots__ = ("m", "n", "entries", "sqrt2_power", "parity")
@@ -50,16 +53,11 @@ class SuperMatrix:
     def __init__(self, m, n, entries=None, sqrt2_power=0, parity=None):
         self.m = m
         self.n = n
-        ent = {}
-        if entries:
-            for (i, j), v in entries.items():
-                v = Fraction(v)
-                if v:
-                    ent[(i, j)] = v
+        ent = {k: v for k, v in entries.items() if v} if entries else {}
         if sqrt2_power < 0:
             raise ValueError("negative sqrt2 power")
         if sqrt2_power >= 2:
-            fold = Fraction(2) ** (sqrt2_power // 2)
+            fold = 2 ** (sqrt2_power // 2)
             ent = {k: v * fold for k, v in ent.items()}
             sqrt2_power %= 2
         self.entries = ent
@@ -110,14 +108,13 @@ class SuperMatrix:
             raise ValueError("cannot add matrices of different parity")
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            ent[k] = ent.get(k, Fraction(0)) + v
+            ent[k] = ent.get(k, 0) + v
         return SuperMatrix(self.m, self.n, ent, self.sqrt2_power, self.parity)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "SuperMatrix":
-        c = Fraction(c)
         return SuperMatrix(
             self.m, self.n, {k: c * v for k, v in self.entries.items()},
             self.sqrt2_power, self.parity,
@@ -129,11 +126,11 @@ class SuperMatrix:
         by_row: dict[int, list] = {}
         for (i, j), v in other.entries.items():
             by_row.setdefault(i, []).append((j, v))
-        ent: dict[tuple[int, int], Fraction] = {}
+        ent: dict[tuple[int, int], int] = {}
         for (i, k), u in self.entries.items():
             for (j, v) in by_row.get(k, ()):
                 key = (i, j)
-                ent[key] = ent.get(key, Fraction(0)) + u * v
+                ent[key] = ent.get(key, 0) + u * v
         par = None
         if self.parity is not None and other.parity is not None:
             par = (self.parity + other.parity) % 2
@@ -145,6 +142,7 @@ class SuperMatrix:
         return {(self.sqrt2_power, i, j): v for (i, j), v in self.entries.items()}
 
     def to_records(self) -> list[dict]:
+        # ints and Fractions both carry numerator and denominator
         recs = []
         for (i, j), v in sorted(self.entries.items()):
             recs.append({
@@ -160,8 +158,7 @@ class SuperMatrix:
 
 
 def _elementary(m, n, pairs, sqrt2_power=0):
-    return SuperMatrix(m, n, {(i, j): Fraction(c) for (i, j, c) in pairs},
-                       sqrt2_power)
+    return SuperMatrix(m, n, {(i, j): c for (i, j, c) in pairs}, sqrt2_power)
 
 
 def make_generator(gid: GeneratorId, m: int, n: int) -> SuperMatrix:
@@ -235,63 +232,78 @@ def triple_bracket_rhs(j, xi, k, eta, l, eps, gens, m):
     return res
 
 
-def verify_triple_relations(m: int, n: int) -> dict:
-    """Exhaustive check of the defining triple relations in the realization."""
+def para_relation_rhs(j, xi, k, eta, l, eps, gens, m):
+    """Right-hand side of the parafermion (all indices <= m) or paraboson
+    (all > m) double-commutator relation as a matrix."""
+    res = SuperMatrix(gens[(1, "+")].m, gens[(1, "+")].n)
+    ce, cx, ch = map(_sign_val, (eps, xi, eta))
+    # the coefficients of g_j^xi (when k == l) and g_k^eta (when j == l)
+    if generator_parity(l, m) == EVEN:
+        cj, ck = (ce - ch) ** 2 // 2, -((ce - cx) ** 2 // 2)
+    else:
+        cj, ck = ce - ch, ce - cx
+    if k == l:
+        res = res + gens[(j, xi)].scale(cj)
+    if j == l:
+        res = res + gens[(k, eta)].scale(ck)
+    return res
+
+
+def verify_relations(m: int, n: int) -> tuple[dict, dict]:
+    """The reports of verify_triple_relations and verify_para_relations,
+    from one pass that brackets each [[g_j^xi, g_k^eta], g_l^eps] once.
+
+    The para relations' left-hand sides are the triple left-hand sides with
+    j, k, l in one sector, so each is checked against both right-hand sides
+    as it is built.
+    """
     r = m + n
     gens = {(j, s): make_generator(GeneratorId(j, s), m, n)
             for j in range(1, r + 1) for s in SIGNS}
-    checked = 0
-    failures = []
+    triple = {"m": m, "n": n, "checked": 0, "failures": []}
+    para = {"m": m, "n": n, "checked": 0, "failures": []}
     for j in range(1, r + 1):
         for k in range(1, r + 1):
             for xi in SIGNS:
                 for eta in SIGNS:
                     inner = superbracket(gens[(j, xi)], gens[(k, eta)])
                     for l in range(1, r + 1):
+                        sector = None
+                        if j <= m and k <= m and l <= m:
+                            sector, base = "parafermion", 0
+                        elif j > m and k > m and l > m:
+                            sector, base = "paraboson", m
                         for eps in SIGNS:
                             lhs = superbracket(inner, gens[(l, eps)])
-                            rhs = triple_bracket_rhs(j, xi, k, eta, l, eps, gens, m)
-                            checked += 1
-                            if lhs != rhs:
-                                failures.append(
+                            args = (j, xi, k, eta, l, eps, gens, m)
+                            triple["checked"] += 1
+                            if lhs != triple_bracket_rhs(*args):
+                                triple["failures"].append(
                                     {"j": j, "xi": xi, "k": k, "eta": eta,
                                      "l": l, "eps": eps})
-    return {"m": m, "n": n, "checked": checked, "failures": failures}
+                            if sector is None:
+                                continue
+                            para["checked"] += 1
+                            if lhs != para_relation_rhs(*args):
+                                para["failures"].append(
+                                    {"sector": sector, "j": j - base,
+                                     "k": k - base, "l": l - base,
+                                     "signs": xi + eta + eps})
+    # para failures go sector by sector, then by j, k, l, then by the signs
+    # ('+' sorts before '-', as in SIGNS)
+    para["failures"].sort(key=lambda f: (f["sector"] == "paraboson", f["j"],
+                                         f["k"], f["l"], f["signs"]))
+    return triple, para
+
+
+def verify_triple_relations(m: int, n: int) -> dict:
+    """Exhaustive check of the defining triple relations in the realization."""
+    return verify_relations(m, n)[0]
 
 
 def verify_para_relations(m: int, n: int) -> dict:
     """Parafermion and paraboson double-commutator relations for the two sectors."""
-    checked = 0
-    failures = []
-    gens = {(j, s): make_generator(GeneratorId(j, s), m, n)
-            for j in range(1, m + n + 1) for s in SIGNS}
-    # per sector: the coefficients of g_j^xi (when k == l) and g_k^eta (when
-    # j == l) in [[g_j^xi, g_k^eta], g_l^eps], from the sign values
-    sectors = (
-        ("parafermion", range(1, m + 1),
-         lambda ce, cx, ch: (Fraction((ce - ch) ** 2, 2),
-                             -Fraction((ce - cx) ** 2, 2))),
-        ("paraboson", range(m + 1, m + n + 1),
-         lambda ce, cx, ch: (ce - ch, ce - cx)),
-    )
-    for sector, idx, rule in sectors:
-        for j, k, l in itertools.product(idx, repeat=3):
-            for xi, eta, eps in itertools.product(SIGNS, repeat=3):
-                lhs = superbracket(
-                    superbracket(gens[(j, xi)], gens[(k, eta)]), gens[(l, eps)])
-                cj, ck = rule(*map(_sign_val, (eps, xi, eta)))
-                rhs = SuperMatrix(m, n)
-                if k == l:
-                    rhs = rhs + gens[(j, xi)].scale(cj)
-                if j == l:
-                    rhs = rhs + gens[(k, eta)].scale(ck)
-                checked += 1
-                if lhs != rhs:
-                    base = idx.start - 1
-                    failures.append({"sector": sector, "j": j - base,
-                                     "k": k - base, "l": l - base,
-                                     "signs": xi + eta + eps})
-    return {"m": m, "n": n, "checked": checked, "failures": failures}
+    return verify_relations(m, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +349,9 @@ def label_parity(label: tuple, m: int) -> int:
 class AlgebraBasis:
     """Ordered basis with verified structure constants.
 
-    elements: list of (label, SuperMatrix); brackets[(a, b)] maps basis labels
-    to rational coefficients of the expansion of the superbracket of a and b.
+    elements: list of (label, SuperMatrix); brackets[(a, b)] maps basis labels,
+    in basis order, to the nonzero rational coefficients of the expansion of
+    the superbracket of a and b.
     """
 
     def __init__(self, m: int, n: int):
@@ -377,7 +390,7 @@ class AlgebraBasis:
                     raise ArithmeticError(
                         f"bracket of {a}, {b} does not lie in the span")
                 self.brackets[(a, b)] = {
-                    lab: c for lab, c in zip(self.labels, coeffs) if c
+                    self.labels[col]: c for col, c in coeffs.items()
                 }
 
     @property

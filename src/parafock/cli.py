@@ -115,14 +115,11 @@ def cmd_verify_algebra(args, out: Emitter) -> bool:
     _check_session(args, need_p=False)
     out.emit(_meta("verify-algebra", m=args.m, n=args.n))
     ok = True
-    rep = algebra.verify_triple_relations(args.m, args.n)
-    ok &= not rep["failures"]
-    out.emit({"check": "triple_relations", "checked": rep["checked"],
-              "failures": len(rep["failures"])})
-    rep = algebra.verify_para_relations(args.m, args.n)
-    ok &= not rep["failures"]
-    out.emit({"check": "para_relations", "checked": rep["checked"],
-              "failures": len(rep["failures"])})
+    for check, rep in zip(("triple_relations", "para_relations"),
+                          algebra.verify_relations(args.m, args.n)):
+        ok &= not rep["failures"]
+        out.emit({"check": check, "checked": rep["checked"],
+                  "failures": len(rep["failures"])})
     try:
         basis = algebra.structure_constants(args.m, args.n)
         out.emit({"check": "structure_constants",
@@ -220,8 +217,7 @@ def cmd_char(args, out: Emitter) -> bool:
     out.emit({"check": "character_formula", "series_equal": rep["series_equal"],
               "lr_identity_failures": len(rep["lr_identity_failures"]),
               "ok": rep["ok"]})
-    both = symfunc.verma_character(args.m, args.n, p, args.degree,
-                                   method="schur_sum")
+    both = symfunc.verma_character(args.m, args.n, p, args.degree)
     expansion_ok = both == rep["verma"]
     out.emit({"check": "weight_series_expansion", "ok": expansion_ok})
     return rep["ok"] and expansion_ok

@@ -1,13 +1,13 @@
 """Exact linear algebra: elimination, solving, symmetric rank/PSD.
 
 No floating point anywhere.  The general routines work over Fraction.  The
-column solver works on sparse dicts: the structure-constant columns each
-have a private support coordinate, so elimination stays as sparse as its
-input, and every step is an exact Fraction operation, so skipping the zeros
-changes no result.  The symmetric elimination works on integer matrices and
-stays fraction-free: its intermediate values are integer minors, and only
-the pivots and the radical it returns are Fractions.  The dense routines'
-matrices are desk scale.
+column solver works on sparse dicts of ints or Fractions: the
+structure-constant columns each have a private support coordinate, so
+elimination stays as sparse as its input, and every step is exact, so
+skipping the zeros changes no result.  The symmetric elimination works on
+integer matrices and stays fraction-free: its intermediate values are
+integer minors, and only the pivots and the radical it returns are
+Fractions.  The dense routines' matrices are desk scale.
 """
 
 from __future__ import annotations
@@ -60,15 +60,13 @@ def kernel_basis(rows):
     return basis
 
 
-_ZERO = Fraction(0)
-
-
 def build_column_solver(columns, keys):
     """Factor once, solve A x = v many times, where column j of A is columns[j].
 
-    columns: list of {key: Fraction} sparse vectors over the index set keys.
-    Returns solve(vec_dict) -> list of Fraction coefficients, or None if vec
-    is not in the span.  Requires the columns to be linearly independent
+    columns: list of {key: int or Fraction} sparse vectors over the index set
+    keys.  Returns solve(vec_dict) -> {column index: coefficient}, holding the
+    nonzero coefficients in column order (each a Fraction), or None if vec is
+    not in the span.  Requires the columns to be linearly independent
     (checked: a column that reduces to zero raises ValueError).
 
     Each column is reduced against the earlier reduced columns and stored as
@@ -79,8 +77,8 @@ def build_column_solver(columns, keys):
     pos = {k: i for i, k in enumerate(keys)}
     reduced = []
     for j, col in enumerate(columns):
-        r = {k: Fraction(v) for k, v in col.items() if v}
-        e = {j: Fraction(1)}
+        r = {k: v for k, v in col.items() if v}
+        e = {j: 1}
         for pivot, rr, ee in reduced:
             f = r.get(pivot)
             if f:
@@ -89,10 +87,9 @@ def build_column_solver(columns, keys):
         if not r:
             raise ValueError("columns are linearly dependent")
         pivot = min(r, key=pos.__getitem__)
-        pv = r[pivot]
+        pv = Fraction(r[pivot])  # int entries would divide to floats
         reduced.append((pivot, {k: v / pv for k, v in r.items()},
                         {i: v / pv for i, v in e.items()}))
-    ncols = len(columns)
 
     def solve(vec):
         v = {k: c for k, c in vec.items() if c}
@@ -104,7 +101,7 @@ def build_column_solver(columns, keys):
                 _axpy(x, f, ee)
         if v:
             return None
-        return [x.get(j, _ZERO) for j in range(ncols)]
+        return dict(sorted(x.items()))
 
     return solve
 

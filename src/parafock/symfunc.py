@@ -494,24 +494,17 @@ def weight_series_product(m: int, n: int, cap: int) -> TruncatedCharacter:
     return ch
 
 
-def verma_character(m: int, n: int, p: int, cap: int,
-                    method: str = "product") -> TruncatedCharacter:
-    """Character of the induced module, with the lowest-weight offset attached.
-
-    method="product" expands the closed product form; method="schur_sum" sums
-    supersymmetric Schur polynomials over all hook partitions of each degree.
+def verma_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
+    """Character of the induced module, with the lowest-weight offset attached,
+    as the sum of supersymmetric Schur polynomials over all hook partitions
+    of each degree.  weight_series_product gives the same series from the
+    closed product form.
     """
-    if method == "product":
-        ch = weight_series_product(m, n, cap)
-    elif method == "schur_sum":
-        coeffs: dict[tuple[int, ...], int] = {}
-        for d in range(cap + 1):
-            for la in hook_partitions(d, m, n):
-                _add_super_schur(coeffs, la, m, n)
-        ch = TruncatedCharacter(m, n, cap, coeffs)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ch.with_offset(lowest_weight_offset(m, n, p))
+    coeffs: dict[tuple[int, ...], int] = {}
+    for d in range(cap + 1):
+        for la in hook_partitions(d, m, n):
+            _add_super_schur(coeffs, la, m, n)
+    return TruncatedCharacter(m, n, cap, coeffs, lowest_weight_offset(m, n, p))
 
 
 def irreducible_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:

@@ -124,6 +124,55 @@ def test_para_relation_failure_records(monkeypatch):
         for signs in all_signs.split()]
 
 
+def test_verify_algebra_brackets_each_triple_once(monkeypatch, capsys):
+    """The relation checks bracket each [g_j^xi, g_k^eta] once and each
+    [[g_j^xi, g_k^eta], g_l^eps] once; the para check reuses the latter."""
+    calls = {"inner": 0, "outer": 0, "basis": 0}
+    phase = ["relations"]
+    bracket, basis = alg.superbracket, alg.structure_constants
+
+    def counting(a, b):
+        if phase[0] == "basis":
+            calls["basis"] += 1
+        else:  # a generator carries sqrt(2), a bracket of two does not
+            calls["inner" if a.sqrt2_power else "outer"] += 1
+        return bracket(a, b)
+
+    def tagged(m, n):
+        phase[0] = "basis"
+        return basis(m, n)
+
+    monkeypatch.setattr(alg, "superbracket", counting)
+    monkeypatch.setattr(alg, "structure_constants", tagged)
+    assert main(["verify-algebra", "--m", "2", "--n", "2"]) == 0
+    capsys.readouterr()
+    r = 4
+    assert calls["inner"] == 4 * r ** 2
+    assert calls["outer"] == 8 * r ** 3
+    assert calls["basis"] > 0
+
+
+def test_relation_checks_keep_no_table_between_calls(monkeypatch, capsys):
+    """A clean run leaves nothing that a run with doubled generators reads."""
+    assert main(["verify-algebra", "--m", "2", "--n", "2"]) == 0
+    clean = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["failures"] for r in clean[1:3]] == [0, 0]
+    make = alg.make_generator
+
+    def doubled(gid, m, n):
+        g = make(gid, m, n)
+        return g.scale(2) if (gid.index, gid.sign) in ((1, "+"), (4, "-")) else g
+
+    monkeypatch.setattr(alg, "make_generator", doubled)
+    assert main(["verify-algebra", "--m", "2", "--n", "2"]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    triple, para = recs[1:3]
+    assert triple["check"] == "triple_relations" and triple["failures"] > 0
+    assert para == {"check": "para_relations", "checked": 128, "failures": 26}
+    assert (alg.verify_relations(2, 2)[1]["failures"]
+            == alg.verify_para_relations(2, 2)["failures"])
+
+
 def test_paraboson_anticommutator_instance():
     # [{b1+, b1+}, b1-] = -4 b1+
     m, n = 0, 2
@@ -231,6 +280,21 @@ def test_basis_fault_is_an_error_record(fault, error, monkeypatch, capsys):
     assert main(["verify-algebra", "--m", "1", "--n", "1"]) == 1
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert recs[-1] == {"check": "structure_constants", "error": error}
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 2), (0, 2), (3, 0)])
+def test_realization_is_integer(m, n):
+    """Basis matrices and triple brackets hold ints; structure constants are
+    exact (int or Fraction), never floats."""
+    basis = alg.structure_constants(m, n)
+    gens = [alg.make_generator(alg.GeneratorId(j, s), m, n)
+            for j in range(1, m + n + 1) for s in alg.SIGNS]
+    mats = [mat for _, mat in basis.elements]
+    mats += [alg.superbracket(alg.superbracket(a, b), c)
+             for a in gens for b in gens for c in gens]
+    assert all(type(v) is int for mat in mats for v in mat.entries.values())
+    assert all(type(c) in (int, Fraction)
+               for coeffs in basis.brackets.values() for c in coeffs.values())
 
 
 def test_cartan_acts_with_root_value():

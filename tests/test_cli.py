@@ -317,6 +317,23 @@ def test_dump_basis(tmp_path):
     assert all({"label", "records"} <= set(l) for l in lines)
 
 
+def test_dump_basis_matches_golden_file(tmp_path):
+    """Every entry's numerator and denominator, as the whole --dump file."""
+    golden = Path(__file__).parent / "fixtures" / "verify_algebra_m2_n2_dump.jsonl"
+    target = tmp_path / "basis.jsonl"
+    code, _, _ = run_cli("verify-algebra", "--m", "2", "--n", "2",
+                         "--dump", str(target))
+    assert code == 0
+    assert target.read_text() == golden.read_text()
+
+
+def test_verify_algebra_matches_golden_file():
+    golden = Path(__file__).parent / "fixtures" / "verify_algebra_m3_n3.jsonl"
+    code, out, err = run_cli("verify-algebra", "--m", "3", "--n", "3")
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()
+
+
 def test_main_callable_directly():
     assert main(["verify-algebra", "--m", "0", "--n", "1"]) == 0
 

@@ -12,10 +12,10 @@ from parafock.rational_linalg import (
 
 
 def apply(columns, x):
-    """A x as a sparse dict, zero entries dropped."""
+    """A x as a sparse dict, zero entries dropped; x is {column index: c}."""
     out = {}
-    for col, c in zip(columns, x):
-        for k, v in col.items():
+    for j, c in x.items():
+        for k, v in columns[j].items():
             out[k] = out.get(k, 0) + c * v
     return {k: v for k, v in out.items() if v}
 
@@ -39,15 +39,17 @@ def test_vector_outside_span_returns_none():
     solve = build_column_solver([{"a": 1, "b": 1}, {"c": 2}], ["a", "b", "c"])
     assert solve({"a": 1}) is None
     assert solve({"a": 1, "b": 1, "d": 1}) is None
-    assert solve({"a": 3, "b": 3, "c": 1}) == [3, Fraction(1, 2)]
+    assert solve({"a": 3, "b": 3, "c": 1}) == {0: 3, 1: Fraction(1, 2)}
 
 
 def test_solution_is_fraction_with_signs():
     solve = build_column_solver([{"a": 2, "b": 1}, {"b": 3}], ["b", "a"])
-    for vec, want in (({"a": -4, "b": 1}, [-2, 1]), ({}, [0, 0])):
+    for vec, want in (({"a": -4, "b": 1}, {0: -2, 1: 1}), ({}, {}),
+                      ({"b": 3}, {1: 1})):
         x = solve(vec)
         assert x == want
-        assert all(type(c) is Fraction for c in x)
+        assert list(x) == sorted(x)
+        assert all(type(c) is Fraction for c in x.values())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -69,7 +71,9 @@ def test_random_sparse_systems(seed):
     solve = build_column_solver(columns, keys)
     for _ in range(10):
         # a vector in the span, solved back to its own coefficients
-        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in columns]
+        x = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for j in range(ncols)}
+        x = {j: c for j, c in x.items() if c}
         assert solve(apply(columns, x)) == x
         # an arbitrary sparse vector: either solved exactly or outside the span
         v = {k: rng.randint(-3, 3) for k in rng.sample(keys, rng.randint(1, nrows))}

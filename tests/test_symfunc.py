@@ -137,8 +137,9 @@ def test_lr_coefficients_against_polynomial_products():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_weight_series_equals_schur_sum(m, n):
-    a = sf.verma_character(m, n, 1, 6, method="product")
-    b = sf.verma_character(m, n, 1, 6, method="schur_sum")
+    a = sf.weight_series_product(m, n, 6).with_offset(
+        sf.lowest_weight_offset(m, n, 1))
+    b = sf.verma_character(m, n, 1, 6)
     assert a == b
 
 
@@ -330,7 +331,7 @@ def test_in_place_sums_match_character_sums(m, n, p):
         offset = sf.lowest_weight_offset(m, n, p)
         assert (sf.irreducible_character(m, n, p, cap)
                 == reference_sum(m, n, cap, narrow).with_offset(offset))
-        assert (sf.verma_character(m, n, p, cap, method="schur_sum")
+        assert (sf.verma_character(m, n, p, cap)
                 == reference_sum(m, n, cap, hooks).with_offset(offset))
         sigmas = [s for s in sf.offset_family_partitions(p, cap)
                   if sf.in_hook(s, m, n)]
