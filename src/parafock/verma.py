@@ -78,23 +78,33 @@ class PPoly:
             out[i] += c
         return PPoly(out)
 
+    @classmethod
+    def _normal(cls, coeffs: tuple):
+        """Wrap a coefficient tuple already in normal form (no trailing 0)."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
+
     def __neg__(self):
-        return PPoly(tuple(-c for c in self.coeffs))
+        return PPoly._normal(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """Product with a PPoly or an int; scaling by 1 returns self, and by
+        -1 the negation."""
         if isinstance(other, PPoly):
-            if self.is_zero() or other.is_zero():
-                return PPoly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return PPoly(out)
-        return PPoly(tuple(other * c for c in self.coeffs))
+            out: list = []
+            _add_product(out, self.coeffs, other.coeffs, 1)
+            return PPoly._normal(tuple(out))
+        if other == 1:
+            return self
+        if other == -1:
+            return -self
+        if not other:
+            return _ZERO
+        return PPoly._normal(tuple(other * c for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -133,6 +143,22 @@ class PPoly:
 _ZERO = PPoly()
 _ONE = PPoly.const(1)
 _P = PPoly.variable()
+
+
+def _add_product(out: list, a: tuple, b: tuple, scale: int) -> None:
+    """out += scale * a * b on coefficient lists, out extended as needed.
+    Over the integers a product of nonzero polynomials keeps its leading
+    coefficient nonzero, so a sum of one product stays in normal form."""
+    if not a or not b:
+        return
+    short = len(a) + len(b) - 1 - len(out)
+    if short > 0:
+        out.extend([0] * short)
+    for i, x in enumerate(a):
+        if x:
+            x *= scale
+            for j, y in enumerate(b):
+                out[i + j] += x * y
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +241,9 @@ _LABEL_SCALARS = {"c": 1, "h": Fraction(1, 2), "bb": 1}
 
 def _accumulate(out: dict, vector: dict, factor) -> None:
     """out += factor * vector, on {monomial: PPoly} dicts; factor is an int
-    or a PPoly, and a factor of +-1 builds no product."""
-    unit = factor if isinstance(factor, int) and factor in (1, -1) else 0
+    or a PPoly (PPoly.__mul__ builds no product for a factor of +-1)."""
     for mono, poly in vector.items():
-        val = poly if unit == 1 else -poly if unit else poly * factor
+        val = poly * factor
         prev = out.get(mono)
         out[mono] = val if prev is None else prev + val
 
@@ -233,14 +258,16 @@ class VermaEngine:
     Three per-monomial primitives carry the module: the lowering action
     low(a, X) = c_a^- X, the bracket action B(a, b) X with
     B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>, all integer
-    polynomials in p.  Six methods are memoized: those three, the lead
+    polynomials in p.  Seven methods are memoized: those three, the
+    p-free creation straightening c_a^+ X (integer coefficients), the lead
     expansion of a monomial, the PBW basis of a level grouped by content,
     and the acts_by_weight verdict of a (generator pair, monomial) (the
     action image that act reads is not).  __init__ wraps each bound method
     in functools.cache, so the caches belong to the engine and each reports
-    cache_info().  They are unbounded and never evicted: they grow with the
-    levels and monomials asked for, and get_engine keeps one engine per
-    (m, n) for the life of the process.
+    cache_info().  Callers only read the dicts the caches hand out.  They
+    are unbounded and never evicted: they grow with the levels and
+    monomials asked for, and get_engine keeps one engine per (m, n) for the
+    life of the process.
     """
 
     def __init__(self, m: int, n: int):
@@ -249,8 +276,8 @@ class VermaEngine:
         self.r = m + n
         self.slots = pair_slots(m, n)
         self.slot_index = {pr: i for i, pr in enumerate(self.slots)}
-        for name in ("level_basis", "_lead", "low", "bracket", "_pair",
-                     "acts_by_weight"):
+        for name in ("level_basis", "_insert_letter", "_lead", "low",
+                     "bracket", "_pair", "acts_by_weight"):
             setattr(self, name, cache(getattr(self, name)))
 
     def parity(self, a: int) -> int:
@@ -267,6 +294,9 @@ class VermaEngine:
     # -- creation: prepend a letter and straighten ------------------------
 
     def _insert_letter(self, a: int, mono: PBWMonomial) -> dict:
+        """c_a^+ mono straightened into canonical monomials, as
+        {monomial: int}: the letter moves past each smaller leading single,
+        leaving a bracket factor behind."""
         singles = mono.singles
         s1 = next((i + 1 for i, e in enumerate(singles) if e), None)
         if s1 is None or a <= s1:
@@ -308,10 +338,15 @@ class VermaEngine:
         new[idx] += 1
         return {PBWMonomial(mono.singles, tuple(new)): sign}
 
-    def _add_raised(self, out: dict, a: int, vector: dict, factor) -> None:
-        """out += factor * c_a^+ vector, on {monomial: PPoly} dicts."""
+    def _add_raised(self, out: dict, a: int, vector: dict, factor: int) -> None:
+        """out += factor * c_a^+ vector, on {monomial: PPoly} dicts; each
+        polynomial is scaled once, by the straightening coefficient times
+        factor."""
         for mono, poly in vector.items():
-            _accumulate(out, self._insert_letter(a, mono), poly * factor)
+            for mono2, c in self._insert_letter(a, mono).items():
+                val = poly * (c * factor)
+                prev = out.get(mono2)
+                out[mono2] = val if prev is None else prev + val
 
     # -- lead expansion and the two lowering primitives ---------------------
 
@@ -382,12 +417,14 @@ class VermaEngine:
         """Shapovalov recursion <c_l^+ R, Y> = <R, c_l^- Y>, <vac, vac> = 1;
         x and y have the same content."""
         lead = self._lead(x)
-        total = _ZERO if lead else _ONE
+        if not lead:
+            return _ONE
+        total: list = []
         for coeff, l, rest in lead:
             for z, poly in self.low(l, y).items():
-                term = poly if coeff == 1 else -poly
-                total = total + term * self._pair(rest, z)
-        return total
+                _add_product(total, poly.coeffs, self._pair(rest, z).coeffs,
+                             coeff)
+        return PPoly(total)
 
     # -- generator action -----------------------------------------------------
 

@@ -429,6 +429,11 @@ def test_verify_id2_failing_variant_matches_golden_file(domains, variant):
      ("gram", "--m", "1", "--n", "3", "--p", "2", "--levels", "5")),
     ("gram_m3_n1_p3_l5.jsonl",
      ("gram", "--m", "3", "--n", "1", "--p", "3", "--levels", "5")),
+    # Gram polynomials of degree up to 5 in p
+    ("gram_m3_n3_p2_l5.jsonl",
+     ("gram", "--m", "3", "--n", "3", "--p", "2", "--levels", "5")),
+    ("matelems_m2_n2_p3_l5.jsonl",
+     ("matelems", "--m", "2", "--n", "2", "--p", "3", "--levels", "5")),
 ])
 def test_gram_oracle_matches_golden_file(fixture, argv):
     """Ranks with radicals (p = 1, 3) and diagonal values, as whole stdout;

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,44 @@ def test_ppoly_evaluates_exactly_at_fractions():
     assert vm.PPoly().evaluate(Fraction(1, 3)) == 0
 
 
+def trimmed(coeffs):
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+coefficient_lists = st.lists(st.integers(-50, 50), max_size=6)
+
+
+@settings(max_examples=200)
+@given(coefficient_lists, coefficient_lists, st.integers(-9, 9))
+def test_ppoly_arithmetic_keeps_the_normal_form(a, b, k):
+    """Scaling by the ints -1, 0, 1 and k (on either side), negation,
+    addition, subtraction and multiplication agree with plain list
+    arithmetic, leave no trailing zero coefficient, and equal and hash like
+    a PPoly built afresh from the same coefficients."""
+    x, y = vm.PPoly(a), vm.PPoly(b)
+    width = max(len(a), len(b))
+    pa, pb = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+    product = [0] * (len(a) + len(b))
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            product[i + j] += c * d
+    cases = [(x * s, [s * c for c in a]) for s in (-1, 0, 1, k)]
+    cases += [(s * x, [s * c for c in a]) for s in (-1, 0, 1, k)]
+    cases += [(-x, [-c for c in a]),
+              (x + y, [c + d for c, d in zip(pa, pb)]),
+              (x - y, [c - d for c, d in zip(pa, pb)]),
+              (x * y, product)]
+    for got, plain in cases:
+        assert list(got.coeffs) == trimmed(plain)
+        assert not got.coeffs or got.coeffs[-1]
+        fresh = vm.PPoly(plain)
+        assert got == fresh and hash(got) == hash(fresh)
+    assert x * 1 is x and 1 * x is x
+
+
 def test_values_take_the_order_type():
     """An integer order gives ints, so a Gram block at p = 2 holds no
     Fraction; a Fraction order gives exact Fractions."""
@@ -729,8 +768,8 @@ def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
     assert '"failures":2' in capsys.readouterr().out
 
 
-MEMOIZED = ("level_basis", "_lead", "low", "bracket", "_pair",
-            "acts_by_weight")
+MEMOIZED = ("level_basis", "_insert_letter", "_lead", "low", "bracket",
+            "_pair", "acts_by_weight")
 
 
 def test_engine_caches_are_per_engine():
@@ -765,6 +804,52 @@ def test_every_engine_cache_is_hit(monkeypatch):
     assert set(wrapped) == set(MEMOIZED)
     for name, fn in wrapped.items():
         assert fn.cache_info().hits > 0, name
+
+
+def test_straightening_images_are_only_read(monkeypatch):
+    """A fresh engine's cached straightening images c_a^+ X equal those of
+    the uncached recursion, and stay equal after the Gram blocks, diagonal
+    values and creation actions of (2,2) to level 4 at p = 1, 2, 3 have read
+    them: no caller writes into a dict the cache hands out."""
+    eng = vm.VermaEngine(2, 2)
+    uncached = vm.VermaEngine(2, 2)
+    uncached._insert_letter = types.MethodType(vm.VermaEngine._insert_letter,
+                                               uncached)
+    keys = [(a, x) for level in range(4)
+            for monos in eng.level_basis(level).values() for x in monos
+            for a in range(1, eng.r + 1)]
+    expected = {key: uncached._insert_letter(*key) for key in keys}
+    assert {key: eng._insert_letter(*key) for key in keys} == expected
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    for p in (1, 2, 3):
+        for blk in vm.gram_blocks_up_to(2, 2, p, 4):
+            vm.diagonal_values(blk)
+    for a, x in keys:
+        eng.act(("c", a, "+"), {x: 1}, 2)
+    assert {key: eng._insert_letter(*key) for key in keys} == expected
+
+
+def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
+    """gram_block_for_content takes each upper-triangle entry from
+    VermaEngine.pair_poly, once, so a count of pair_poly calls (as the
+    benchmark's tracer takes) covers every Gram entry."""
+    original = vm.VermaEngine.pair_poly
+    calls = []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(vm.VermaEngine, "pair_poly", counted)
+    eng = vm.get_engine(2, 2)
+    for content in ((1, 1, 1, 1), (2, 0, 1, 1), (0, 0, 2, 2), (3, 0, 0, 1)):
+        calls.clear()
+        blk = vm.gram_block_for_content(2, 2, 2, content)
+        basis = blk.basis
+        assert calls == [(basis[i], basis[j]) for i in range(len(basis))
+                         for j in range(i, len(basis))]
+        assert blk.matrix == [[original(eng, x, y).evaluate(2) for y in basis]
+                              for x in basis]
 
 
 # -- symmetry of the index permutations within each parity class -------------
