@@ -352,23 +352,24 @@ def cmd_matelems(args, out: Emitter) -> bool:
     p = _single_p(args)
     out.emit(_meta("matelems", m=args.m, n=args.n, p=p,
                    levels=args.levels))
+    engine = verma.get_engine(args.m, args.n)
     ok = True
-    for blk in verma.gram_blocks_up_to(args.m, args.n, p, args.levels):
-        for mono, norm in zip(blk.basis,
-                              (row[i] for i, row in enumerate(blk.matrix))):
-            out.emit({"weight": list(blk.weight),
+    for rec in verma.gram_records_up_to(args.m, args.n, p, args.levels):
+        for mono in verma.basis_for_content(args.m, args.n, rec.content):
+            norm = engine.pair_poly(mono, mono).evaluate(p)
+            out.emit({"weight": list(rec.weight),
                       "monomial": {"singles": list(mono.singles),
                                    "pairs": list(mono.pairs)},
                       "norm_sq_num": norm.numerator,
                       "norm_sq_den": norm.denominator})
         if args.n >= 1:
             try:
-                values = verma.diagonal_values(blk)
+                values = verma.diagonal_values(rec)
             except ArithmeticError as exc:
-                out.emit({"weight": list(blk.weight), "error": str(exc)})
+                out.emit({"weight": list(rec.weight), "error": str(exc)})
                 ok = False
                 continue
-            out.emit({"weight": list(blk.weight),
+            out.emit({"weight": list(rec.weight),
                       "diagonal_values":
                           [[v.numerator, v.denominator] for v in values]})
     return ok

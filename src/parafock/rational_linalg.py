@@ -6,8 +6,8 @@ structure-constant columns each have a private support coordinate, so
 elimination stays as sparse as its input, and every step is exact, so
 skipping the zeros changes no result.  The symmetric elimination works on
 integer matrices and stays fraction-free: its intermediate values are
-integer minors, and only the pivots and the radical it returns are
-Fractions.  The dense routines' matrices are desk scale.
+integer minors, and only the pivots it returns are Fractions.  The dense
+routines' matrices are desk scale.
 """
 
 from __future__ import annotations
@@ -43,21 +43,6 @@ def rref(rows):
 
 def matrix_rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def kernel_basis(rows):
-    """Basis of the right kernel of the matrix given by rows."""
-    a, pivots = rref(rows)
-    ncols = len(rows[0]) if rows else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
 
 
 def build_column_solver(columns, keys):
@@ -117,35 +102,30 @@ def _axpy(y: dict, a, x: dict) -> None:
 
 
 def symmetric_rank_psd(gram):
-    """Exact rank, positive semidefiniteness and radical of a symmetric
-    integer matrix.
+    """Exact rank and positive semidefiniteness of a symmetric integer matrix.
 
     One fraction-free (Bareiss) congruence elimination with diagonal
     pivoting: the pivot is the first remaining index with a nonzero diagonal.
     Every intermediate entry is an integer minor, so each division is exact;
     the k-th pivot element is the leading principal minor M_k over the first
-    k pivot indices (M_0 = 1).  Returns
-    (rank, psd, pivots, radical_basis, pivot_rows):
+    k pivot indices (M_0 = 1).  Returns (rank, psd, pivots, pivot_rows):
 
     - pivots are the LDL pivots M_k / M_(k-1) as Fractions, and double as
       the PSD certificate;
-    - radical vectors v are Fraction lists with G v = 0;
-    - pivot_rows holds one (u_k, u_k^T G, M_(k-1) * M_k) per pivot, with u_k
-      the integer transform row at pivot time.  u_k / M_(k-1) is the k-th
-      pivot's LDL transform row, G-orthogonal to the earlier ones, and
-      u_k^T G u_k = M_(k-1) * M_k.
+    - pivot_rows holds the integer transform row u_k of each pivot at pivot
+      time.  u_k / M_(k-1) is the k-th pivot's LDL transform row,
+      G-orthogonal to the earlier ones, and u_k^T G u_k = M_(k-1) * M_k.
 
     When every remaining diagonal entry vanishes inside a nonzero remaining
-    block (the matrix is indefinite), the rank and radical come from general
+    block (the matrix is indefinite), the rank comes from general
     elimination and pivot_rows is None.  Entries must be integers
     (TypeError otherwise); a non-symmetric matrix raises ValueError.
     """
-    g = [list(map(operator.index, row)) for row in gram]
-    nn = len(g)
-    a = list(g)  # rows are replaced, never mutated, so g stays the input
+    a = [list(map(operator.index, row)) for row in gram]
+    nn = len(a)
     for i in range(nn):
         for j in range(i):
-            if g[i][j] != g[j][i]:
+            if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
     c = [[int(i == j) for j in range(nn)] for i in range(nn)]
     remaining = list(range(nn))
@@ -162,15 +142,14 @@ def symmetric_rank_psd(gram):
                 break
             # indefinite: finish rank with general elimination
             sub = [[a[i][j] for j in remaining] for i in remaining]
-            rank = len(pivots) + matrix_rank(sub)
-            return rank, False, pivots, _radical_general(gram), None
+            return len(pivots) + matrix_rank(sub), False, pivots, None
         d = a[pi][pi]
         if d < 0:
             psd = False
         pivots.append(Fraction(d, prev))
         remaining.remove(pi)
         row, crow = a[pi], c[pi]
-        pivot_rows.append((crow, row, prev * d))
+        pivot_rows.append(crow)
         # row-only update: the two symmetric cross terms cancel, so the
         # remaining block stays symmetric and equals the congruence reduction;
         # rows with a zero in the pivot column are only rescaled to M_k
@@ -183,15 +162,4 @@ def symmetric_rank_psd(gram):
                 a[j] = [d * x // prev for x in a[j]]
                 c[j] = [d * x // prev for x in c[j]]
         prev = d
-    rank = len(pivots)
-    # congruence guarantees G v = 0 only when the block vanished; verify on
-    # the integer rows, then divide by M_rank
-    for i in remaining:
-        if any(sum(map(operator.mul, row, c[i])) for row in g):
-            return rank, psd, pivots, _radical_general(gram), pivot_rows
-    radical = [[Fraction(x, prev) for x in c[i]] for i in remaining]
-    return rank, psd, pivots, radical, pivot_rows
-
-
-def _radical_general(gram):
-    return kernel_basis([list(map(Fraction, row)) for row in gram])
+    return len(pivots), psd, pivots, pivot_rows

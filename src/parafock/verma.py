@@ -10,19 +10,19 @@ rules and the Shapovalov identity <c_l^+ R, Y> = <R, c_l^- Y> for the form
 polynomials in p, so a single cache serves every order.
 
 Per-weight Gram matrices of the contravariant form (c_a^+ and c_a^- are
-adjoint, products reverse) have exact rank, positive-semidefiniteness
-certificate and radical; the ranks are the weight multiplicities of the
-irreducible quotient.
+adjoint, products reverse) have exact rank and positive-semidefiniteness
+certificate; the ranks are the weight multiplicities of the irreducible
+quotient, the module modulo the radical of the form.
 
 Permuting the parafermion indices among themselves, or the paraboson indices
 among themselves, fixes the triple relations, the vacuum and the form, so a
 block's size, rank and PSD flag are constant on each S_m x S_n orbit of
-contents.  gram_records_up_to, which gram and its checks read, builds only
-each orbit representative's block; the other contents' records follow from
-the symmetry.  There the Cartan identity {c_b^-, c_b^+} = p + 2 content_b is
-checked for every boson index b, which covers the last index on every
-content of the orbit.  gram_blocks_up_to builds every block: matelems reads
-it, and the tests compare the orbit walk against it.
+contents.  gram_records_up_to, which gram, matelems and their checks read,
+builds only each orbit representative's block; the other contents' records
+follow from the symmetry.  There the Cartan identity
+{c_b^-, c_b^+} = p + 2 content_b is checked for every boson index b, which
+covers the last index on every content of the orbit.  gram_blocks_up_to
+builds every block; the tests compare the orbit walk against it.
 """
 
 from __future__ import annotations
@@ -493,10 +493,10 @@ class GramBlock:
 
     matrix holds the exact Gram entries in the type of the order p: ints at
     an integer p, so a block at a positive order holds no Fraction.
-    pivots are the LDL pivots (Fractions); pivot_rows are the integer rows
-    (u_k, u_k^T G, M_(k-1) * M_k) of symmetric_rank_psd, over the entries
-    of matrix times their common denominator, or None when the elimination
-    stalled on an indefinite block.
+    pivots are the LDL pivots (Fractions); pivot_rows are the integer
+    transform rows u_k of symmetric_rank_psd, over the entries of matrix
+    times their common denominator, or None when the elimination stalled on
+    an indefinite block.
     """
 
     m: int
@@ -509,8 +509,7 @@ class GramBlock:
     rank: int
     psd: bool
     pivots: list[Fraction]
-    radical_basis: list[dict]          # monomial -> Fraction vectors
-    pivot_rows: list[tuple[list[int], list[int], int]] | None
+    pivot_rows: list[list[int]] | None
 
     @property
     def size(self) -> int:
@@ -539,21 +538,17 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
     ints, den = mat, 1
     if isinstance(p, Fraction):
         # eliminate den * G over the integers; that scales every pivot by den
-        # and leaves the radical unchanged
         den = math.lcm(*(x.denominator for row in mat for x in row))
         ints = [[x.numerator * (den // x.denominator) for x in row]
                 for row in mat]
-    rank, psd, pivots, radical, pivot_rows = symmetric_rank_psd(ints)
+    rank, psd, pivots, pivot_rows = symmetric_rank_psd(ints)
     if den != 1:
         pivots = [d / den for d in pivots]
-    rad_vectors = [
-        {mono: c for mono, c in zip(basis, vec) if c} for vec in radical
-    ]
     return GramBlock(
         m=m, n=n, p=p, content=tuple(content),
         weight=gz.doubled_weight(content, m, n, p),
         basis=basis, matrix=mat, rank=rank, psd=psd, pivots=pivots,
-        radical_basis=rad_vectors, pivot_rows=pivot_rows,
+        pivot_rows=pivot_rows,
     )
 
 
@@ -572,7 +567,8 @@ def gram_blocks_up_to(m: int, n: int, p: int, level_max: int):
 
 
 class GramRecord(NamedTuple):
-    """What gram and its checks read of one weight space at order p.
+    """What gram, matelems and their checks read of one weight space at
+    order p.
 
     pivot_count is the number of pivot rows, None when the elimination
     stalled; cartan is whether the Cartan identity of every checked
@@ -594,7 +590,7 @@ def gram_record(block: GramBlock, indices) -> GramRecord:
     (engine.acts_by_weight) on every monomial of the pivot rows' support."""
     rows = block.pivot_rows
     engine = get_engine(block.m, block.n)
-    support = dict.fromkeys(mono for u, _, _ in rows or ()
+    support = dict.fromkeys(mono for u in rows or ()
                             for mono, c in zip(block.basis, u) if c)
     return GramRecord(
         content=block.content, weight=block.weight, size=block.size,
@@ -651,9 +647,18 @@ def _records_by_level(m: int, n: int, p: int, level_max: int,
 # oracle reports
 # ---------------------------------------------------------------------------
 
-def _record_diagonal_values(rec: GramRecord) -> list[Fraction]:
-    """w = weight[-1] once per pivot row, or ArithmeticError naming the
-    weight when the elimination stalled or the Cartan identity failed."""
+def diagonal_values(rec: GramRecord) -> list[Fraction]:
+    """Sorted values of the last generator pair's anticommutator on the
+    G-orthogonal basis of the pivot rows of the record's block, at the
+    record's order.
+
+    On a pivot row u_k the value is (u_k^T G B u_k) / (M_(k-1) * M_k), B the
+    pair.  If B acts by the weight's last entry w on each monomial of the
+    rows' support (the record's Cartan verdict), B u_k = w u_k and
+    u_k^T G u_k = M_(k-1) * M_k make every value w.  Raises ArithmeticError,
+    naming the weight, if that Cartan identity fails or the elimination
+    stalled.
+    """
     if rec.pivot_count is None:
         raise ArithmeticError(
             f"the elimination stalled on the indefinite weight space "
@@ -662,20 +667,6 @@ def _record_diagonal_values(rec: GramRecord) -> list[Fraction]:
         raise ArithmeticError(
             f"the Cartan identity fails on the weight space {list(rec.weight)}")
     return [Fraction(rec.weight[-1])] * rec.pivot_count
-
-
-def diagonal_values(block: GramBlock) -> list[Fraction]:
-    """Sorted values of the last generator pair's anticommutator on the
-    block's G-orthogonal basis of its non-radical part, at the block's order.
-
-    On a pivot row u_k the value is (u_k^T G B u_k) / (M_(k-1) * M_k), B the
-    pair.  If B acts by the weight's last entry w on each monomial of the
-    rows' support (acts_by_weight), B u_k = w u_k and u_k^T G u_k =
-    M_(k-1) * M_k make every value w.  Raises ArithmeticError, naming the
-    weight, if that Cartan identity fails or the elimination stalled.
-    """
-    return _record_diagonal_values(
-        gram_record(block, (block.m + block.n,)))
 
 
 def diagonal_check(m: int, n: int, p: int, level_max: int,
@@ -699,7 +690,7 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
         counts = gz.pattern_counts(m, n, level, max_width=p)
         for rec in by_level.get(level, ()):
             try:
-                values = _record_diagonal_values(rec)
+                values = diagonal_values(rec)
             except ArithmeticError as exc:
                 failures.append({"weight": list(rec.weight), "error": str(exc)})
                 continue

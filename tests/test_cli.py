@@ -271,17 +271,16 @@ def test_several_orders_are_a_returned_usage_error(capsys):
     pytest.param("gram", 1, 1, id="gram"),
     pytest.param("matelems", 1, 1, id="matelems"),
     pytest.param("gram", 2, 2, id="gram-2-2"),
+    pytest.param("matelems", 2, 2, id="matelems-2-2"),
 ])
 def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
-    """One walk of the blocks serves the command and all its checks.  gram's
-    walk builds the block of each orbit representative (each parity class
-    non-increasing) exactly once and no other; matelems builds every
-    content's block once."""
+    """One walk of the blocks serves the command and all its checks: it
+    builds the block of each orbit representative (each parity class
+    non-increasing) exactly once and no other."""
     from parafock import verma
 
-    walk = "gram_records_up_to" if command == "gram" else "gram_blocks_up_to"
     real_block = verma.gram_block_for_content
-    real_walk = getattr(verma, walk)
+    real_walk = verma.gram_records_up_to
     built = []
     walks = []
 
@@ -294,16 +293,14 @@ def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
         return real_walk(*args, **kwargs)
 
     monkeypatch.setattr(verma, "gram_block_for_content", counting_block)
-    monkeypatch.setattr(verma, walk, counting_walk)
+    monkeypatch.setattr(verma, "gram_records_up_to", counting_walk)
     assert main([command, "--m", str(m), "--n", str(n), "--p", "2",
                  "--levels", "3"]) == 0
     capsys.readouterr()
     assert walks == [(m, n, 2, 3)]
-    expected = [c for lv in range(4) for c in verma.level_contents(m, n, lv)]
-    if command == "gram":
-        expected = [c for c in expected
-                    if all(a >= b for a, b in zip(c[:m], c[1:m]))
-                    and all(a >= b for a, b in zip(c[m:], c[m + 1:]))]
+    expected = [c for lv in range(4) for c in verma.level_contents(m, n, lv)
+                if all(a >= b for a, b in zip(c[:m], c[1:m]))
+                and all(a >= b for a, b in zip(c[m:], c[m + 1:]))]
     assert sorted(built) == sorted(expected)
 
 
@@ -434,6 +431,14 @@ def test_verify_id2_failing_variant_matches_golden_file(domains, variant):
      ("gram", "--m", "3", "--n", "3", "--p", "2", "--levels", "5")),
     ("matelems_m2_n2_p3_l5.jsonl",
      ("matelems", "--m", "2", "--n", "2", "--p", "3", "--levels", "5")),
+    # norms of non-representative contents, no boson index (n = 0), and
+    # large radicals at p = 1
+    ("matelems_m3_n1_p2_l5.jsonl",
+     ("matelems", "--m", "3", "--n", "1", "--p", "2", "--levels", "5")),
+    ("matelems_m3_n0_p2_l5.jsonl",
+     ("matelems", "--m", "3", "--n", "0", "--p", "2", "--levels", "5")),
+    ("matelems_m0_n3_p1_l5.jsonl",
+     ("matelems", "--m", "0", "--n", "3", "--p", "1", "--levels", "5")),
 ])
 def test_gram_oracle_matches_golden_file(fixture, argv):
     """Ranks with radicals (p = 1, 3) and diagonal values, as whole stdout;

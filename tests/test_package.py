@@ -1,5 +1,6 @@
-"""Package-wide checks: no floating point in the sources, and the README's
-library quick tour runs as printed."""
+"""Package-wide checks: no floating point in the sources, no module-level
+definition that only the tests reach, and the README's library quick tour
+runs as printed."""
 
 import ast
 import os
@@ -50,6 +51,47 @@ def test_package_has_no_floating_point():
     found = [f"{path.name}:{line}: {what}" for path in modules
              for line, what in float_uses(ast.parse(path.read_text()))]
     assert found == []
+
+
+def unreferenced_definitions(sources):
+    """(module, line, name) for each module-level def or class of the
+    {module: source} map that no module references: by name, as an
+    attribute, or in a from-import (so parafock/__init__.py's imports
+    count)."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [(module, node.lineno, node.name)
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name not in used]
+
+
+def test_unreferenced_scan_sees_each_form():
+    sources = {
+        "a": "def by_attr(): pass\ndef by_import(): pass\n"
+             "def by_name(): pass\nx = by_name()\n"
+             "def unused(): pass\nclass Unused:\n"
+             "    def method(self): pass\n",
+        "b": "from . import a\nfrom .a import by_import\na.by_attr()\n",
+    }
+    assert unreferenced_definitions(sources) == [
+        ("a", 5, "unused"), ("a", 6, "Unused")]
+
+
+def test_package_defines_nothing_only_tests_reach():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert "__init__.py" in sources
+    assert unreferenced_definitions(sources) == []
 
 
 def readme_quick_tour():

@@ -8,7 +8,7 @@ import pytest
 
 from parafock import verma as vm
 from parafock.rational_linalg import (
-    build_column_solver, kernel_basis, matrix_rank, symmetric_rank_psd)
+    build_column_solver, matrix_rank, symmetric_rank_psd)
 
 
 def apply(columns, x):
@@ -86,7 +86,7 @@ def test_random_sparse_systems(seed):
 
 # -- the symmetric elimination ----------------------------------------------
 # The Fraction LDL that symmetric_rank_psd replaced, kept as the reference
-# for rank, PSD verdict, pivots and radical.
+# for rank, PSD verdict and pivots.
 
 def ldl_reference(gram):
     nn = len(gram)
@@ -95,7 +95,6 @@ def ldl_reference(gram):
         for j in range(nn):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    c = [[Fraction(1 if i == j else 0) for j in range(nn)] for i in range(nn)]
     remaining = list(range(nn))
     pivots = []
     psd = True
@@ -107,12 +106,8 @@ def ldl_reference(gram):
             )
             if block_zero:
                 break
-            psd = False
             sub = [[a[i][j] for j in remaining] for i in remaining]
-            extra = matrix_rank(sub)
-            rank = len(pivots) + extra
-            radical = kernel_basis([list(map(Fraction, row)) for row in gram])
-            return rank, False, pivots, radical
+            return len(pivots) + matrix_rank(sub), False, pivots
         d = a[pi][pi]
         if d < 0:
             psd = False
@@ -124,15 +119,7 @@ def ldl_reference(gram):
             f = a[j][pi] / d
             for k in range(nn):
                 a[j][k] -= f * a[pi][k]
-                c[j][k] -= f * c[pi][k]
-    rank = len(pivots)
-    radical = [c[i] for i in remaining]
-    for v in radical:
-        for row in gram:
-            if sum(x * y for x, y in zip(row, v)) != 0:
-                return rank, psd, pivots, kernel_basis(
-                    [list(map(Fraction, row)) for row in gram])
-    return rank, psd, pivots, radical
+    return len(pivots), psd, pivots
 
 
 def dot(u, v):
@@ -142,22 +129,20 @@ def dot(u, v):
 def check_against_reference(gram):
     """symmetric_rank_psd agrees with the LDL reference, and its pivot rows
     are G-orthogonal integer rows with the documented scales."""
-    rank, psd, pivots, radical, pivot_rows = symmetric_rank_psd(gram)
-    assert (rank, psd, pivots, radical) == ldl_reference(gram)
+    rank, psd, pivots, pivot_rows = symmetric_rank_psd(gram)
+    assert (rank, psd, pivots) == ldl_reference(gram)
+    assert rank == matrix_rank(gram)
     assert all(type(x) is Fraction for x in pivots)
-    assert all(type(x) is Fraction for v in radical for x in v)
-    for v in radical:
-        assert all(dot(row, v) == 0 for row in gram)
     if pivot_rows is None:
         return False
     assert len(pivot_rows) == rank
     minor = prev = 1
-    for k, ((u, ug, scale), d) in enumerate(zip(pivot_rows, pivots)):
+    for k, (u, d) in enumerate(zip(pivot_rows, pivots)):
         prev, minor = minor, minor * d
-        assert all(type(x) is int for x in u + ug)
-        assert ug == [dot(u, col) for col in gram]
-        assert scale == dot(u, ug) == prev * minor
-        for u2, _, _ in pivot_rows[:k]:
+        assert all(type(x) is int for x in u)
+        ug = [dot(u, col) for col in gram]
+        assert dot(u, ug) == prev * minor
+        for u2 in pivot_rows[:k]:
             assert dot(u2, ug) == 0
     return True
 
@@ -216,9 +201,7 @@ def test_real_gram_blocks_match_reference():
     for p in (0, -1, Fraction(1, 3), Fraction(3, 2)):
         for m, n in ((1, 1), (2, 1), (1, 2), (0, 2)):
             for blk in vm.gram_blocks_up_to(m, n, p, 4):
-                rank, psd, pivots, radical = ldl_reference(blk.matrix)
+                rank, psd, pivots = ldl_reference(blk.matrix)
                 assert (blk.rank, blk.psd, blk.pivots) == (rank, psd, pivots)
-                assert [[vec.get(mono, 0) for mono in blk.basis]
-                        for vec in blk.radical_basis] == radical
                 indefinite[p] = indefinite.get(p, 0) + (not psd)
     assert indefinite[Fraction(1, 3)] == 64

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import random
 import types
 from fractions import Fraction
@@ -314,15 +315,17 @@ def test_contravariance_random_vectors():
 def test_radical_at_order_one():
     blk = vm.gram_block_for_content(1, 1, 1, (2, 0))
     assert blk.size == 1 and blk.rank == 0 and blk.psd
-    assert blk.radical_basis == [{vm.PBWMonomial((2, 0), (0,)): Fraction(1)}]
-    # radical vectors pair to zero against everything in the block
+    assert blk.basis == [vm.PBWMonomial((2, 0), (0,))]
+    assert blk.matrix == [[0]] and blk.pivots == [] and blk.pivot_rows == []
     blk2 = vm.gram_block_for_content(1, 1, 1, (1, 1))
-    for vec in blk2.radical_basis:
-        for mono in blk2.basis:
-            eng = vm.get_engine(1, 1)
-            val = sum(c * eng.pair_poly(mo, mono).evaluate(1)
-                      for mo, c in vec.items())
-            assert val == 0
+    assert (blk2.size, blk2.rank, blk2.psd) == (2, 1, True)
+    assert blk2.pivots == [Fraction(4)]
+    # the radical vector pairs to zero against everything in the block
+    eng = vm.get_engine(1, 1)
+    vec = dict(zip(blk2.basis, (1, -2)))
+    for mono in blk2.basis:
+        assert sum(c * eng.pair_poly(mo, mono).evaluate(1)
+                   for mo, c in vec.items()) == 0
 
 
 @pytest.mark.parametrize("m,n,p,lmax", [
@@ -657,10 +660,11 @@ def test_diagonal_values_match_gram_schmidt(m, n, level_max):
             kept, _ = orthogonalize(blk)
             minor = 1
             assert len(blk.pivot_rows) == len(kept) == blk.rank
-            for (u, _, _), d, v in zip(blk.pivot_rows, blk.pivots, kept):
+            for u, d, v in zip(blk.pivot_rows, blk.pivots, kept):
                 assert [Fraction(x, minor) for x in u] == v
                 minor *= d
-            assert vm.diagonal_values(blk) == reference_diagonal_values(blk)
+            assert vm.diagonal_values(vm.gram_record(blk, (m + n,))) \
+                == reference_diagonal_values(blk)
             radicals += blk.size - blk.rank
     assert radicals
 
@@ -674,7 +678,8 @@ def test_diagonal_values_on_indefinite_forms(p):
     negative = 0
     for m, n, level_max in ((1, 1, 6), (2, 1, 5), (1, 2, 5), (2, 2, 4)):
         for blk in vm.gram_blocks_up_to(m, n, p, level_max):
-            assert vm.diagonal_values(blk) == reference_diagonal_values(blk)
+            assert vm.diagonal_values(vm.gram_record(blk, (m + n,))) \
+                == reference_diagonal_values(blk)
             negative += not blk.psd
     assert negative
 
@@ -685,7 +690,7 @@ def test_diagonal_values_raise_on_stalled_elimination():
     blk = vm.gram_block_for_content(3, 0, -1, (1, 1, 2))
     assert blk.pivot_rows is None and not blk.psd
     with pytest.raises(ArithmeticError):
-        vm.diagonal_values(blk)
+        vm.diagonal_values(vm.gram_record(blk, (3,)))
 
 
 # -- the Cartan identity diagonal_values rests on ------------------------------
@@ -726,7 +731,8 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
     monkeypatch.setattr(eng, "_action_image", poisoned)
     weight = list(gz.doubled_weight((0, 1), 1, 1, 2))
     with pytest.raises(ArithmeticError) as exc:
-        vm.diagonal_values(vm.gram_block_for_content(1, 1, 2, (0, 1)))
+        vm.diagonal_values(
+            vm.gram_record(vm.gram_block_for_content(1, 1, 2, (0, 1)), (2,)))
     assert str(weight) in str(exc.value)
     rep = vm.diagonal_check(1, 1, 2, 2)
     assert not rep["ok"]
@@ -742,8 +748,8 @@ def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
     """A wrong action image of the pair b = 2 != r on the representative
     content (0,1,0) of (1,2) fails the verdict of the whole orbit: at the
     non-representative (0,0,1) the last pair r = 3 maps c_3^+ as b = 2 maps
-    c_2^+, so diagonal_check reports an "error" failure at both weights and
-    gram exits 1."""
+    c_2^+, so diagonal_check reports an "error" failure at both weights,
+    matelems emits an "error" record at both and both commands exit 1."""
     from parafock.cli import main
 
     eng = vm.VermaEngine(1, 2)
@@ -759,13 +765,18 @@ def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
 
     monkeypatch.setattr(eng, "_action_image", poisoned)
     rep = vm.diagonal_check(1, 2, 2, 2)
+    weights = [list(gz.doubled_weight(c, 1, 2, 2))
+               for c in ((0, 0, 1), (0, 1, 0))]
     assert not rep["ok"]
-    assert [f["weight"] for f in rep["failures"]] == [
-        list(gz.doubled_weight(c, 1, 2, 2)) for c in ((0, 0, 1), (0, 1, 0))]
+    assert [f["weight"] for f in rep["failures"]] == weights
     assert all("error" in f for f in rep["failures"])
-    assert main(["gram", "--m", "1", "--n", "2", "--p", "2",
-                 "--levels", "2"]) == 1
+    argv = ["--m", "1", "--n", "2", "--p", "2", "--levels", "2"]
+    assert main(["gram", *argv]) == 1
     assert '"failures":2' in capsys.readouterr().out
+    assert main(["matelems", *argv]) == 1
+    errors = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+              if '"error"' in line]
+    assert [r["weight"] for r in errors] == weights
 
 
 MEMOIZED = ("level_basis", "_insert_letter", "_lead", "low", "bracket",
@@ -798,7 +809,7 @@ def test_every_engine_cache_is_hit(monkeypatch):
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(2, 2, p, 4):
-            vm.diagonal_values(blk)
+            vm.diagonal_values(vm.gram_record(blk, (4,)))
     wrapped = {name: fn for name, fn in vars(eng).items()
                if hasattr(fn, "cache_info")}
     assert set(wrapped) == set(MEMOIZED)
@@ -823,7 +834,7 @@ def test_straightening_images_are_only_read(monkeypatch):
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(2, 2, p, 4):
-            vm.diagonal_values(blk)
+            vm.diagonal_values(vm.gram_record(blk, (4,)))
     for a, x in keys:
         eng.act(("c", a, "+"), {x: 1}, 2)
     assert {key: eng._insert_letter(*key) for key in keys} == expected
@@ -896,7 +907,8 @@ def all_content_records(m, n, p, level_max):
 def test_orbit_walk_matches_the_all_content_walk(m, n, level_max, monkeypatch,
                                                  capsys):
     """Every record of the orbit walk, both checks that read it, and the whole
-    gram output equal those built from every content's own block."""
+    gram and matelems outputs equal those built from every content's own
+    block."""
     from parafock.cli import main
 
     for p in (1, 2, 3):
@@ -907,11 +919,12 @@ def test_orbit_walk_matches_the_all_content_walk(m, n, level_max, monkeypatch,
         if n:
             assert vm.diagonal_check(m, n, p, level_max) \
                 == vm.diagonal_check(m, n, p, level_max, reference)
-        argv = ["gram", "--m", str(m), "--n", str(n), "--p", str(p),
-                "--levels", str(level_max)]
-        code = main(argv)
-        orbit_out = capsys.readouterr().out
-        with monkeypatch.context() as patch:
-            patch.setattr(vm, "gram_records_up_to", all_content_records)
-            assert main(argv) == code == 0
-        assert capsys.readouterr().out == orbit_out
+        for command in ("gram", "matelems"):
+            argv = [command, "--m", str(m), "--n", str(n), "--p", str(p),
+                    "--levels", str(level_max)]
+            code = main(argv)
+            orbit_out = capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                patch.setattr(vm, "gram_records_up_to", all_content_records)
+                assert main(argv) == code == 0
+            assert capsys.readouterr().out == orbit_out
