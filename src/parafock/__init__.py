@@ -62,6 +62,7 @@ from .symfunc import (
     hook_partitions,
     in_hook,
     irreducible_character,
+    lr_coefficient,
     offset_family_partitions,
     super_schur,
     verma_character,

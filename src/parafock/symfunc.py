@@ -4,6 +4,14 @@ Everything here is exact integer arithmetic: characters are finitely truncated
 multivariate series with nonnegative integer coefficients, and Schur-type
 polynomials are computed by the branching rule, one variable at a time, with
 each intermediate skew shape cached (no determinants, no division).
+
+Partitions are validated once, where they enter a public function; the
+recursions below work on normalised tuples.  A sum of supersymmetric Schur
+polynomials s_la(x|y) = sum_tau s_{la/tau}(x) s_{tau'}(y) is taken one inner
+shape tau at a time: the x-parts of every la are added first, then each tau
+takes one product with its y-part.  The coefficient identity behind the
+character formula counts Littlewood-Richardson tableaux once per
+(gamma, sigma), every content at once, instead of once per triple.
 """
 
 from __future__ import annotations
@@ -19,8 +27,12 @@ from functools import lru_cache
 # ---------------------------------------------------------------------------
 
 def check_partition(la) -> tuple[int, ...]:
-    """Normalize to a tuple, dropping trailing zeros; raise if not a partition."""
-    parts = tuple(int(x) for x in la)
+    """Normalize to a tuple of ints, dropping trailing zeros; raise if not a
+    partition.  A part must equal its int(): 2.5 is an error, not 2."""
+    given = tuple(la)
+    parts = tuple(int(x) for x in given)
+    if parts != given:
+        raise ValueError(f"non-integer part in {la!r}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if any(x < 0 for x in parts):
@@ -124,7 +136,7 @@ def partitions_of(k: int, max_part: int | None = None):
 def hook_partitions(k: int, m: int, n: int, max_width: int | None = None):
     """Partitions of k in the (m|n)-hook, optionally with first part <= max_width."""
     for la in partitions_of(k, max_width):
-        if in_hook(la, m, n):
+        if len(la) <= m or la[m] <= n:  # in_hook, on a normalised partition
             yield la
 
 
@@ -177,37 +189,50 @@ def _few_letters(la, mu, nvars: int) -> dict:
     return {(weight(la) - weight(mu),)[:nvars]: 1}
 
 
-@lru_cache(maxsize=None)
 def skew_schur_monomials(la, mu, nvars: int) -> dict:
     """Monomial expansion of the skew Schur polynomial in nvars variables.
 
     Returns {exponent tuple: multiplicity}. Empty dict when the skew shape is
     not fillable (e.g. some column is taller than nvars) or mu is not contained
-    in la.  Branching rule: the entries equal to the largest letter k form a
+    in la.  la and mu are normalised and validated here, once; the branching
+    recursion below works on normalised partitions only.
+    """
+    return _skew_schur(check_partition(la), check_partition(mu), nvars)
+
+
+@lru_cache(maxsize=None)
+def _skew_schur(la, mu, nvars: int) -> dict:
+    """skew_schur_monomials on normalised partitions.
+
+    Branching rule: the entries equal to the largest letter k form a
     horizontal strip la/nu, so s_{la/mu}(x_1..x_k) is the sum over nu of
     s_{nu/mu}(x_1..x_{k-1}) x_k^|la/nu|.  The recursion goes through this
-    cache, so intermediate shapes are shared; the one-letter case is not
-    cached.
+    cache, so intermediate shapes are shared; its one-letter step is
+    written out, not cached.
     """
-    la = check_partition(la)
-    mu = check_partition(mu)
     if not _contains(la, mu):
         return {}
     if nvars <= 1:
         return _few_letters(la, mu, nvars)
-    if not _columns_fit(la, mu, nvars):
-        return {}
     top = weight(la)
-    # row i of nu lies between max(mu_i, la_(i+1)) and la_i
+    low = weight(mu)
+    k = nvars - 1
+    # row i of nu lies between max(mu_i, la_(i+1)) and la_i, and no column
+    # of nu/mu is longer than k (nu_i <= mu_(i-k)), so every nu contributes;
+    # a column of la/mu longer than nvars leaves some row no choice
     inner = mu + (0,) * (len(la) - len(mu))
     below = la[1:] + (0,)
-    choices = [range(max(a, b), x + 1) for a, b, x in zip(inner, below, la)]
+    choices = [range(max(inner[i], below[i]),
+                     (min(x, inner[i - k]) if i >= k else x) + 1)
+               for i, x in enumerate(la)]
     out: dict[tuple[int, ...], int] = {}
     for rows in itertools.product(*choices):
-        nu = tuple(x for x in rows if x)  # nu is a partition: zeros trail
-        rest = (skew_schur_monomials(nu, mu, nvars - 1) if nvars > 2
-                else _few_letters(nu, mu, 1))
-        last = (top - weight(nu),)
+        size = sum(rows)
+        if k == 1:  # nu/mu is a horizontal strip: x_1^|nu/mu|
+            rest = {(size - low,): 1}
+        else:
+            rest = _skew_schur(tuple(x for x in rows if x), mu, k)
+        last = (top - size,)
         for e, c in rest.items():
             key = e + last
             out[key] = out.get(key, 0) + c
@@ -215,82 +240,85 @@ def skew_schur_monomials(la, mu, nvars: int) -> dict:
 
 
 def schur_monomials(la, nvars: int) -> dict:
-    return skew_schur_monomials(check_partition(la), (), nvars)
+    return skew_schur_monomials(la, (), nvars)
 
 
 def lr_coefficient(gamma, nu, sigma) -> int:
     """Littlewood-Richardson coefficient: multiplicity of gamma in nu * sigma.
 
-    Counted as the number of semistandard fillings of gamma/nu with content
-    sigma whose reverse reading word is a lattice word.
+    Counted as the number of LR tableaux of shape gamma/nu with content sigma.
     """
     gamma = check_partition(gamma)
     nu = check_partition(nu)
     sigma = check_partition(sigma)
     if weight(gamma) != weight(nu) + weight(sigma) or not _contains(gamma, nu):
         return 0
-    rows = [(nu[i] if i < len(nu) else 0, hi) for i, hi in enumerate(gamma)]
-    nvals = len(sigma)
-    remaining = list(sigma)
-    grid = [[0] * hi for (_, hi) in rows]
-    count = 0
+    return _lr_tableaux(gamma, nu, sigma)
 
-    # reading order: rows top to bottom, cells right to left; lattice condition
-    # is checked on placement counts as the word is produced.
-    cells = []
-    for i, (lo, hi) in enumerate(rows):
-        for j in range(hi - 1, lo - 1, -1):
-            cells.append((i, j))
 
-    placed = [0] * (nvals + 1)
+def _lr_tableaux(gamma, inner, content) -> int:
+    """Number of LR tableaux of shape gamma/inner: semistandard fillings whose
+    reverse reading word is a lattice word.
 
-    def place(idx):
-        nonlocal count
+    Normalised partitions, inner inside gamma.  With content a partition of
+    |gamma/inner| only the fillings of that content count (their number is
+    c^gamma_(inner,content)); with content None every content counts, which
+    by c^gamma_(inner,nu) = c^gamma_(nu,inner) is the sum over nu of
+    c^gamma_(nu,inner) (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.9).  The reading order is rows top to bottom, cells right to left; the
+    lattice condition is checked as the word is produced, so the entries of
+    row i (from 0) are at most i + 1.
+    """
+    cells = [(i, j) for i, hi in enumerate(gamma)
+             for j in range(hi - 1, (inner[i] if i < len(inner) else 0) - 1,
+                            -1)]
+    top = len(gamma) if content is None else len(content)
+    # remaining[v]: entries v still to place; no limit without a content
+    remaining = [0] + (list(content) if content is not None
+                       else [len(cells)] * top)
+    grid = [[0] * hi for hi in gamma]  # 0 marks a cell of inner
+    placed = [0] * (top + 1)
+
+    def count(idx):
         if idx == len(cells):
-            count += 1
-            return
+            return 1
         i, j = cells[idx]
-        lo, hi = rows[i]
-        for v in range(1, nvals + 1):
-            if remaining[v - 1] == 0:
+        row = grid[i]
+        hi = min(i + 1, top, row[j + 1] if j + 1 < len(row) else top)
+        lo = grid[i - 1][j] + 1 if i else 1  # strictly increasing down
+        total = 0
+        for v in range(lo, hi + 1):  # weakly increasing along the row
+            if not remaining[v] or (v > 1 and placed[v - 1] <= placed[v]):
                 continue
-            if j + 1 < hi and grid[i][j + 1] < v:
-                continue  # weakly increasing along the row
-            if i > 0 and rows[i - 1][0] <= j < rows[i - 1][1] and grid[i - 1][j] >= v:
-                continue  # strictly increasing down the column
-            if v > 1 and placed[v - 1] <= placed[v]:
-                continue  # lattice word prefix condition
-            grid[i][j] = v
-            remaining[v - 1] -= 1
+            row[j] = v
+            remaining[v] -= 1
             placed[v] += 1
-            place(idx + 1)
+            total += count(idx + 1)
             placed[v] -= 1
-            remaining[v - 1] += 1
-            grid[i][j] = 0
+            remaining[v] += 1
+        row[j] = 0
+        return total
 
-    place(0)
-    return count
+    return count(0)
 
 
-def subpartitions(la):
-    """All partitions contained in la."""
-    la = check_partition(la)
-    if not la:
-        yield ()
-        return
-
+def _inner_shapes(la, m: int, n: int):
+    """The partitions tau inside the normalised partition la with tau_1 <= n
+    and no column of la/tau longer than m (tau_i >= la_(i+m)): exactly the
+    tau for which s_{la/tau}(x_1..x_m) and s_{tau'}(y_1..y_n) are nonzero."""
     def rec(i, prev):
         if i == len(la):
             yield ()
             return
-        for v in range(min(la[i], prev), -1, -1):
-            if v == 0:
+        low = la[i + m] if i + m < len(la) else 0
+        for v in range(min(la[i], prev), low - 1, -1):
+            if v == 0:  # then low == 0 here and in every row below
                 yield ()
                 return
             for rest in rec(i + 1, v):
                 yield (v,) + rest
 
-    yield from rec(0, la[0])
+    yield from rec(0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -423,23 +451,30 @@ def lowest_weight_offset(m: int, n: int, p: int) -> tuple[int, ...]:
     return tuple([-p] * m + [p] * n)
 
 
-def _add_super_schur(acc: dict, la, m: int, n: int, sign: int = 1) -> None:
-    """acc += sign * s_la(x_1..x_m | y_1..y_n), la a normalised partition.
+def _schur_sum(m: int, n: int, signed_partitions) -> dict:
+    """Coefficients of the sum of sign * s_la(x_1..x_m | y_1..y_n) over the
+    (la, sign) pairs, la normalised partitions.
 
-    s_la(x|y) is the sum over partitions tau contained in la (with at most n
-    columns) of skew Schur in x times Schur of the conjugate in y.
+    s_la(x|y) is the sum over the partitions tau inside la of
+    s_{la/tau}(x) s_{tau'}(y).  The sum is taken tau first: the x-parts of
+    every la are added into one x-series per tau, and each tau then takes a
+    single product with its y-part.  Cancelled coefficients may remain as
+    zeros; TruncatedCharacter drops them.
     """
-    for tau in subpartitions(la):
-        if tau and tau[0] > n:
-            continue
-        xpart = skew_schur_monomials(la, tau, m)
-        if not xpart:
-            continue
-        ypart = schur_monomials(conjugate(tau), n)
-        for ex, cx in xpart.items():
-            for ey, cy in ypart.items():
+    by_tau: dict[tuple[int, ...], dict] = {}
+    for la, sign in signed_partitions:
+        for tau in _inner_shapes(la, m, n):
+            acc = by_tau.setdefault(tau, {})
+            for ex, c in _skew_schur(la, tau, m).items():
+                acc[ex] = acc.get(ex, 0) + sign * c
+    out: dict[tuple[int, ...], int] = {}
+    for tau, acc in by_tau.items():
+        xpart = [(ex, c) for ex, c in acc.items() if c]
+        for ey, cy in schur_monomials(conjugate(tau), n).items():
+            for ex, cx in xpart:
                 key = ex + ey
-                acc[key] = acc.get(key, 0) + sign * cx * cy
+                out[key] = out.get(key, 0) + cx * cy
+    return out
 
 
 def super_schur(la, m: int, n: int) -> TruncatedCharacter:
@@ -449,9 +484,7 @@ def super_schur(la, m: int, n: int) -> TruncatedCharacter:
     Identically zero exactly when la violates the (m|n)-hook condition.
     """
     la = check_partition(la)
-    coeffs: dict[tuple[int, ...], int] = {}
-    _add_super_schur(coeffs, la, m, n)
-    return TruncatedCharacter(m, n, weight(la), coeffs)
+    return TruncatedCharacter(m, n, weight(la), _schur_sum(m, n, [(la, 1)]))
 
 
 def _denominator_monomials(m, n):
@@ -500,20 +533,17 @@ def verma_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
     of each degree.  weight_series_product gives the same series from the
     closed product form.
     """
-    coeffs: dict[tuple[int, ...], int] = {}
-    for d in range(cap + 1):
-        for la in hook_partitions(d, m, n):
-            _add_super_schur(coeffs, la, m, n)
-    return TruncatedCharacter(m, n, cap, coeffs, lowest_weight_offset(m, n, p))
+    hooks = ((la, 1) for d in range(cap + 1) for la in hook_partitions(d, m, n))
+    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, hooks),
+                              lowest_weight_offset(m, n, p))
 
 
 def irreducible_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
     """Character of the irreducible lowest-weight module: hook partitions of width <= p."""
-    coeffs: dict[tuple[int, ...], int] = {}
-    for d in range(cap + 1):
-        for la in hook_partitions(d, m, n, max_width=p):
-            _add_super_schur(coeffs, la, m, n)
-    return TruncatedCharacter(m, n, cap, coeffs, lowest_weight_offset(m, n, p))
+    narrow = ((la, 1) for d in range(cap + 1)
+              for la in hook_partitions(d, m, n, max_width=p))
+    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, narrow),
+                              lowest_weight_offset(m, n, p))
 
 
 def _alternating_sign(sigma, p: int) -> int:
@@ -522,11 +552,10 @@ def _alternating_sign(sigma, p: int) -> int:
 
 def alternating_cut_sum(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
     """Signed sum of s_sigma(x|y) over the hook partitions with arm-leg offset p."""
-    coeffs: dict[tuple[int, ...], int] = {}
-    for sigma in offset_family_partitions(p, cap):
-        if in_hook(sigma, m, n):
-            _add_super_schur(coeffs, sigma, m, n, _alternating_sign(sigma, p))
-    return TruncatedCharacter(m, n, cap, coeffs)
+    signed = ((sigma, _alternating_sign(sigma, p))
+              for sigma in offset_family_partitions(p, cap)
+              if in_hook(sigma, m, n))
+    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, signed))
 
 
 def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
@@ -546,18 +575,15 @@ def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
         lowest_weight_offset(m, n, p))
     series_equal = irreducible == verma * alternating_cut_sum(m, n, p, cap)
 
+    # the sum over nu of c^gamma_(nu,sigma) is the number of LR tableaux of
+    # shape gamma/sigma of any content: one count per (gamma, sigma)
     lr_failures = []
-    sigmas = [(sigma, weight(sigma), _alternating_sign(sigma, p))
+    sigmas = [(sigma, _alternating_sign(sigma, p))
               for sigma in offset_family_partitions(p, cap)]
     for d in range(cap + 1):
         for gamma in partitions_of(d):
-            total = 0
-            for sigma, ws, sign in sigmas:
-                if ws > d:
-                    continue
-                for nu in partitions_of(d - ws):
-                    if _contains(gamma, nu):  # else c^gamma_(nu,sigma) = 0
-                        total += sign * lr_coefficient(gamma, nu, sigma)
+            total = sum(sign * _lr_tableaux(gamma, sigma, None)
+                        for sigma, sign in sigmas if _contains(gamma, sigma))
             expected = 1 if (not gamma or gamma[0] <= p) else 0
             if total != expected:
                 lr_failures.append({"gamma": list(gamma), "got": total,

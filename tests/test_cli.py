@@ -354,6 +354,21 @@ def test_char_deep_branching_matches_golden_file():
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("fixture,argv", [
+    # odd p: alternating signs of both parities
+    ("char_m2_n1_p3_d9.jsonl",
+     ("--m", "2", "--n", "1", "--p", "3", "--degree", "9")),
+    # no x letters: every x-side skew shape is empty
+    ("char_m0_n3_p1_d8.jsonl",
+     ("--m", "0", "--n", "3", "--p", "1", "--degree", "8")),
+])
+def test_char_edge_orders_match_golden_files(fixture, argv):
+    golden = Path(__file__).parent / "fixtures" / fixture
+    code, out, _ = run_cli("char", *argv)
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_char_builds_each_series_once(monkeypatch, capsys):
     """char reads the irreducible character and the Verma product off
     character_formula_report instead of building them a second time."""

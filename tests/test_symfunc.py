@@ -1,5 +1,6 @@
 """Partition, Schur and character tests with independently derived values."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,17 @@ def test_conjugate_involution():
     assert sf.conjugate((3, 2, 2)) == (3, 3, 1)
     assert sf.conjugate(sf.conjugate((5, 3, 3, 1))) == (5, 3, 3, 1)
     assert sf.conjugate(()) == ()
+
+
+def test_check_partition_rejects_non_integer_parts():
+    for bad in [(1.5,), (2, 0.5), (Fraction(3, 2), 1), ("1",)]:
+        with pytest.raises(ValueError):
+            sf.check_partition(bad)
+    with pytest.raises(ValueError):
+        sf.super_schur((2.5, 1), 1, 1)
+    parts = sf.check_partition((Fraction(2), True, 1, 0))
+    assert parts == (2, 1, 1)
+    assert all(type(x) is int for x in parts)
 
 
 def test_frobenius_examples():
@@ -312,14 +324,37 @@ def test_branching_rule_edge_shapes():
     assert sf.skew_schur_monomials((2, 0), (1, 0, 0), 2) == {(1, 0): 1, (0, 1): 1}
 
 
+@functools.cache
+def tableau_super_schur(la, m, n):
+    """Reference: s_la(x_1..x_m | y_1..y_n) one partition at a time, as the
+    sum over every tau inside la of the tableau counts of la/tau in m letters
+    times those of tau' in n letters."""
+    out = {}
+    for k in range(sum(la) + 1):
+        for tau in sf.partitions_of(k):
+            for ex, cx in tableau_skew_schur(la, tau, m).items():
+                for ey, cy in tableau_skew_schur(sf.conjugate(tau), (),
+                                                 n).items():
+                    out[ex + ey] = out.get(ex + ey, 0) + cx * cy
+    return out
+
+
 def reference_sum(m, n, cap, partitions, signs=None):
-    """Sum of sign * super_schur over the partitions, one character at a
-    time, added into a coefficient dict truncated at cap."""
+    """Sum of sign * s_la(x|y) over the partitions, one character at a time
+    from the tableau enumerator, truncated at cap."""
     coeffs = {}
     for k, la in enumerate(partitions):
-        for e, c in sf.super_schur(la, m, n).coeffs.items():
+        for e, c in tableau_super_schur(la, m, n).items():
             coeffs[e] = coeffs.get(e, 0) + (signs[k] if signs else 1) * c
     return sf.TruncatedCharacter(m, n, cap, coeffs)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2), (0, 3), (3, 0)])
+def test_super_schur_matches_tableau_enumeration(m, n):
+    for k in range(8):
+        for la in sf.partitions_of(k):
+            assert (sf.super_schur(la, m, n).coeffs
+                    == tableau_super_schur(la, m, n)), (la, m, n)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2), (0, 3), (3, 0)])
@@ -329,8 +364,10 @@ def test_in_place_sums_match_character_sums(m, n, p):
         hooks = [la for d in range(cap + 1) for la in sf.hook_partitions(d, m, n)]
         narrow = [la for la in hooks if not la or la[0] <= p]
         offset = sf.lowest_weight_offset(m, n, p)
-        assert (sf.irreducible_character(m, n, p, cap)
-                == reference_sum(m, n, cap, narrow).with_offset(offset))
+        irreducible = reference_sum(m, n, cap, narrow).with_offset(offset)
+        assert sf.irreducible_character(m, n, p, cap) == irreducible
+        assert (sf.character_formula_report(m, n, p, cap)["irreducible"]
+                == irreducible)
         assert (sf.verma_character(m, n, p, cap)
                 == reference_sum(m, n, cap, hooks).with_offset(offset))
         sigmas = [s for s in sf.offset_family_partitions(p, cap)
@@ -339,6 +376,52 @@ def test_in_place_sums_match_character_sums(m, n, p):
         cut = sf.alternating_cut_sum(m, n, p, cap)
         assert cut == reference_sum(m, n, cap, sigmas, signs)
         assert all(cut.coeffs.values())  # cancelled terms are dropped
+
+
+def test_lr_tableaux_of_any_content_sum_lr_coefficients():
+    """The LR tableaux of shape gamma/sigma of every content number the sum
+    over nu of c^gamma_(nu,sigma)."""
+    shapes = [la for k in range(9) for la in sf.partitions_of(k)]
+    checked = 0
+    for gamma in shapes:
+        d = sum(gamma)
+        for sigma in shapes:
+            if len(sigma) > len(gamma) or any(
+                    s > g for s, g in zip(sigma, gamma)):
+                continue
+            want = sum(sf.lr_coefficient(gamma, nu, sigma)
+                       for nu in sf.partitions_of(d - sum(sigma)))
+            assert sf._lr_tableaux(gamma, sigma, None) == want, (gamma, sigma)
+            checked += 1
+    assert checked == 862  # pairs sigma inside gamma, |gamma| <= 8
+
+
+def per_triple_lr_failures(p, cap):
+    """Reference: the coefficient identity behind the character formula, one
+    lr_coefficient(gamma, nu, sigma) per triple."""
+    failures = []
+    sigmas = [(sigma, sum(sigma), (-1) ** sf.sign_exponent(sigma, p))
+              for sigma in sf.offset_family_partitions(p, cap)]
+    for d in range(cap + 1):
+        for gamma in sf.partitions_of(d):
+            total = 0
+            for sigma, ws, sign in sigmas:
+                if ws > d:
+                    continue
+                for nu in sf.partitions_of(d - ws):
+                    total += sign * sf.lr_coefficient(gamma, nu, sigma)
+            expected = 1 if (not gamma or gamma[0] <= p) else 0
+            if total != expected:
+                failures.append({"gamma": list(gamma), "got": total,
+                                 "expected": expected})
+    return failures
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lr_identity_matches_per_triple_loop(p):
+    for cap in range(10):
+        rep = sf.character_formula_report(1, 1, p, cap)
+        assert rep["lr_identity_failures"] == per_triple_lr_failures(p, cap)
 
 
 def test_lr_coefficient_normalises_its_input():
