@@ -111,9 +111,6 @@ class SuperMatrix:
             ent[k] = ent.get(k, 0) + v
         return SuperMatrix(self.m, self.n, ent, self.sqrt2_power, self.parity)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c) -> "SuperMatrix":
         return SuperMatrix(
             self.m, self.n, {k: c * v for k, v in self.entries.items()},
@@ -123,14 +120,8 @@ class SuperMatrix:
     def __matmul__(self, other) -> "SuperMatrix":
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("size mismatch")
-        by_row: dict[int, list] = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
         ent: dict[tuple[int, int], int] = {}
-        for (i, k), u in self.entries.items():
-            for (j, v) in by_row.get(k, ()):
-                key = (i, j)
-                ent[key] = ent.get(key, 0) + u * v
+        _add_product(ent, self, other, 1)
         par = None
         if self.parity is not None and other.parity is not None:
             par = (self.parity + other.parity) % 2
@@ -155,6 +146,18 @@ class SuperMatrix:
     def __repr__(self):
         tag = "" if self.sqrt2_power == 0 else " * sqrt2"
         return f"SuperMatrix(m={self.m}, n={self.n}, nnz={len(self.entries)}{tag})"
+
+
+def _add_product(ent: dict, a: SuperMatrix, b: SuperMatrix, c: int) -> None:
+    """Add c times the entries of a @ b into ent (zeros are left in)."""
+    by_row: dict[int, list] = {}
+    for (i, j), v in b.entries.items():
+        by_row.setdefault(i, []).append((j, v))
+    for (i, k), u in a.entries.items():
+        cu = c * u
+        for (j, v) in by_row.get(k, ()):
+            key = (i, j)
+            ent[key] = ent.get(key, 0) + cu * v
 
 
 def _elementary(m, n, pairs, sqrt2_power=0):
@@ -197,16 +200,19 @@ def cartan(m: int, n: int, k: int) -> SuperMatrix:
 
 
 def superbracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
-    """ab - (-1)^(deg a * deg b) ba for parity-homogeneous a, b."""
+    """ab - (-1)^(deg a * deg b) ba for parity-homogeneous a, b, summed
+    into one matrix whose support is checked against deg a + deg b."""
     if (a.m, a.n) != (b.m, b.n):
         raise ValueError("size mismatch")
     if a.is_zero() or b.is_zero():
         return SuperMatrix(a.m, a.n)
     if a.parity is None or b.parity is None:
         raise ValueError("superbracket needs homogeneous inputs")
-    ab = a @ b
-    ba = b @ a
-    return ab - ba if (a.parity * b.parity) % 2 == 0 else ab + ba
+    ent: dict[tuple[int, int], int] = {}
+    _add_product(ent, a, b, 1)
+    _add_product(ent, b, a, 1 if a.parity * b.parity else -1)
+    return SuperMatrix(a.m, a.n, ent, a.sqrt2_power + b.sqrt2_power,
+                       (a.parity + b.parity) % 2)
 
 
 # ---------------------------------------------------------------------------

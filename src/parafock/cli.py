@@ -34,6 +34,10 @@ class UsageError(Exception):
     """Bad input from the command line or from an input file (exit 2)."""
 
 
+# one encoder for every JSON line: json.dumps builds a new one per call
+_JSON_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class Emitter:
     """Collects records, then writes JSON lines or a CSV projection."""
 
@@ -47,10 +51,7 @@ class Emitter:
 
     def flush(self):
         if self.fmt == "json":
-            text = "\n".join(
-                json.dumps(r, sort_keys=True, separators=(",", ":"))
-                for r in self.records
-            )
+            text = "\n".join(map(_JSON_LINE.encode, self.records))
         else:
             cols: list[str] = []
             for r in self.records:

@@ -12,17 +12,19 @@ squares are rational, square roots stay symbolic as (sign, radicand) pairs.
 A recurrence residual is a linear form in squared matrix elements whose
 coefficients do not depend on p.  recurrence_terms builds that term table
 (source top row, slot, coefficient) once per (top row, subrow), and
-residual_from_terms evaluates it at one order.  residual_sweep prepares every
-config's term table once, then keeps, for each order p, a table keyed by (top
-row, slot) so that each squared matrix element is evaluated once and read by
-every residual of that order and by the sweep's own values.  Both tables live
-only as long as the sweep; the module keeps no cache.  A sweep keeps at most
-MAX_FAILURE_SAMPLES nonzero residuals, and its failure_count counts those
-samples, not every nonzero residual.
+residual_from_terms evaluates it at one order.  The term tables read only the
+zero policy, so the module's one cache, _prepare, keeps every config's table
+per (m, n, level_max, zero_policy) for the sweeps of all parsing variants;
+select_parsing_variant_multi empties it when it returns.  For each order p,
+residual_sweep fills a table of G_k^2 keyed by (top row, slot) that every
+residual of that order and the sweep's own values read.  A sweep keeps at
+most MAX_FAILURE_SAMPLES nonzero residuals, and its failure_count counts
+those samples, not every nonzero residual.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -394,43 +396,58 @@ def recurrence_configs(m: int, n: int, level_max: int):
                 yield top, subrow
 
 
+@functools.cache
+def _prepare(m: int, n: int, level_max: int, zero_policy: str):
+    """residual_sweep's p-free half: (configs, slots).  configs holds (top
+    row, subrow, recurrence_terms table, shift, raisable slots of the top
+    row) in recurrence_configs order, slots each raisable (top row, slot)."""
+    variant = ParsingVariant(zero_policy=zero_policy)
+    raisable = {}
+    configs = []
+    for top, subrow in recurrence_configs(m, n, level_max):
+        if top not in raisable:
+            raisable[top] = tuple(k for k in range(1, m + n + 1) if
+                                  gz.raise_top_row(top, m, n, k) is not None)
+        terms, shift = recurrence_terms(top, subrow, m, n, variant)
+        configs.append((top, subrow, tuple(terms), shift, raisable[top]))
+    return tuple(configs), tuple((top, k) for top in raisable
+                                 for k in raisable[top])
+
+
 def residual_sweep(m: int, n: int, p_values, level_max: int,
                    variant: ParsingVariant) -> dict:
     """Run the recurrence over the whole config range under one variant.
 
-    The p-free half is prepared once per call: the config list, each
-    config's recurrence_terms table and the raisable slots of each top row.
-    Then, for each p in p_values, the sweep keeps one (top row, slot) ->
-    G_k^2 table.  Every residual of that order is evaluated from its term
-    table through it (residual_from_terms), and the returned values, keyed
-    (top row, slot, p), are its entries for the raisable slots of each top
-    row whose residual evaluated.  The term tables and the G_k^2 tables are
-    dropped when the sweep returns.
+    The configs, their recurrence_terms tables and the raisable slots of
+    each top row come from _prepare.  For each p in p_values, the sweep
+    fills one (top row, slot) -> G_k^2 table from the closed form at every
+    raisable slot (None for an uncancelled zero; the rows and slots are
+    admissible, so reduced_me_squared's checks are not repeated).  Every
+    residual of that order is evaluated through it (residual_from_terms),
+    and the returned values, keyed (top row, slot, p), are its entries for
+    the raisable slots of each top row whose residual evaluated.
 
     failures keeps the first MAX_FAILURE_SAMPLES nonzero residuals, and
     failure_count is the number of samples kept, so it is capped at
     MAX_FAILURE_SAMPLES too; ok is False on any nonzero residual.
     """
-    prepared = []
-    raisable = {}
-    for top, subrow in recurrence_configs(m, n, level_max):
-        if top not in raisable:
-            raisable[top] = [k for k in range(1, m + n + 1)
-                             if gz.raise_top_row(top, m, n, k) is not None]
-        terms, shift = recurrence_terms(top, subrow, m, n, variant)
-        prepared.append((top, subrow, terms, shift))
+    prepared, slots = _prepare(m, n, level_max, variant.zero_policy)
     configs = 0
     failures = []
     errors = 0
     values = {}
     for p in p_values:
         squares = {}
-        for top, subrow, terms, shift in prepared:
+        for top, k in slots:
+            num, den, outer = _squared_factors(top, k, p, m, n, variant)
+            ratio = _coefficient(num, den, variant)
+            squares[(top, k)] = None if ratio is None else outer * ratio
+        for top, subrow, terms, shift, raisable in prepared:
             configs += 1
             try:
                 res = residual_from_terms(terms, shift, p, m, n, variant,
                                           squares)
-                for k in raisable[top]:
+                for k in raisable:
                     values[(top, k, p)] = _squared(
                         squares, top, k, p, m, n, variant)
             except UncancelledZeroError:
@@ -484,6 +501,7 @@ def select_parsing_variant_multi(domains, p_samples, level_max: int) -> dict:
                 combined[(m, n) + key] = val
         else:
             alive[variant] = combined
+    _prepare.cache_clear()  # the term tables served this selection only
     if not alive:
         raise VariantSelectionError("no variant survives the joint sweep")
     tables = {frozenset(tab.items()) for tab in alive.values()}

@@ -359,20 +359,28 @@ class TruncatedCharacter:
             raise ValueError("incompatible truncated characters")
 
     def __mul__(self, other):
+        """The product, truncated at cap.  The inner loop adds exponent
+        vectors packed into ints, sum(e_i * (cap + 1)**i) (Monagan and
+        Pearce's packed exponent vectors): exponents are nonnegative and a
+        kept product has degree <= cap, so no slot carries into the next.
+        """
         self._check(other)
         offset = tuple(a + b for a, b in zip(self.offset, other.offset))
-        coeffs: dict[tuple[int, ...], int] = {}
+        packed: dict[int, int] = {}
         cap = self.cap
+        powers = [(cap + 1) ** i for i in range(self.m + self.n)]
         small, big = sorted((self.coeffs, other.coeffs), key=len)
-        big_by_degree = _by_degree(big, cap)
-        for d1, terms in enumerate(_by_degree(small, cap)):
+        big_by_degree = _packed_by_degree(big, cap, powers)
+        for d1, terms in enumerate(_packed_by_degree(small, cap, powers)):
             # the terms of big whose degree keeps the product within cap
             fits = list(itertools.chain.from_iterable(
                 big_by_degree[:cap + 1 - d1]))
-            for e1, c1 in terms:
-                for e2, c2 in fits:
-                    key = tuple(map(operator.add, e1, e2))
-                    coeffs[key] = coeffs.get(key, 0) + c1 * c2
+            for k1, c1 in terms:
+                for k2, c2 in fits:
+                    key = k1 + k2
+                    packed[key] = packed.get(key, 0) + c1 * c2
+        coeffs = {tuple([key // q % (cap + 1) for q in powers]): c
+                  for key, c in packed.items()}
         return TruncatedCharacter(self.m, self.n, cap, coeffs, offset)
 
     def geometric_divide(self, mono):
@@ -408,7 +416,8 @@ class TruncatedCharacter:
         if not isinstance(other, TruncatedCharacter):
             return NotImplemented
         return (
-            (self.m, self.n, self.offset) == (other.m, other.n, other.offset)
+            (self.m, self.n, self.cap, self.offset)
+            == (other.m, other.n, other.cap, other.offset)
             and self.coeffs == other.coeffs
         )
 
@@ -432,17 +441,18 @@ class TruncatedCharacter:
         )
 
 
-def _by_degree(coeffs: dict, cap: int) -> list[list]:
-    """The (exponent, coefficient) terms grouped by total degree 0..cap.
-
-    A degree outside 0..cap is an error, never a wrapped list index.
-    """
+def _packed_by_degree(coeffs: dict, cap: int, powers) -> list[list]:
+    """The (sum(e_i * powers[i]), coefficient) terms grouped by total degree
+    0..cap.  A negative exponent or a degree above cap would pack
+    ambiguously and is a ValueError."""
     buckets: list[list] = [[] for _ in range(cap + 1)]
     for e, c in coeffs.items():
+        if min(e, default=0) < 0:
+            raise ValueError(f"exponent {e} has a negative entry")
         d = sum(e)
-        if not 0 <= d <= cap:
+        if d > cap:
             raise ValueError(f"exponent {e} has degree outside 0..{cap}")
-        buckets[d].append((e, c))
+        buckets[d].append((sum(map(operator.mul, e, powers)), c))
     return buckets
 
 

@@ -203,6 +203,28 @@ def test_every_bracket_reexpands(m, n):
         assert got == acc, (a, b)
 
 
+def two_product_bracket(a, b):
+    """The superbracket as two products: ab - (-1)^(deg a * deg b) ba."""
+    return a @ b + (b @ a).scale(1 if a.parity * b.parity else -1)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 0), (0, 2)])
+def test_one_pass_superbracket_matches_two_products(m, n):
+    mats = [mat for _, mat in alg.AlgebraBasis(m, n).elements]
+    zero = 0
+    for a in mats:
+        for b in mats:
+            got, want = alg.superbracket(a, b), two_product_bracket(a, b)
+            assert got.entries == want.entries
+            assert got.parity == want.parity == (a.parity + b.parity) % 2
+            assert got.sqrt2_power == want.sqrt2_power
+            zero += got.is_zero()
+    assert 0 < zero < len(mats) ** 2  # zero brackets are compared too
+    # generators carry sqrt(2)^1 and pair brackets sqrt(2)^0, so the pairs
+    # cover 1 + 1 (folded to 0), 1 + 0 and 0 + 0
+    assert {mat.sqrt2_power for mat in mats} == {0, 1}
+
+
 def test_structure_constants_antisupersymmetric():
     basis = alg.structure_constants(1, 1)
     for a in basis.labels:

@@ -259,6 +259,37 @@ def test_shared_table_gives_the_fresh_residual(m, n):
     assert raised  # the strict variants reach the stored uncancelled zeros
 
 
+def test_variant_selection_builds_each_term_table_once(monkeypatch):
+    """The term tables read only the zero policy, so the sweeps of all eight
+    variants share one recurrence_terms call per (domain, config, zero
+    policy)."""
+    calls = []
+    original = rm.recurrence_terms
+
+    def counting(top, subrow, m, n, variant=V):
+        calls.append((m, n, variant.zero_policy, top, subrow))
+        return original(top, subrow, m, n, variant)
+
+    monkeypatch.setattr(rm, "recurrence_terms", counting)
+    rm._prepare.cache_clear()
+    domains, level_max = [(1, 1), (2, 1), (1, 2)], 3
+    rep = rm.select_parsing_variant_multi(domains, [1, 2, 3], level_max)
+    assert rm._prepare.cache_info().currsize == 0  # not kept after selection
+    assert len(calls) == len(set(calls))
+    swept = {(s["m"], s["n"],
+              rm.ParsingVariant.from_short(s["variant"]).zero_policy)
+             for s in rep["per_variant"]}
+    assert {call[:3] for call in calls} == swept
+    configs = {(m, n): len(list(rm.recurrence_configs(m, n, level_max)))
+               for m, n in domains}
+    assert len(calls) == sum(configs[m, n] for m, n, _ in swept)
+    # 12 sweeps (two variants clean on every domain, six failing on the
+    # first) would build 174 tables; the two zero policies build 61
+    assert len(rep["per_variant"]) == 12
+    assert sum(configs[s["m"], s["n"]] for s in rep["per_variant"]) == 174
+    assert len(calls) == 61
+
+
 def test_single_domain_selection_is_the_joint_one():
     single = rm.select_parsing_variant(2, 1, [1, 2, 3], 3)
     joint = rm.select_parsing_variant_multi([(2, 1)], [1, 2, 3], 3)

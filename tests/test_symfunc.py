@@ -229,6 +229,50 @@ def test_truncated_character_product_matches_naive(seed):
     assert (b * a).coeffs == prod.coeffs
 
 
+def random_series_at_cap(rng, m, n, cap):
+    """random_series, plus terms with all of the degree cap in one variable:
+    the largest value a packed slot holds."""
+    series = random_series(rng, m, n, cap)
+    for i in rng.sample(range(m + n), 2):
+        e = [0] * (m + n)
+        e[i] = cap
+        series.coeffs[tuple(e)] = rng.choice([-1, 1, 3])
+    return series
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_truncated_character_product_matches_naive_at_the_carry_boundary(seed):
+    rng = random.Random(1000 + seed)
+    m, n = rng.choice([(3, 2), (2, 3), (5, 0), (0, 5), (3, 3), (4, 2), (2, 4),
+                       (6, 0)])
+    cap = 4 + seed % 7  # 4..10
+    a = random_series_at_cap(rng, m, n, cap)
+    b = random_series_at_cap(rng, m, n, cap)
+    b.coeffs[(0,) * (m + n)] = 1  # keeps a's degree-cap terms in the product
+    prod = a * b
+    assert prod.coeffs == naive_product(a, b)
+    assert any(max(e) == cap for e in prod.coeffs)
+    assert (b * a).coeffs == prod.coeffs
+
+
+def test_truncated_character_product_rejects_negative_exponent():
+    one = sf.TruncatedCharacter.one(1, 1, 3)
+    # degree 1, inside 0..cap, but not a monomial the packing can hold
+    bad = sf.TruncatedCharacter(1, 1, 3, {(-1, 2): 1})
+    with pytest.raises(ValueError, match="negative"):
+        one * bad
+    with pytest.raises(ValueError, match="negative"):
+        bad * one
+
+
+def test_truncated_character_equality_compares_cap():
+    assert sf.TruncatedCharacter.one(1, 1, 3) != sf.TruncatedCharacter.one(1, 1, 5)
+    assert sf.TruncatedCharacter.one(1, 1, 3) == sf.TruncatedCharacter.one(1, 1, 3)
+    x3 = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1})
+    x5 = sf.TruncatedCharacter(1, 1, 5, {(1, 0): 1})
+    assert x3.coeffs == x5.coeffs and x3 != x5
+
+
 def test_truncated_character_product_cancels_and_truncates():
     one_plus_x = sf.TruncatedCharacter(1, 1, 4, {(0, 0): 1, (1, 0): 1})
     one_minus_x = sf.TruncatedCharacter(1, 1, 4, {(0, 0): 1, (1, 0): -1})
