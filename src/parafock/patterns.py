@@ -321,9 +321,18 @@ def _count_table(m: int, n: int, level: int) -> tuple:
                  for top in top_rows_for_level(m, n, level))
 
 
+@lru_cache(maxsize=None)
+def _width_counts(m: int, n: int, level: int, max_width: int | None) -> Counter:
+    return sum((counts for width, counts in _count_table(m, n, level)
+                if max_width is None or width <= max_width), Counter())
+
+
 def pattern_counts(m: int, n: int, level: int,
                    max_width: int | None = None) -> Counter:
     """Content -> number of patterns at one level, over the top rows of
-    width <= max_width (all of them when None), as a fresh Counter."""
-    return sum((counts for width, counts in _count_table(m, n, level)
-                if max_width is None or width <= max_width), Counter())
+    width <= max_width (all of them when None), as a fresh Counter.  A top
+    row's width is at most its level, so a max_width >= level reads as None
+    and every such order shares one cached sum."""
+    if max_width is not None and max_width >= level:
+        max_width = None
+    return Counter(_width_counts(m, n, level, max_width))

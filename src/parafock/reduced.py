@@ -13,9 +13,9 @@ A recurrence residual is a linear form in squared matrix elements whose
 coefficients do not depend on p.  recurrence_terms builds that term table
 (source top row, slot, coefficient) once per (top row, subrow), and
 residual_from_terms evaluates it at one order.  The term tables read only the
-zero policy, so the module's one cache, _prepare, keeps every config's table
-per (m, n, level_max, zero_policy) for the sweeps of all parsing variants;
-select_parsing_variant_multi empties it when it returns.  For each order p,
+zero policy, so select_parsing_variant_multi builds every config's table once
+per (m, n, level_max, zero_policy) in a dict of its own and hands it to the
+sweeps of all parsing variants; the module keeps no state.  For each order p,
 residual_sweep fills a table of G_k^2 keyed by (top row, slot) that every
 residual of that order and the sweep's own values read.  A sweep keeps at
 most MAX_FAILURE_SAMPLES nonzero residuals, and its failure_count counts
@@ -24,7 +24,6 @@ those samples, not every nonzero residual.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -396,7 +395,6 @@ def recurrence_configs(m: int, n: int, level_max: int):
                 yield top, subrow
 
 
-@functools.cache
 def _prepare(m: int, n: int, level_max: int, zero_policy: str):
     """residual_sweep's p-free half: (configs, slots).  configs holds (top
     row, subrow, recurrence_terms table, shift, raisable slots of the top
@@ -419,19 +417,30 @@ def residual_sweep(m: int, n: int, p_values, level_max: int,
     """Run the recurrence over the whole config range under one variant.
 
     The configs, their recurrence_terms tables and the raisable slots of
-    each top row come from _prepare.  For each p in p_values, the sweep
-    fills one (top row, slot) -> G_k^2 table from the closed form at every
-    raisable slot (None for an uncancelled zero; the rows and slots are
-    admissible, so reduced_me_squared's checks are not repeated).  Every
-    residual of that order is evaluated through it (residual_from_terms),
-    and the returned values, keyed (top row, slot, p), are its entries for
-    the raisable slots of each top row whose residual evaluated.
+    each top row come from _prepare, built for this call only.  For each p
+    in p_values, the sweep fills one (top row, slot) -> G_k^2 table from the
+    closed form at every raisable slot (None for an uncancelled zero; the
+    rows and slots are admissible, so reduced_me_squared's checks are not
+    repeated).  Every residual of that order is evaluated through it
+    (residual_from_terms), and the returned values, keyed (top row, slot,
+    p), are its entries for the raisable slots of each top row whose
+    residual evaluated.
 
     failures keeps the first MAX_FAILURE_SAMPLES nonzero residuals, and
     failure_count is the number of samples kept, so it is capped at
     MAX_FAILURE_SAMPLES too; ok is False on any nonzero residual.
     """
-    prepared, slots = _prepare(m, n, level_max, variant.zero_policy)
+    return _sweep(m, n, p_values, level_max, variant, {})
+
+
+def _sweep(m: int, n: int, p_values, level_max: int, variant: ParsingVariant,
+           tables: dict) -> dict:
+    """residual_sweep, reading _prepare's result from tables, keyed
+    (m, n, level_max, zero policy), and filling it there when absent."""
+    key = (m, n, level_max, variant.zero_policy)
+    if key not in tables:
+        tables[key] = _prepare(*key)
+    prepared, slots = tables[key]
     configs = 0
     failures = []
     errors = 0
@@ -490,10 +499,11 @@ def select_parsing_variant_multi(domains, p_samples, level_max: int) -> dict:
     p_samples = list(p_samples)
     alive = {}
     per_variant = []
+    term_tables = {}  # this selection's, shared by all its variants
     for variant in ALL_VARIANTS:
         combined = {}
         for (m, n) in domains:
-            sweep = residual_sweep(m, n, p_samples, level_max, variant)
+            sweep = _sweep(m, n, p_samples, level_max, variant, term_tables)
             per_variant.append({k: v for k, v in sweep.items() if k != "values"})
             if not sweep["ok"]:
                 break
@@ -501,7 +511,6 @@ def select_parsing_variant_multi(domains, p_samples, level_max: int) -> dict:
                 combined[(m, n) + key] = val
         else:
             alive[variant] = combined
-    _prepare.cache_clear()  # the term tables served this selection only
     if not alive:
         raise VariantSelectionError("no variant survives the joint sweep")
     tables = {frozenset(tab.items()) for tab in alive.values()}

@@ -548,12 +548,21 @@ def verma_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
                               lowest_weight_offset(m, n, p))
 
 
-def irreducible_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
-    """Character of the irreducible lowest-weight module: hook partitions of width <= p."""
+@lru_cache(maxsize=None)
+def _narrow_character(m: int, n: int, width: int, cap: int) -> TruncatedCharacter:
+    """The sum of s_la(x|y) over the hook partitions of width <= width and
+    degree <= cap, without offset.  Only with_offset copies are handed out."""
     narrow = ((la, 1) for d in range(cap + 1)
-              for la in hook_partitions(d, m, n, max_width=p))
-    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, narrow),
-                              lowest_weight_offset(m, n, p))
+              for la in hook_partitions(d, m, n, max_width=width))
+    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, narrow))
+
+
+def irreducible_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
+    """Character of the irreducible lowest-weight module: hook partitions of
+    width <= p.  A partition's width is at most its degree, so every p >= cap
+    shares the Schur sum of p = cap; only the offset depends on p."""
+    return _narrow_character(m, n, min(p, cap), cap).with_offset(
+        lowest_weight_offset(m, n, p))
 
 
 def _alternating_sign(sigma, p: int) -> int:

@@ -7,7 +7,9 @@ annihilation action, the bracket action [c_a^-, c_b^+] and the Gram entries
 follow by recursion on the monomial, with the triple relations as commutation
 rules and the Shapovalov identity <c_l^+ R, Y> = <R, c_l^- Y> for the form
 (Kac-Kazhdan, Adv. Math. 34, 1979).  All three are memoized per monomial as
-polynomials in p, so a single cache serves every order.
+polynomials in p, so a single cache serves every order.  The upper triangle
+of each content's Gram block is memoized too, as the PPolys pair_poly
+returned, so a further order only evaluates it at p and eliminates.
 
 Per-weight Gram matrices of the contravariant form (c_a^+ and c_a^- are
 adjoint, products reverse) have exact rank and positive-semidefiniteness
@@ -258,11 +260,12 @@ class VermaEngine:
     Three per-monomial primitives carry the module: the lowering action
     low(a, X) = c_a^- X, the bracket action B(a, b) X with
     B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>, all integer
-    polynomials in p.  Seven methods are memoized: those three, the
+    polynomials in p.  Eight methods are memoized: those three, the
     p-free creation straightening c_a^+ X (integer coefficients), the lead
     expansion of a monomial, the PBW basis of a level grouped by content,
-    and the acts_by_weight verdict of a (generator pair, monomial) (the
-    action image that act reads is not).  __init__ wraps each bound method
+    the upper triangle of a content's Gram block (gram_polys), and the
+    acts_by_weight verdict of a (generator pair, monomial) (the action
+    image that act reads is not).  __init__ wraps each bound method
     in functools.cache, so the caches belong to the engine and each reports
     cache_info().  Callers only read the dicts the caches hand out.  They
     are unbounded and never evicted: they grow with the levels and
@@ -277,7 +280,7 @@ class VermaEngine:
         self.slots = pair_slots(m, n)
         self.slot_index = {pr: i for i, pr in enumerate(self.slots)}
         for name in ("level_basis", "_insert_letter", "_lead", "low",
-                     "bracket", "_pair", "acts_by_weight"):
+                     "bracket", "_pair", "gram_polys", "acts_by_weight"):
             setattr(self, name, cache(getattr(self, name)))
 
     def parity(self, a: int) -> int:
@@ -426,6 +429,13 @@ class VermaEngine:
                              coeff)
         return PPoly(total)
 
+    def gram_polys(self, content: tuple) -> tuple:
+        """(basis, upper): the content's monomials in canonical order, and
+        per row i the entries pair_poly(basis[i], basis[j]) for j >= i."""
+        basis = self.level_basis(sum(content)).get(content, ())
+        return basis, tuple(tuple(self.pair_poly(x, y) for y in basis[i:])
+                            for i, x in enumerate(basis))
+
     # -- generator action -----------------------------------------------------
 
     def _apply(self, sign: str, a: int, vector: dict) -> dict:
@@ -526,13 +536,13 @@ def basis_for_content(m: int, n: int, content) -> list[PBWMonomial]:
 
 
 def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
-    """Gram block of the weight space of one creation content."""
-    engine = get_engine(m, n)
-    basis = basis_for_content(m, n, content)
+    """Gram block of the weight space of one creation content: the
+    engine's memoized entry polynomials (gram_polys) evaluated at p."""
+    basis, upper = get_engine(m, n).gram_polys(tuple(content))
     mat = [[0] * len(basis) for _ in basis]
-    for i, a in enumerate(basis):
-        for j in range(i, len(basis)):
-            val = engine.pair_poly(a, basis[j]).evaluate(p)
+    for i, row in enumerate(upper):
+        for j, poly in enumerate(row, i):
+            val = poly.evaluate(p)
             mat[i][j] = val
             mat[j][i] = val
     ints, den = mat, 1
@@ -547,7 +557,7 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
     return GramBlock(
         m=m, n=n, p=p, content=tuple(content),
         weight=gz.doubled_weight(content, m, n, p),
-        basis=basis, matrix=mat, rank=rank, psd=psd, pivots=pivots,
+        basis=list(basis), matrix=mat, rank=rank, psd=psd, pivots=pivots,
         pivot_rows=pivot_rows,
     )
 

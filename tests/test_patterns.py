@@ -244,3 +244,18 @@ def test_pattern_counts_hands_out_fresh_counters():
         got[(9, 9, 9)] = 1
     assert gz.pattern_counts(2, 1, 3, max_width=2) == want
     assert (9, 9, 9) not in gz.pattern_counts(2, 1, 3)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_pattern_counts_at_width_at_least_level_read_as_none(m, n):
+    """A top row's width is at most its level, so every max_width >= level
+    gives the uncapped Counter, key order included, and each call hands out
+    a Counter of its own."""
+    for level in range(5):
+        want = list(gz.pattern_counts(m, n, level).items())
+        for max_width in range(level, level + 3):
+            got = gz.pattern_counts(m, n, level, max_width)
+            assert list(got.items()) == want
+            assert got is not gz.pattern_counts(m, n, level)
+            got[(9,) * (m + n)] = 1
+        assert list(gz.pattern_counts(m, n, level, level).items()) == want

@@ -259,6 +259,27 @@ def test_shared_table_gives_the_fresh_residual(m, n):
     assert raised  # the strict variants reach the stored uncancelled zeros
 
 
+def test_residual_sweep_leaves_no_tables_behind(monkeypatch):
+    """reduced keeps no module state: a direct residual_sweep builds its
+    term tables for that call only, so a repeat builds them again, and no
+    function of the module holds a cache."""
+    calls = []
+    original = rm.recurrence_terms
+
+    def counting(top, subrow, m, n, variant=V):
+        calls.append((top, subrow))
+        return original(top, subrow, m, n, variant)
+
+    monkeypatch.setattr(rm, "recurrence_terms", counting)
+    first = rm.residual_sweep(2, 1, [1, 2], 3, V)
+    configs = len(list(rm.recurrence_configs(2, 1, 3)))
+    assert len(calls) == configs
+    assert rm.residual_sweep(2, 1, [1, 2], 3, V) == first
+    assert len(calls) == 2 * configs
+    assert not [name for name, value in vars(rm).items()
+                if hasattr(value, "cache_info")]
+
+
 def test_variant_selection_builds_each_term_table_once(monkeypatch):
     """The term tables read only the zero policy, so the sweeps of all eight
     variants share one recurrence_terms call per (domain, config, zero
@@ -271,10 +292,14 @@ def test_variant_selection_builds_each_term_table_once(monkeypatch):
         return original(top, subrow, m, n, variant)
 
     monkeypatch.setattr(rm, "recurrence_terms", counting)
-    rm._prepare.cache_clear()
     domains, level_max = [(1, 1), (2, 1), (1, 2)], 3
     rep = rm.select_parsing_variant_multi(domains, [1, 2, 3], level_max)
-    assert rm._prepare.cache_info().currsize == 0  # not kept after selection
+    built = list(calls)
+    # not kept after selection: a second one builds every table again
+    assert rm.select_parsing_variant_multi(domains, [1, 2, 3],
+                                           level_max) == rep
+    assert calls == built + built
+    del calls[len(built):]
     assert len(calls) == len(set(calls))
     swept = {(s["m"], s["n"],
               rm.ParsingVariant.from_short(s["variant"]).zero_policy)

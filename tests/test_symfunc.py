@@ -170,6 +170,23 @@ def test_irreducible_character_levels():
     assert sf.irreducible_character(1, 1, 3, 0).level_totals() == [1]
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_irreducible_character_above_its_cap_is_the_cap_series(m, n):
+    """Every width fits at p >= cap, so p > cap gives the p = cap
+    coefficients, key order included, under p's own offset; a caller that
+    writes into one character changes no other."""
+    for cap in range(5):
+        at_cap = sf.irreducible_character(m, n, cap, cap)
+        for p in range(cap + 1, cap + 4):
+            ch = sf.irreducible_character(m, n, p, cap)
+            assert list(ch.coeffs.items()) == list(at_cap.coeffs.items())
+            assert ch.offset == sf.lowest_weight_offset(m, n, p)
+            assert ch.cap == cap
+            ch.coeffs[(0,) * (m + n)] = 7
+        assert sf.irreducible_character(m, n, cap + 1, cap).coeffs \
+            == at_cap.coeffs
+
+
 def test_character_offsets_are_doubled_lowest_weight():
     ch = sf.irreducible_character(2, 1, 3, 2)
     assert ch.offset == (-3, -3, 3)

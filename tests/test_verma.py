@@ -780,7 +780,7 @@ def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
 
 
 MEMOIZED = ("level_basis", "_insert_letter", "_lead", "low", "bracket",
-            "_pair", "acts_by_weight")
+            "_pair", "gram_polys", "acts_by_weight")
 
 
 def test_engine_caches_are_per_engine():
@@ -792,7 +792,8 @@ def test_engine_caches_are_per_engine():
               for name in MEMOIZED}
     fresh = vm.VermaEngine(1, 1)
     for level in range(4):
-        for monos in fresh.level_basis(level).values():
+        for content, monos in fresh.level_basis(level).items():
+            fresh.gram_polys(content)
             for x in monos:
                 fresh.pair_poly(x, x)
                 fresh.acts_by_weight(2, x)
@@ -841,9 +842,11 @@ def test_straightening_images_are_only_read(monkeypatch):
 
 
 def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
-    """gram_block_for_content takes each upper-triangle entry from
-    VermaEngine.pair_poly, once, so a count of pair_poly calls (as the
-    benchmark's tracer takes) covers every Gram entry."""
+    """On a fresh engine the first order takes each upper-triangle entry of
+    every block from VermaEngine.pair_poly, once per entry per engine, so a
+    count of pair_poly calls (as the benchmark's tracer takes) covers every
+    Gram entry; a second and a third order read none and build the same
+    entries' values."""
     original = vm.VermaEngine.pair_poly
     calls = []
 
@@ -852,15 +855,44 @@ def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(vm.VermaEngine, "pair_poly", counted)
-    eng = vm.get_engine(2, 2)
-    for content in ((1, 1, 1, 1), (2, 0, 1, 1), (0, 0, 2, 2), (3, 0, 0, 1)):
+    eng = vm.VermaEngine(2, 2)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    reference = vm.VermaEngine(2, 2)
+    for p in (2, 3, Fraction(1, 3)):
         calls.clear()
-        blk = vm.gram_block_for_content(2, 2, 2, content)
-        basis = blk.basis
-        assert calls == [(basis[i], basis[j]) for i in range(len(basis))
-                         for j in range(i, len(basis))]
-        assert blk.matrix == [[original(eng, x, y).evaluate(2) for y in basis]
-                              for x in basis]
+        blocks = list(vm.gram_blocks_up_to(2, 2, p, 4))
+        if p == 2:
+            assert calls == [(b.basis[i], b.basis[j]) for b in blocks
+                             for i in range(b.size)
+                             for j in range(i, b.size)]
+            assert len(set(calls)) == len(calls)
+        else:
+            assert calls == []
+        for blk in blocks:
+            assert blk.matrix == [
+                [original(reference, x, y).evaluate(p) for y in blk.basis]
+                for x in blk.basis]
+
+
+@PROPERTY
+@given(st.data())
+def test_cached_blocks_evaluate_the_entry_polynomials(data):
+    """At any order, ints or Fractions, a block built from the engine's
+    cached triangle equals the entrywise pair_poly(x, y).evaluate(p), and
+    holds only ints at an integer order."""
+    m, n = data.draw(st.sampled_from(PROPERTY_DOMAINS))
+    eng = vm.get_engine(m, n)
+    level = data.draw(st.integers(0, 3))
+    content = data.draw(st.sampled_from(sorted(eng.level_basis(level))))
+    p = data.draw(st.one_of(
+        st.integers(-4, 20), st.sampled_from(PROPERTY_ORDERS),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7)))
+    blk = vm.gram_block_for_content(m, n, p, content)
+    assert blk.basis == vm.basis_for_content(m, n, content)
+    assert blk.matrix == [[eng.pair_poly(x, y).evaluate(p) for y in blk.basis]
+                          for x in blk.basis]
+    if isinstance(p, int):
+        assert all(type(v) is int for row in blk.matrix for v in row)
 
 
 # -- symmetry of the index permutations within each parity class -------------
