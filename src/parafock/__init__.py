@@ -22,9 +22,7 @@ from .algebra import (
     make_generator,
     structure_constants,
     superbracket,
-    verify_para_relations,
     verify_relations,
-    verify_triple_relations,
 )
 from .patterns import (
     GZPattern,
@@ -48,7 +46,6 @@ from .reduced import (
     reduced_me_squared,
     residual_from_terms,
     residual_sweep,
-    select_parsing_variant,
     select_parsing_variant_multi,
 )
 from .symfunc import (
@@ -74,10 +71,8 @@ from .verma import (
     VermaEngine,
     diagonal_check,
     get_engine,
-    gram_block,
     gram_blocks_up_to,
     gram_records_up_to,
-    irreducible_dims,
     pbw_basis,
     radical_cut_check,
 )

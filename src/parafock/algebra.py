@@ -256,8 +256,9 @@ def para_relation_rhs(j, xi, k, eta, l, eps, gens, m):
 
 
 def verify_relations(m: int, n: int) -> tuple[dict, dict]:
-    """The reports of verify_triple_relations and verify_para_relations,
-    from one pass that brackets each [[g_j^xi, g_k^eta], g_l^eps] once.
+    """The reports of the defining triple relations and of the parafermion
+    and paraboson double-commutator relations of the two sectors, from one
+    pass that brackets each [[g_j^xi, g_k^eta], g_l^eps] once.
 
     The para relations' left-hand sides are the triple left-hand sides with
     j, k, l in one sector, so each is checked against both right-hand sides
@@ -300,16 +301,6 @@ def verify_relations(m: int, n: int) -> tuple[dict, dict]:
     para["failures"].sort(key=lambda f: (f["sector"] == "paraboson", f["j"],
                                          f["k"], f["l"], f["signs"]))
     return triple, para
-
-
-def verify_triple_relations(m: int, n: int) -> dict:
-    """Exhaustive check of the defining triple relations in the realization."""
-    return verify_relations(m, n)[0]
-
-
-def verify_para_relations(m: int, n: int) -> dict:
-    """Parafermion and paraboson double-commutator relations for the two sectors."""
-    return verify_relations(m, n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -150,11 +150,13 @@ def cmd_verify_algebra(args, out: Emitter) -> bool:
 def _read_patterns(path: str, m: int, n: int) -> list:
     """(rows, GZPattern) per non-blank line of a JSON-lines pattern file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read --validate {path}: {exc.strerror}") \
             from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read --validate {path}: {exc}") from exc
     out = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -166,7 +168,7 @@ def _read_patterns(path: str, m: int, n: int) -> list:
                     and all(type(x) is int for x in row) for row in rows)):
                 raise ValueError("expected an array of integer arrays")
             out.append((rows, patterns.GZPattern.from_rows(m, n, rows)))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep a nesting
             raise UsageError(f"{path}:{number}: {exc}") from exc
     return out
 

@@ -283,16 +283,6 @@ def doubled_weight(content, m: int, n: int, p: int) -> tuple[int, ...]:
                  for o, c in zip(lowest_weight_offset(m, n, p), content))
 
 
-def content_from_doubled_weight(w, m: int, n: int, p: int) -> tuple[int, ...]:
-    """Inverse of doubled_weight: nonnegative creation content per slot."""
-    w = tuple(w)
-    offset = lowest_weight_offset(m, n, p)
-    nums = [x - o for x, o in zip(w, offset)]
-    if len(w) != len(offset) or any(x % 2 or x < 0 for x in nums):
-        raise ValueError(f"{w} is not a reachable doubled weight")
-    return tuple(x // 2 for x in nums)
-
-
 def pattern_weight(pat: GZPattern, p: int) -> tuple[int, ...]:
     """Doubled weight of a valid pattern in the module of order p."""
     if pattern_failures(pat):

@@ -478,15 +478,6 @@ class VariantSelectionError(RuntimeError):
     """Zero or several observationally distinct variants survived the sweep."""
 
 
-def select_parsing_variant(m: int, n: int, p_samples, level_max: int) -> dict:
-    """select_parsing_variant_multi on the one domain (m, n)."""
-    p_samples = list(p_samples)
-    if len(p_samples) < 2:
-        raise ValueError("need at least two p samples")
-    return {"m": m, "n": n,
-            **select_parsing_variant_multi([(m, n)], p_samples, level_max)}
-
-
 def select_parsing_variant_multi(domains, p_samples, level_max: int) -> dict:
     """Pick the unique zero-residual reading of the closed forms jointly
     across several (m, n) domains.

@@ -19,9 +19,10 @@ quotient, the module modulo the radical of the form.
 Permuting the parafermion indices among themselves, or the paraboson indices
 among themselves, fixes the triple relations, the vacuum and the form, so a
 block's size, rank and PSD flag are constant on each S_m x S_n orbit of
-contents.  gram_records_up_to, which gram, matelems and their checks read,
-builds only each orbit representative's block; the other contents' records
-follow from the symmetry.  There the Cartan identity
+contents.  gram_records_up_to, whose records gram and matelems read and
+diagonal_check and radical_cut_check take, builds only each orbit
+representative's block; the other contents' records follow from the
+symmetry.  There the Cartan identity
 {c_b^-, c_b^+} = p + 2 content_b is checked for every boson index b, which
 covers the last index on every content of the orbit.  gram_blocks_up_to
 builds every block; the tests compare the orbit walk against it.
@@ -562,12 +563,6 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
     )
 
 
-def gram_block(m: int, n: int, p: int, weight) -> GramBlock:
-    """Gram block addressed by doubled weight (the external convention)."""
-    content = gz.content_from_doubled_weight(weight, m, n, p)
-    return gram_block_for_content(m, n, p, content)
-
-
 def gram_blocks_up_to(m: int, n: int, p: int, level_max: int):
     """The blocks of levels <= level_max in canonical order (level, then
     content), each built when the walk reaches it."""
@@ -633,20 +628,9 @@ def gram_records_up_to(m: int, n: int, p: int, level_max: int):
                                weight=gz.doubled_weight(content, m, n, p))
 
 
-def irreducible_dims(m: int, n: int, p: int, level_max: int) -> dict:
-    """Doubled weight -> Gram rank, over all weight spaces at levels <= level_max."""
-    return {
-        rec.weight: rec.rank for rec in gram_records_up_to(m, n, p, level_max)
-    }
-
-
-def _records_by_level(m: int, n: int, p: int, level_max: int,
-                      records: list[GramRecord] | None
+def _records_by_level(records: list[GramRecord]
                       ) -> dict[int, list[GramRecord]]:
-    """Level -> the given records, or gram_records_up_to's when records is
-    None."""
-    if records is None:
-        records = gram_records_up_to(m, n, p, level_max)
+    """Level -> the records of that level, in their given order."""
     by_level: dict[int, list[GramRecord]] = {}
     for rec in records:
         by_level.setdefault(sum(rec.content), []).append(rec)
@@ -680,20 +664,20 @@ def diagonal_values(rec: GramRecord) -> list[Fraction]:
 
 
 def diagonal_check(m: int, n: int, p: int, level_max: int,
-                   records: list[GramRecord] | None = None) -> dict:
+                   records: list[GramRecord]) -> dict:
     """Diagonal action of the last generator pair versus the pattern labels.
 
     On a G-orthogonal basis of every non-radical block, the last pair's
     anticommutator (read off the Cartan identity, as in diagonal_values)
     must take the patterns' p + 2*(top row sum - second row sum) as a
     multiset per weight; a failed identity is an "error" failure.
-    `records` are those of gram_records_up_to(m, n, p, level_max), read
-    here when not given, so each content has its orbit representative's
-    verdict, checked there for every boson index.
+    `records` are those of gram_records_up_to(m, n, p, level_max), so each
+    content has its orbit representative's verdict, checked there for every
+    boson index.
     """
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")
-    by_level = _records_by_level(m, n, p, level_max, records)
+    by_level = _records_by_level(records)
     failures = []
     checked = 0
     for level in range(level_max + 1):
@@ -719,19 +703,19 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
 
 
 def radical_cut_check(m: int, n: int, p: int, level_max: int,
-                      records: list[GramRecord] | None = None) -> dict:
+                      records: list[GramRecord]) -> dict:
     """Ranks match the width-capped pattern counts; the cap is sharp.
 
     Verifies per weight that the Gram rank equals the number of patterns with
     top-row width <= p, and that admitting width p+1 strictly overcounts at
     some weight of some level (whenever such patterns exist in range).
-    `records` are those of gram_records_up_to(m, n, p, level_max), read here
-    when not given, so each content has its orbit representative's rank.
+    `records` are those of gram_records_up_to(m, n, p, level_max), so each
+    content has its orbit representative's rank.
     """
     def weight(content):
         return list(gz.doubled_weight(content, m, n, p))
 
-    by_level = _records_by_level(m, n, p, level_max, records)
+    by_level = _records_by_level(records)
     failures = []
     witness = None
     for level in range(level_max + 1):

@@ -28,7 +28,7 @@ def test_criterion_01_triple_relations():
     t0 = time.time()
     ok = True
     for m, n in DOMAINS:
-        rep = alg.verify_triple_relations(m, n)
+        rep = alg.verify_relations(m, n)[0]
         ok &= rep["failures"] == [] and rep["checked"] == 8 * (m + n) ** 3
     _report(1, "defining triple relations hold exactly in the realization",
             ok, t0)
@@ -80,7 +80,8 @@ def test_criterion_05_oracle_character_agreement():
     t0 = time.time()
     ok = True
     for m, n, p, lmax in ORACLE_RUNS:
-        dims = vm.irreducible_dims(m, n, p, lmax)
+        dims = {rec.weight: rec.rank
+                for rec in vm.gram_records_up_to(m, n, p, lmax)}
         ch = sf.irreducible_character(m, n, p, lmax)
         expected = {ch.doubled_weight(e): c for e, c in ch.coeffs.items()}
         ok &= {w: r for w, r in dims.items() if r} == expected
@@ -136,7 +137,8 @@ def test_criterion_08_cut_property():
             top[0] = p
             ok &= rm.reduced_me_squared(tuple(top), 1, p, m, n) == 0
     for m, n, p, lmax in ORACLE_RUNS:
-        rep = vm.radical_cut_check(m, n, p, lmax)
+        rep = vm.radical_cut_check(
+            m, n, p, lmax, list(vm.gram_records_up_to(m, n, p, lmax)))
         ok &= rep["ok"]
     _report(8, "first slot vanishes exactly at width p and the Gram radical "
                "removes exactly the wide patterns", ok, t0)
@@ -144,7 +146,8 @@ def test_criterion_08_cut_property():
 
 def test_criterion_09_diagonal_action():
     t0 = time.time()
-    rep = vm.diagonal_check(1, 1, 2, 3)
+    rep = vm.diagonal_check(1, 1, 2, 3,
+                            list(vm.gram_records_up_to(1, 1, 2, 3)))
     _report(9, "diagonal anticommutator values match the pattern labels",
             rep["ok"], t0)
 

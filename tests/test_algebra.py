@@ -77,7 +77,7 @@ def test_sqrt2_bookkeeping():
     [(m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4],
 )
 def test_triple_relations(m, n):
-    rep = alg.verify_triple_relations(m, n)
+    rep = alg.verify_relations(m, n)[0]
     assert rep["failures"] == []
     assert rep["checked"] == 8 * (m + n) ** 3
 
@@ -94,7 +94,7 @@ def test_triple_relation_specific_instance():
 
 @pytest.mark.parametrize("m,n", [(2, 0), (0, 2), (2, 1), (1, 2)])
 def test_para_relations(m, n):
-    rep = alg.verify_para_relations(m, n)
+    rep = alg.verify_relations(m, n)[1]
     assert rep["failures"] == []
 
 
@@ -108,7 +108,7 @@ def test_para_relation_failure_records(monkeypatch):
         return g.scale(2) if (gid.index, gid.sign) in ((1, "+"), (4, "-")) else g
 
     monkeypatch.setattr(alg, "make_generator", doubled)
-    rep = alg.verify_para_relations(2, 2)
+    rep = alg.verify_relations(2, 2)[1]
     expected = [
         ("parafermion", (1, 1, 1), "+-+ +-- -++ -+-"),
         ("parafermion", (1, 2, 1), "++- +-- -++ --+"),
@@ -169,8 +169,9 @@ def test_relation_checks_keep_no_table_between_calls(monkeypatch, capsys):
     triple, para = recs[1:3]
     assert triple["check"] == "triple_relations" and triple["failures"] > 0
     assert para == {"check": "para_relations", "checked": 128, "failures": 26}
-    assert (alg.verify_relations(2, 2)[1]["failures"]
-            == alg.verify_para_relations(2, 2)["failures"])
+    failures = alg.verify_relations(2, 2)[1]["failures"]
+    assert alg.verify_relations(2, 2)[1]["failures"] == failures
+    assert len(failures) == para["failures"]
 
 
 def test_paraboson_anticommutator_instance():

@@ -261,6 +261,19 @@ def test_validate_malformed_line_is_usage_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe[[1,0],[0]]\n", id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"\n", id="nested-past-the-recursion-limit"),
+])
+def test_unreadable_validate_file_is_usage_error(tmp_path, content):
+    fixture = tmp_path / "patterns.jsonl"
+    fixture.write_bytes(content)
+    code, out, err = run_cli("dims", "--m", "1", "--n", "1",
+                             "--validate", str(fixture))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_several_orders_are_a_returned_usage_error(capsys):
     for command in ("char", "gk-table", "gram", "matelems"):
         assert main([command, "--m", "1", "--n", "1", "--p", "1,2"]) == 2

@@ -1,6 +1,7 @@
 """Package-wide checks: no floating point in the sources, no module-level
-definition that only the tests reach, and the README's library quick tour
-runs as printed."""
+definition that only the tests reach, apart from the named references that
+the package re-exports, and the README's library quick tour runs as
+printed."""
 
 import ast
 import os
@@ -92,6 +93,34 @@ def test_package_defines_nothing_only_tests_reach():
                for path in sorted(PACKAGE.glob("*.py"))}
     assert "__init__.py" in sources
     assert unreferenced_definitions(sources) == []
+
+
+# Module-level definitions that only parafock/__init__.py's re-exports
+# reach: no command calls them, and each is a reference the tests compare
+# a command's path with.
+EXPORT_ONLY = {
+    "gram_blocks_up_to": "every content's own block, the walk the orbit "
+                         "walk is tested against",
+    "lr_coefficient": "one LR coefficient, the reference for the LR tableau "
+                      "counts the character identity sums",
+    "recurrence_residual": "one residual through a fresh G_k^2 table, the "
+                           "reference for the sweep's shared table",
+    "has_arm_leg_offset": "the Frobenius arm-leg test that "
+                          "offset_family_partitions is checked against",
+    "pattern_weight": "a validated pattern's doubled weight, which the "
+                      "tests of the vacuum shift and the diagonal labels read",
+}
+
+
+def test_export_only_definitions_are_the_named_references():
+    """Without __init__.py, whose from-imports re-export the API, exactly
+    the EXPORT_ONLY names are unreferenced; each is still exported."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    found = {name for _, _, name in unreferenced_definitions(sources)}
+    assert found == set(EXPORT_ONLY)
+    assert all(hasattr(parafock, name) for name in EXPORT_ONLY)
 
 
 def readme_quick_tour():

@@ -178,7 +178,9 @@ def test_vacuum_shift_roundtrip(m, n, p):
         w = gz.doubled_weight(c, m, n, p)
         assert w == tuple(o + 2 * x for o, x in
                           zip(sf.lowest_weight_offset(m, n, p), c))
-        assert gz.content_from_doubled_weight(w, m, n, p) == c
+    # the shift is injective, so a doubled weight names one content
+    assert len({gz.doubled_weight(c, m, n, p) for c in contents}) \
+        == len(contents)
 
 
 @pytest.mark.parametrize("m,n,p", SHIFT_CASES)
@@ -189,13 +191,6 @@ def test_pattern_weight_is_shifted_content(m, n, p):
                 c = gz.pattern_content(pat)
                 assert sum(c) == level and min(c) >= 0
                 assert gz.pattern_weight(pat, p) == gz.doubled_weight(c, m, n, p)
-
-
-def test_content_from_doubled_weight_rejects_unreachable_weights():
-    assert gz.content_from_doubled_weight((-2, 2), 1, 1, 2) == (0, 0)
-    for w in ((-1, 2), (-2, 3), (-4, 2), (-2, 0), (-2,), (-2, 2, 2)):
-        with pytest.raises(ValueError):
-            gz.content_from_doubled_weight(w, 1, 1, 2)
 
 
 @pytest.mark.parametrize("m,n,p", [c for c in SHIFT_CASES if c[1] >= 1])

@@ -143,11 +143,9 @@ def test_recurrence_sweep_default_variant(m, n):
 
 
 def test_select_parsing_variant_single_domain():
-    rep = rm.select_parsing_variant(1, 1, [2, 3], 4)
+    rep = rm.select_parsing_variant_multi([(1, 1)], [2, 3], 4)
     assert rep["selected"] == V
     assert "mult:cancel:boson" in rep["survivors"]
-    with pytest.raises(ValueError):
-        rm.select_parsing_variant(1, 1, [2], 4)
 
 
 def test_select_parsing_variant_joint_domain_unique():
@@ -313,15 +311,6 @@ def test_variant_selection_builds_each_term_table_once(monkeypatch):
     assert len(rep["per_variant"]) == 12
     assert sum(configs[s["m"], s["n"]] for s in rep["per_variant"]) == 174
     assert len(calls) == 61
-
-
-def test_single_domain_selection_is_the_joint_one():
-    single = rm.select_parsing_variant(2, 1, [1, 2, 3], 3)
-    joint = rm.select_parsing_variant_multi([(2, 1)], [1, 2, 3], 3)
-    for key in ("selected", "survivors", "per_variant", "p_samples",
-                "level_max"):
-        assert single[key] == joint[key]
-    assert (single["m"], single["n"]) == (2, 1)
 
 
 def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):

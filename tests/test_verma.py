@@ -230,8 +230,8 @@ def test_gram_level_one_diagonal_p():
 
 
 def test_gram_block_by_doubled_weight():
-    blk = vm.gram_block(1, 1, 2, (-2, 4))
-    assert blk.content == (0, 1)
+    blk = vm.gram_block_for_content(1, 1, 2, (0, 1))
+    assert blk.weight == (-2, 4)
     assert blk.matrix == [[Fraction(2)]]
 
 
@@ -332,7 +332,8 @@ def test_radical_at_order_one():
     (1, 1, 1, 4), (1, 1, 2, 4), (2, 1, 1, 3), (1, 2, 2, 3),
 ])
 def test_ranks_match_irreducible_character(m, n, p, lmax):
-    dims = vm.irreducible_dims(m, n, p, lmax)
+    dims = {rec.weight: rec.rank
+            for rec in vm.gram_records_up_to(m, n, p, lmax)}
     ch = sf.irreducible_character(m, n, p, lmax)
     expected = {ch.doubled_weight(e): c for e, c in ch.coeffs.items()}
     assert {w: r for w, r in dims.items() if r} == expected
@@ -363,28 +364,34 @@ def test_rank_independent_of_basis_order():
         assert rank == blk.rank and psd == blk.psd
 
 
+def orbit_check(check, m, n, p, level_max):
+    """check's report on the orbit walk's records, as gram reads it."""
+    return check(m, n, p, level_max,
+                 list(vm.gram_records_up_to(m, n, p, level_max)))
+
+
 def test_diagonal_check():
-    rep = vm.diagonal_check(1, 1, 2, 4)
+    rep = orbit_check(vm.diagonal_check, 1, 1, 2, 4)
     assert rep["ok"] and rep["checked"] > 0
-    rep = vm.diagonal_check(2, 1, 1, 2)
+    rep = orbit_check(vm.diagonal_check, 2, 1, 1, 2)
     assert rep["ok"]
-    rep = vm.diagonal_check(1, 2, 3, 3)
+    rep = orbit_check(vm.diagonal_check, 1, 2, 3, 3)
     assert rep["ok"]
 
 
 def test_diagonal_check_rejects_n0():
     with pytest.raises(ValueError):
-        vm.diagonal_check(2, 0, 1, 2)
+        orbit_check(vm.diagonal_check, 2, 0, 1, 2)
 
 
 def test_radical_cut_check():
-    rep = vm.radical_cut_check(1, 1, 1, 2)
+    rep = orbit_check(vm.radical_cut_check, 1, 1, 1, 2)
     assert rep["ok"] and rep["cut_witness"] is not None
-    rep = vm.radical_cut_check(1, 1, 2, 2)
+    rep = orbit_check(vm.radical_cut_check, 1, 1, 2, 2)
     assert rep["ok"] and rep["cut_expected"] is False
-    rep = vm.radical_cut_check(1, 1, 2, 3)
+    rep = orbit_check(vm.radical_cut_check, 1, 1, 2, 3)
     assert rep["ok"] and rep["cut_witness"]["level"] == 3
-    rep = vm.radical_cut_check(1, 1, 1, 2)
+    rep = orbit_check(vm.radical_cut_check, 1, 1, 1, 2)
     assert rep["cut_witness"] == {"level": 2, "weight": [1, 3],
                                   "wide_count": 2, "capped_count": 1}
 
@@ -734,7 +741,7 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
         vm.diagonal_values(
             vm.gram_record(vm.gram_block_for_content(1, 1, 2, (0, 1)), (2,)))
     assert str(weight) in str(exc.value)
-    rep = vm.diagonal_check(1, 1, 2, 2)
+    rep = orbit_check(vm.diagonal_check, 1, 1, 2, 2)
     assert not rep["ok"]
     assert [f["weight"] for f in rep["failures"]] == [weight]
     assert "error" in rep["failures"][0]
@@ -764,7 +771,7 @@ def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
         return image(lab, x)
 
     monkeypatch.setattr(eng, "_action_image", poisoned)
-    rep = vm.diagonal_check(1, 2, 2, 2)
+    rep = orbit_check(vm.diagonal_check, 1, 2, 2, 2)
     weights = [list(gz.doubled_weight(c, 1, 2, 2))
                for c in ((0, 0, 1), (0, 1, 0))]
     assert not rep["ok"]
@@ -945,11 +952,12 @@ def test_orbit_walk_matches_the_all_content_walk(m, n, level_max, monkeypatch,
 
     for p in (1, 2, 3):
         reference = list(all_content_records(m, n, p, level_max))
-        assert list(vm.gram_records_up_to(m, n, p, level_max)) == reference
-        assert vm.radical_cut_check(m, n, p, level_max) \
+        records = list(vm.gram_records_up_to(m, n, p, level_max))
+        assert records == reference
+        assert vm.radical_cut_check(m, n, p, level_max, records) \
             == vm.radical_cut_check(m, n, p, level_max, reference)
         if n:
-            assert vm.diagonal_check(m, n, p, level_max) \
+            assert vm.diagonal_check(m, n, p, level_max, records) \
                 == vm.diagonal_check(m, n, p, level_max, reference)
         for command in ("gram", "matelems"):
             argv = [command, "--m", str(m), "--n", str(n), "--p", str(p),
