@@ -64,10 +64,6 @@ class SuperMatrix:
         self.sqrt2_power = sqrt2_power if ent else 0
         self.parity = self._infer_parity(parity)
 
-    @property
-    def size(self) -> int:
-        return 2 * self.m + 2 * self.n + 1
-
     def _infer_parity(self, declared):
         pars = {
             (index_parity(i, self.m, self.n) + index_parity(j, self.m, self.n)) % 2

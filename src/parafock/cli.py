@@ -83,10 +83,11 @@ def _meta(command: str, **extra) -> dict:
     return {"meta": command, "schema_version": 1, **extra}
 
 
-def _check_session(args, need_p=True):
+def _check_session(args, need_p=True, domain=True):
     """Raise UsageError for out-of-range options.  --p must be >= 1, or
-    >= 0 where need_p is False (p = 0 caps dims at the vacuum)."""
-    if args.m < 0 or args.n < 0 or args.m + args.n < 1:
+    >= 0 where need_p is False (p = 0 caps dims at the vacuum); --m/--n
+    are skipped where domain is False (verify-id2 --domains)."""
+    if domain and (args.m < 0 or args.n < 0 or args.m + args.n < 1):
         raise UsageError("need m >= 0, n >= 0 and m + n >= 1")
     low = 1 if need_p else 0
     if args.p is not None and min(args.p) < low:
@@ -243,11 +244,13 @@ def _parse_domains(text: str):
 
 
 def cmd_verify_id2(args, out: Emitter) -> bool:
-    _check_session(args)
+    if args.domains is None and (args.m is None or args.n is None):
+        raise UsageError("verify-id2 needs --m and --n, or --domains")
+    _check_session(args, domain=args.domains is None)
     p_values = args.p or [1, 2, 3]
     if len(set(p_values)) != len(p_values):
         raise UsageError("--p values must be distinct")
-    if args.domains:
+    if args.domains is not None:
         try:
             domains = _parse_domains(args.domains)
         except ValueError as exc:
@@ -391,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, levels=None, degree=None, variant=False):
-        sp.add_argument("--m", type=int, required=True)
-        sp.add_argument("--n", type=int, required=True)
+    def common(sp, levels=None, degree=None, variant=False, domain=True):
+        sp.add_argument("--m", type=int, required=domain)
+        sp.add_argument("--n", type=int, required=domain)
         sp.add_argument("--p", type=_p_list, default=None,
                         help="order parameter; comma list where applicable")
         if levels is not None:
@@ -427,9 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-id2",
                         help="diagonal recurrence sweep / variant selection")
-    common(sp, levels=4, variant=True)
+    common(sp, levels=4, variant=True, domain=False)
     sp.add_argument("--domains", default=None,
-                    help="joint sweep domains as 'm,n;m,n;...'")
+                    help="joint sweep domains as 'm,n;m,n;...', "
+                         "in place of --m/--n")
     sp.set_defaults(func=cmd_verify_id2)
 
     sp = sub.add_parser("gk-table", help="reduced matrix element tables")

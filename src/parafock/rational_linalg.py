@@ -108,17 +108,18 @@ def symmetric_rank_psd(gram):
     pivoting: the pivot is the first remaining index with a nonzero diagonal.
     Every intermediate entry is an integer minor, so each division is exact;
     the k-th pivot element is the leading principal minor M_k over the first
-    k pivot indices (M_0 = 1).  Returns (rank, psd, pivots, pivot_rows):
+    k pivot indices (M_0 = 1).  Returns (rank, psd, pivots, pivot_indices):
 
     - pivots are the LDL pivots M_k / M_(k-1) as Fractions, and double as
       the PSD certificate;
-    - pivot_rows holds the integer transform row u_k of each pivot at pivot
-      time.  u_k / M_(k-1) is the k-th pivot's LDL transform row,
-      G-orthogonal to the earlier ones, and u_k^T G u_k = M_(k-1) * M_k.
+    - pivot_indices are the basis positions pivoted on, in pivot order.
+      The k-th pivot's LDL transform row, G-orthogonal to the earlier ones,
+      is supported on the first k pivot positions and nonzero at the k-th,
+      so the transform rows together are supported on pivot_indices.
 
     When every remaining diagonal entry vanishes inside a nonzero remaining
     block (the matrix is indefinite), the rank comes from general
-    elimination and pivot_rows is None.  Entries must be integers
+    elimination and pivot_indices is None.  Entries must be integers
     (TypeError otherwise); a non-symmetric matrix raises ValueError.
     """
     a = [list(map(operator.index, row)) for row in gram]
@@ -127,10 +128,9 @@ def symmetric_rank_psd(gram):
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    c = [[int(i == j) for j in range(nn)] for i in range(nn)]
     remaining = list(range(nn))
     pivots = []
-    pivot_rows = []
+    pivot_indices = []
     psd = True
     prev = 1  # the leading minor of the pivots so far
     while remaining:
@@ -148,8 +148,8 @@ def symmetric_rank_psd(gram):
             psd = False
         pivots.append(Fraction(d, prev))
         remaining.remove(pi)
-        row, crow = a[pi], c[pi]
-        pivot_rows.append(crow)
+        pivot_indices.append(pi)
+        row = a[pi]
         # row-only update: the two symmetric cross terms cancel, so the
         # remaining block stays symmetric and equals the congruence reduction;
         # rows with a zero in the pivot column are only rescaled to M_k
@@ -157,9 +157,7 @@ def symmetric_rank_psd(gram):
             f = a[j][pi]
             if f:
                 a[j] = [(d * x - f * y) // prev for x, y in zip(a[j], row)]
-                c[j] = [(d * x - f * y) // prev for x, y in zip(c[j], crow)]
             elif d != prev:
                 a[j] = [d * x // prev for x in a[j]]
-                c[j] = [d * x // prev for x in c[j]]
         prev = d
-    return len(pivots), psd, pivots, pivot_rows
+    return len(pivots), psd, pivots, pivot_indices

@@ -504,10 +504,9 @@ class GramBlock:
 
     matrix holds the exact Gram entries in the type of the order p: ints at
     an integer p, so a block at a positive order holds no Fraction.
-    pivots are the LDL pivots (Fractions); pivot_rows are the integer
-    transform rows u_k of symmetric_rank_psd, over the entries of matrix
-    times their common denominator, or None when the elimination stalled on
-    an indefinite block.
+    pivots are the LDL pivots (Fractions); pivot_indices are the basis
+    positions symmetric_rank_psd pivoted on, in pivot order, or None when
+    the elimination stalled on an indefinite block.
     """
 
     m: int
@@ -520,7 +519,7 @@ class GramBlock:
     rank: int
     psd: bool
     pivots: list[Fraction]
-    pivot_rows: list[list[int]] | None
+    pivot_indices: list[int] | None
 
     @property
     def size(self) -> int:
@@ -552,14 +551,14 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
         den = math.lcm(*(x.denominator for row in mat for x in row))
         ints = [[x.numerator * (den // x.denominator) for x in row]
                 for row in mat]
-    rank, psd, pivots, pivot_rows = symmetric_rank_psd(ints)
+    rank, psd, pivots, pivot_indices = symmetric_rank_psd(ints)
     if den != 1:
         pivots = [d / den for d in pivots]
     return GramBlock(
         m=m, n=n, p=p, content=tuple(content),
         weight=gz.doubled_weight(content, m, n, p),
         basis=list(basis), matrix=mat, rank=rank, psd=psd, pivots=pivots,
-        pivot_rows=pivot_rows,
+        pivot_indices=pivot_indices,
     )
 
 
@@ -575,9 +574,9 @@ class GramRecord(NamedTuple):
     """What gram, matelems and their checks read of one weight space at
     order p.
 
-    pivot_count is the number of pivot rows, None when the elimination
+    pivot_count is the number of pivots, None when the elimination
     stalled; cartan is whether the Cartan identity of every checked
-    generator pair holds on the pivot rows' support.
+    generator pair holds on each pivot monomial.
     """
 
     content: tuple[int, ...]
@@ -592,17 +591,18 @@ class GramRecord(NamedTuple):
 def gram_record(block: GramBlock, indices) -> GramRecord:
     """The block's record, with the Cartan identity {c_b^-, c_b^+} =
     p + 2 content_b checked for each generator index b in indices
-    (engine.acts_by_weight) on every monomial of the pivot rows' support."""
-    rows = block.pivot_rows
+    (engine.acts_by_weight) on every pivot monomial, the basis monomial at
+    one of the block's pivot indices.  The elimination's LDL transform rows
+    lie in the span of the pivot monomials."""
+    pivot_indices = block.pivot_indices
     engine = get_engine(block.m, block.n)
-    support = dict.fromkeys(mono for u in rows or ()
-                            for mono, c in zip(block.basis, u) if c)
     return GramRecord(
         content=block.content, weight=block.weight, size=block.size,
         rank=block.rank, psd=block.psd,
-        pivot_count=None if rows is None else len(rows),
-        cartan=rows is not None and all(engine.acts_by_weight(b, mono)
-                                        for b in indices for mono in support))
+        pivot_count=None if pivot_indices is None else len(pivot_indices),
+        cartan=pivot_indices is not None and all(
+            engine.acts_by_weight(b, block.basis[i])
+            for b in indices for i in pivot_indices))
 
 
 def gram_records_up_to(m: int, n: int, p: int, level_max: int):
@@ -643,15 +643,15 @@ def _records_by_level(records: list[GramRecord]
 
 def diagonal_values(rec: GramRecord) -> list[Fraction]:
     """Sorted values of the last generator pair's anticommutator on the
-    G-orthogonal basis of the pivot rows of the record's block, at the
+    G-orthogonal basis of LDL transform rows of the record's block, at the
     record's order.
 
-    On a pivot row u_k the value is (u_k^T G B u_k) / (M_(k-1) * M_k), B the
-    pair.  If B acts by the weight's last entry w on each monomial of the
-    rows' support (the record's Cartan verdict), B u_k = w u_k and
-    u_k^T G u_k = M_(k-1) * M_k make every value w.  Raises ArithmeticError,
-    naming the weight, if that Cartan identity fails or the elimination
-    stalled.
+    On a transform row u_k the value is (u_k^T G B u_k) / (u_k^T G u_k), B
+    the pair.  Every u_k lies in the span of the pivot monomials, so if B
+    acts by the weight's last entry w on each pivot monomial (the record's
+    Cartan verdict), B u_k = w u_k and every value is w.  Raises
+    ArithmeticError, naming the weight, if that Cartan identity fails or
+    the elimination stalled.
     """
     if rec.pivot_count is None:
         raise ArithmeticError(

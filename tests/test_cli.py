@@ -119,6 +119,32 @@ def test_verify_id2_out_of_range_domain_is_usage_error(domains):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("domain_args", [
+    ("--m", "0", "--n", "0"), ("--m", "-1", "--n", "5"), ("--m", "2"), ()])
+def test_verify_id2_domains_make_m_and_n_optional(domain_args):
+    """With --domains, --m/--n are neither required nor range-checked, and
+    the output equals that of --m 1 --n 1."""
+    tail = ("--domains", "1,1;2,1", "--p", "2,3", "--levels", "2")
+    want = run_cli("verify-id2", "--m", "1", "--n", "1", *tail)
+    assert want[0] == 0 and want[1]
+    assert run_cli("verify-id2", *domain_args, *tail) == want
+
+
+@pytest.mark.parametrize("domain_args", [("--m", "1"), ("--n", "1"), ()])
+def test_verify_id2_without_domains_needs_m_and_n(domain_args):
+    code, out, err = run_cli("verify-id2", *domain_args, "--p", "2,3",
+                             "--levels", "2")
+    assert code == 2 and out == ""
+    assert err == "error: verify-id2 needs --m and --n, or --domains\n"
+
+
+def test_verify_id2_empty_domains_is_a_usage_error():
+    code, out, err = run_cli("verify-id2", "--m", "1", "--n", "1",
+                             "--domains", "", "--p", "2,3", "--levels", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --domains expects 'm,n;m,n;...'\n"
+
+
 @pytest.mark.parametrize("domains", ["1,1;1,1", "1,1;2,1;1,1"])
 @pytest.mark.parametrize("variant", ["auto", "mult:cancel:boson"])
 def test_verify_id2_repeated_domains_are_a_usage_error(domains, variant):

@@ -126,24 +126,43 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+def det(rows):
+    """Exact determinant by Fraction elimination."""
+    a = [list(map(Fraction, r)) for r in rows]
+    out = Fraction(1)
+    for c in range(len(a)):
+        pr = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            out = -out
+        out *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out
+
+
 def check_against_reference(gram):
-    """symmetric_rank_psd agrees with the LDL reference, and its pivot rows
-    are G-orthogonal integer rows with the documented scales."""
-    rank, psd, pivots, pivot_rows = symmetric_rank_psd(gram)
+    """symmetric_rank_psd agrees with the LDL reference, and its pivot
+    indices are rank distinct positions whose first k span a principal
+    minor equal to the product of the first k pivots; on a PSD matrix the
+    elimination never returns to a skipped index, so they ascend."""
+    rank, psd, pivots, pivot_indices = symmetric_rank_psd(gram)
     assert (rank, psd, pivots) == ldl_reference(gram)
     assert rank == matrix_rank(gram)
     assert all(type(x) is Fraction for x in pivots)
-    if pivot_rows is None:
+    if pivot_indices is None:
         return False
-    assert len(pivot_rows) == rank
-    minor = prev = 1
-    for k, (u, d) in enumerate(zip(pivot_rows, pivots)):
-        prev, minor = minor, minor * d
-        assert all(type(x) is int for x in u)
-        ug = [dot(u, col) for col in gram]
-        assert dot(u, ug) == prev * minor
-        for u2 in pivot_rows[:k]:
-            assert dot(u2, ug) == 0
+    assert len(set(pivot_indices)) == len(pivot_indices) == rank
+    minor = 1
+    for k, d in enumerate(pivots, 1):
+        minor *= d
+        lead = pivot_indices[:k]
+        assert det([[gram[i][j] for j in lead] for i in lead]) == minor
+    if psd:
+        assert pivot_indices == sorted(pivot_indices)
     return True
 
 

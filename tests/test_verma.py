@@ -316,7 +316,7 @@ def test_radical_at_order_one():
     blk = vm.gram_block_for_content(1, 1, 1, (2, 0))
     assert blk.size == 1 and blk.rank == 0 and blk.psd
     assert blk.basis == [vm.PBWMonomial((2, 0), (0,))]
-    assert blk.matrix == [[0]] and blk.pivots == [] and blk.pivot_rows == []
+    assert blk.matrix == [[0]] and blk.pivots == [] and blk.pivot_indices == []
     blk2 = vm.gram_block_for_content(1, 1, 1, (1, 1))
     assert (blk2.size, blk2.rank, blk2.psd) == (2, 1, True)
     assert blk2.pivots == [Fraction(4)]
@@ -611,10 +611,11 @@ def test_creation_and_annihilation_shift_the_content(case, sign, p):
 
 # -- Gram-Schmidt reference for the diagonal values --------------------------
 # Gram-Schmidt in basis order against the block form, as diagonal_values
-# computed it before it read the elimination's pivot rows.
+# computed it before it read the elimination.
 
 def orthogonalize(block):
-    """Exact Gram-Schmidt against the block form; returns coordinate vectors."""
+    """Exact Gram-Schmidt against the block form; returns the coordinate
+    vectors kept, their squared norms and the basis index of each."""
     g = block.matrix
     nb = block.size
 
@@ -624,6 +625,7 @@ def orthogonalize(block):
 
     kept: list[list[Fraction]] = []
     norms: list[Fraction] = []
+    indices: list[int] = []
     for i in range(nb):
         u = [Fraction(0)] * nb
         u[i] = Fraction(1)
@@ -635,14 +637,15 @@ def orthogonalize(block):
         if nu:
             kept.append(u)
             norms.append(nu)
-    return kept, norms
+            indices.append(i)
+    return kept, norms, indices
 
 
 def reference_diagonal_values(block):
     r = block.m + block.n
     label = ("bb", r, r, "-", "+")
     eng = vm.get_engine(block.m, block.n)
-    kept, norms = orthogonalize(block)
+    kept, norms, _ = orthogonalize(block)
     values = []
     for u, nu in zip(kept, norms):
         image = eng.act(label, {mo: c for mo, c in zip(block.basis, u) if c},
@@ -659,17 +662,15 @@ def reference_diagonal_values(block):
     (1, 1, 6), (2, 1, 5), (1, 2, 5), (0, 2, 5), (2, 2, 4),
 ])
 def test_diagonal_values_match_gram_schmidt(m, n, level_max):
-    """The pivot rows over M_(k-1) are the Gram-Schmidt vectors, and the
-    diagonal values read from them equal the Gram-Schmidt ones."""
+    """The pivot indices are the basis indices Gram-Schmidt keeps, the
+    pivots are its squared norms, and the diagonal values read from the
+    pivot monomials equal the Gram-Schmidt ones."""
     radicals = 0
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(m, n, p, level_max):
-            kept, _ = orthogonalize(blk)
-            minor = 1
-            assert len(blk.pivot_rows) == len(kept) == blk.rank
-            for u, d, v in zip(blk.pivot_rows, blk.pivots, kept):
-                assert [Fraction(x, minor) for x in u] == v
-                minor *= d
+            _, norms, indices = orthogonalize(blk)
+            assert blk.pivot_indices == indices and len(indices) == blk.rank
+            assert blk.pivots == norms
             assert vm.diagonal_values(vm.gram_record(blk, (m + n,))) \
                 == reference_diagonal_values(blk)
             radicals += blk.size - blk.rank
@@ -693,9 +694,9 @@ def test_diagonal_values_on_indefinite_forms(p):
 
 def test_diagonal_values_raise_on_stalled_elimination():
     """At p = -1 the (1, 1, 2) block of (3, 0) leaves a nonzero block with a
-    zero diagonal, so there are no pivot rows to read."""
+    zero diagonal, so there are no pivot indices to read."""
     blk = vm.gram_block_for_content(3, 0, -1, (1, 1, 2))
-    assert blk.pivot_rows is None and not blk.psd
+    assert blk.pivot_indices is None and not blk.psd
     with pytest.raises(ArithmeticError):
         vm.diagonal_values(vm.gram_record(blk, (3,)))
 
@@ -784,6 +785,30 @@ def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
     errors = [json.loads(line) for line in capsys.readouterr().out.splitlines()
               if '"error"' in line]
     assert [r["weight"] for r in errors] == weights
+
+
+@pytest.mark.parametrize("poison,cartan", [(1, True), (0, False)])
+def test_cartan_verdict_reads_exactly_the_pivot_monomials(monkeypatch,
+                                                          poison, cartan):
+    """Content (1, 1) of (1, 1) at p = 1 has the Gram block [[4, 2], [2, 1]]
+    (rank 1), so the elimination pivots on monomial 0 alone.  A wrong action
+    image of the last pair on monomial 1 leaves the Cartan verdict True; on
+    monomial 0 it makes the verdict False."""
+    eng = vm.VermaEngine(1, 1)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    blk = vm.gram_block_for_content(1, 1, 1, (1, 1))
+    assert blk.matrix == [[4, 2], [2, 1]] and blk.rank == 1
+    mono = blk.basis[poison]
+    label = ("bb", 2, 2, "-", "+")
+    image = eng._action_image
+
+    def poisoned(lab, x):
+        if (lab, x) == (label, mono):
+            return {mono: vm.PPoly((3, 1))}
+        return image(lab, x)
+
+    monkeypatch.setattr(eng, "_action_image", poisoned)
+    assert vm.gram_record(blk, (2,)).cartan is cartan
 
 
 MEMOIZED = ("level_basis", "_insert_letter", "_lead", "low", "bracket",
