@@ -3,7 +3,10 @@
 Everything here is exact integer arithmetic: characters are finitely truncated
 multivariate series with nonnegative integer coefficients, and Schur-type
 polynomials are computed by the branching rule, one variable at a time, with
-each intermediate skew shape cached (no determinants, no division).
+each intermediate skew shape cached (no determinants, no division).  The
+cache holds only the coefficients at weakly decreasing exponent vectors;
+symmetry gives the rest, and each vector is spread over its distinct
+permutations when a full expansion is needed.
 
 Partitions are validated once, where they enter a public function; the
 recursions below work on normalised tuples.  A sum of supersymmetric Schur
@@ -11,7 +14,9 @@ polynomials s_la(x|y) = sum_tau s_{la/tau}(x) s_{tau'}(y) is taken one inner
 shape tau at a time: the x-parts of every la are added first, then each tau
 takes one product with its y-part.  The coefficient identity behind the
 character formula counts Littlewood-Richardson tableaux once per
-(gamma, sigma), every content at once, instead of once per triple.
+(gamma, sigma), every content at once, instead of once per triple.  The
+closed product form of the Verma character is applied to a series factor by
+factor, never expanded and multiplied in.
 """
 
 from __future__ import annotations
@@ -194,21 +199,44 @@ def skew_schur_monomials(la, mu, nvars: int) -> dict:
 
     Returns {exponent tuple: multiplicity}. Empty dict when the skew shape is
     not fillable (e.g. some column is taller than nvars) or mu is not contained
-    in la.  la and mu are normalised and validated here, once; the branching
+    in la.  la, mu and nvars are validated here, once; the branching
     recursion below works on normalised partitions only.
     """
-    return _skew_schur(check_partition(la), check_partition(mu), nvars)
+    la = check_partition(la)
+    mu = check_partition(mu)
+    if nvars < 0:
+        raise ValueError(f"negative variable count {nvars!r}")
+    return {e: c for vec, c in _skew_schur(la, mu, nvars).items()
+            for e in _orbit(vec)}
+
+
+@lru_cache(maxsize=None)
+def _orbit(vec) -> tuple:
+    """The distinct permutations of the weakly decreasing tuple vec."""
+    if not vec:
+        return ((),)
+    out = []
+    for i, v in enumerate(vec):
+        if i and v == vec[i - 1]:
+            continue
+        out.extend((v,) + rest for rest in _orbit(vec[:i] + vec[i + 1:]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _skew_schur(la, mu, nvars: int) -> dict:
-    """skew_schur_monomials on normalised partitions.
+    """The coefficients of s_{la/mu}(x_1..x_nvars) at weakly decreasing
+    exponent vectors (skew Kostka numbers), on normalised partitions.
 
+    s_{la/mu} is symmetric, so these fix every other coefficient (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5); _orbit spreads them.
     Branching rule: the entries equal to the largest letter k form a
     horizontal strip la/nu, so s_{la/mu}(x_1..x_k) is the sum over nu of
-    s_{nu/mu}(x_1..x_{k-1}) x_k^|la/nu|.  The recursion goes through this
-    cache, so intermediate shapes are shared; its one-letter step is
-    written out, not cached.
+    s_{nu/mu}(x_1..x_{k-1}) x_k^e, e = |la/nu|.  e is the last and smallest
+    entry of a decreasing vector, so only the vectors of s_{nu/mu} ending
+    in an entry >= e are read, and nu with |nu/mu| < (k-1) e is skipped.
+    The recursion goes through this cache, so intermediate shapes are
+    shared; its one-letter step is written out, not cached.
     """
     if not _contains(la, mu):
         return {}
@@ -228,14 +256,17 @@ def _skew_schur(la, mu, nvars: int) -> dict:
     out: dict[tuple[int, ...], int] = {}
     for rows in itertools.product(*choices):
         size = sum(rows)
+        e = top - size
+        if size - low < k * e:
+            continue
         if k == 1:  # nu/mu is a horizontal strip: x_1^|nu/mu|
             rest = {(size - low,): 1}
         else:
             rest = _skew_schur(tuple(x for x in rows if x), mu, k)
-        last = (top - size,)
-        for e, c in rest.items():
-            key = e + last
-            out[key] = out.get(key, 0) + c
+        for vec, c in rest.items():
+            if vec[-1] >= e:
+                key = vec + (e,)
+                out[key] = out.get(key, 0) + c
     return out
 
 
@@ -354,64 +385,6 @@ class TruncatedCharacter:
     def with_offset(self, offset):
         return TruncatedCharacter(self.m, self.n, self.cap, self.coeffs, offset)
 
-    def _check(self, other):
-        if (self.m, self.n, self.cap) != (other.m, other.n, other.cap):
-            raise ValueError("incompatible truncated characters")
-
-    def __mul__(self, other):
-        """The product, truncated at cap.  The inner loop adds exponent
-        vectors packed into ints, sum(e_i * (cap + 1)**i) (Monagan and
-        Pearce's packed exponent vectors): exponents are nonnegative and a
-        kept product has degree <= cap, so no slot carries into the next.
-        """
-        self._check(other)
-        offset = tuple(a + b for a, b in zip(self.offset, other.offset))
-        packed: dict[int, int] = {}
-        cap = self.cap
-        powers = [(cap + 1) ** i for i in range(self.m + self.n)]
-        small, big = sorted((self.coeffs, other.coeffs), key=len)
-        big_by_degree = _packed_by_degree(big, cap, powers)
-        for d1, terms in enumerate(_packed_by_degree(small, cap, powers)):
-            # the terms of big whose degree keeps the product within cap
-            fits = list(itertools.chain.from_iterable(
-                big_by_degree[:cap + 1 - d1]))
-            for k1, c1 in terms:
-                for k2, c2 in fits:
-                    key = k1 + k2
-                    packed[key] = packed.get(key, 0) + c1 * c2
-        coeffs = {tuple([key // q % (cap + 1) for q in powers]): c
-                  for key, c in packed.items()}
-        return TruncatedCharacter(self.m, self.n, cap, coeffs, offset)
-
-    def geometric_divide(self, mono):
-        """Multiply by 1/(1 - x^mono) = sum_k x^(k*mono), truncated."""
-        mono = tuple(mono)
-        d = sum(mono)
-        if d <= 0:
-            raise ValueError("geometric factor must have positive degree")
-        reps = self.cap // d
-        limit = self.cap - d
-        out = dict(self.coeffs)
-        cur = dict(self.coeffs)
-        for _ in range(reps):
-            nxt = {tuple(map(operator.add, e, mono)): c
-                   for e, c in cur.items() if sum(e) <= limit}
-            if not nxt:
-                break
-            for e, c in nxt.items():
-                out[e] = out.get(e, 0) + c
-            cur = nxt
-        return TruncatedCharacter(self.m, self.n, self.cap, out, self.offset)
-
-    def mul_binomial(self, mono):
-        """Multiply by (1 + x^mono), truncated."""
-        out = dict(self.coeffs)
-        for e, c in self.coeffs.items():
-            key = tuple(map(operator.add, e, mono))
-            if sum(key) <= self.cap:
-                out[key] = out.get(key, 0) + c
-        return TruncatedCharacter(self.m, self.n, self.cap, out, self.offset)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedCharacter):
             return NotImplemented
@@ -441,21 +414,6 @@ class TruncatedCharacter:
         )
 
 
-def _packed_by_degree(coeffs: dict, cap: int, powers) -> list[list]:
-    """The (sum(e_i * powers[i]), coefficient) terms grouped by total degree
-    0..cap.  A negative exponent or a degree above cap would pack
-    ambiguously and is a ValueError."""
-    buckets: list[list] = [[] for _ in range(cap + 1)]
-    for e, c in coeffs.items():
-        if min(e, default=0) < 0:
-            raise ValueError(f"exponent {e} has a negative entry")
-        d = sum(e)
-        if d > cap:
-            raise ValueError(f"exponent {e} has degree outside 0..{cap}")
-        buckets[d].append((sum(map(operator.mul, e, powers)), c))
-    return buckets
-
-
 def lowest_weight_offset(m: int, n: int, p: int) -> tuple[int, ...]:
     """Doubled exponent vector of the global prefactor: (-p,...,-p | p,...,p)."""
     return tuple([-p] * m + [p] * n)
@@ -467,7 +425,8 @@ def _schur_sum(m: int, n: int, signed_partitions) -> dict:
 
     s_la(x|y) is the sum over the partitions tau inside la of
     s_{la/tau}(x) s_{tau'}(y).  The sum is taken tau first: the x-parts of
-    every la are added into one x-series per tau, and each tau then takes a
+    every la are added into one x-series per tau, at decreasing exponents
+    only, and each tau then spreads each x-vector over its orbit once, in a
     single product with its y-part.  Cancelled coefficients may remain as
     zeros; TruncatedCharacter drops them.
     """
@@ -475,15 +434,18 @@ def _schur_sum(m: int, n: int, signed_partitions) -> dict:
     for la, sign in signed_partitions:
         for tau in _inner_shapes(la, m, n):
             acc = by_tau.setdefault(tau, {})
-            for ex, c in _skew_schur(la, tau, m).items():
-                acc[ex] = acc.get(ex, 0) + sign * c
+            for vec, c in _skew_schur(la, tau, m).items():
+                acc[vec] = acc.get(vec, 0) + sign * c
     out: dict[tuple[int, ...], int] = {}
     for tau, acc in by_tau.items():
-        xpart = [(ex, c) for ex, c in acc.items() if c]
-        for ey, cy in schur_monomials(conjugate(tau), n).items():
-            for ex, cx in xpart:
-                key = ex + ey
-                out[key] = out.get(key, 0) + cx * cy
+        ypart = schur_monomials(conjugate(tau), n).items()
+        for vec, cx in acc.items():
+            if not cx:
+                continue
+            for ex in _orbit(vec):
+                for ey, cy in ypart:
+                    key = ex + ey
+                    out[key] = out.get(key, 0) + cx * cy
     return out
 
 
@@ -497,44 +459,57 @@ def super_schur(la, m: int, n: int) -> TruncatedCharacter:
     return TruncatedCharacter(m, n, weight(la), _schur_sum(m, n, [(la, 1)]))
 
 
-def _denominator_monomials(m, n):
-    """Exponent vectors of the geometric denominator factors of the big product."""
-    def e(i):
-        v = [0] * (m + n)
-        v[i] = 1
-        return v
+def _times_product_form(coeffs: dict, m: int, n: int, cap: int) -> dict:
+    """The series coeffs times
+    prod(1+x_i y_j) / [prod(1-x_i) prod(1-x_i x_k) prod(1-y_j) prod(1-y_j y_l)],
+    truncated at total degree cap, without zero coefficients.
 
-    monos = []
-    for i in range(m):
-        monos.append(tuple(e(i)))
-    for i, k in itertools.combinations(range(m), 2):
-        monos.append(tuple(a + b for a, b in zip(e(i), e(k))))
-    for j in range(n):
-        monos.append(tuple(e(m + j)))
-    for j, l in itertools.combinations(range(n), 2):
-        monos.append(tuple(a + b for a, b in zip(e(m + j), e(m + l))))
-    return monos
+    Each exponent vector is packed once into an int, sum(e_i * (cap+1)**i)
+    (Monagan and Pearce's packed exponent vectors), and filed under its
+    total degree; every factor is then applied to the ints in one pass over
+    the degrees.  A kept term has degree <= cap, so no slot carries, and the
+    degree bound is the range of the pass.  A negative exponent or a degree
+    above cap would pack ambiguously and is a ValueError.
+    """
+    base = cap + 1
+    units = [base ** i for i in range(m + n)]
+    by_degree: list[dict[int, int]] = [{} for _ in range(base)]
+    for e, c in coeffs.items():
+        if min(e, default=0) < 0:
+            raise ValueError(f"exponent {e} has a negative entry")
+        if sum(e) > cap:
+            raise ValueError(f"exponent {e} has degree outside 0..{cap}")
+        by_degree[sum(e)][sum(map(operator.mul, e, units))] = c
+    xs, ys = units[:m], units[m:]
+    # 1 + x_i y_j: from the top degree down, so no term is raised twice
+    for t in [a + b for a in xs for b in ys]:
+        for d in range(cap - 2, -1, -1):
+            _add_shifted(by_degree[d + 2], by_degree[d], t)
+    # 1 / (1 - t): from degree 0 up, so the terms raised into a degree are
+    # raised again from it
+    for dt, ts in ((1, xs), (2, _pair_sums(xs)), (1, ys), (2, _pair_sums(ys))):
+        for t in ts:
+            for d in range(base - dt):
+                _add_shifted(by_degree[d + dt], by_degree[d], t)
+    return {tuple([key // q % base for q in units]): c
+            for terms in by_degree for key, c in terms.items() if c}
 
 
-def _numerator_monomials(m, n):
-    monos = []
-    for i in range(m):
-        for j in range(n):
-            v = [0] * (m + n)
-            v[i] = 1
-            v[m + j] = 1
-            monos.append(tuple(v))
-    return monos
+def _add_shifted(out: dict, terms: dict, t: int) -> None:
+    """Add the packed terms, each key raised by t, into out."""
+    for key, c in terms.items():
+        key += t
+        out[key] = out.get(key, 0) + c
+
+
+def _pair_sums(units: list) -> list:
+    return [a + b for a, b in itertools.combinations(units, 2)]
 
 
 def weight_series_product(m: int, n: int, cap: int) -> TruncatedCharacter:
     """prod(1+x_i y_j) / [prod(1-x_i) prod(1-x_i x_k) prod(1-y_j) prod(1-y_j y_l)]."""
-    ch = TruncatedCharacter.one(m, n, cap)
-    for mono in _numerator_monomials(m, n):
-        ch = ch.mul_binomial(mono)
-    for mono in _denominator_monomials(m, n):
-        ch = ch.geometric_divide(mono)
-    return ch
+    return TruncatedCharacter(
+        m, n, cap, _times_product_form({(0,) * (m + n): 1}, m, n, cap))
 
 
 def verma_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
@@ -592,7 +567,10 @@ def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
     irreducible = irreducible_character(m, n, p, cap)
     verma = weight_series_product(m, n, cap).with_offset(
         lowest_weight_offset(m, n, p))
-    series_equal = irreducible == verma * alternating_cut_sum(m, n, p, cap)
+    # truncation at cap is a ring map: this is the truncated verma * alt
+    alt = alternating_cut_sum(m, n, p, cap).coeffs
+    series_equal = irreducible == TruncatedCharacter(
+        m, n, cap, _times_product_form(alt, m, n, cap), verma.offset)
 
     # the sum over nu of c^gamma_(nu,sigma) is the number of LR tableaux of
     # shape gamma/sigma of any content: one count per (gamma, sigma)

@@ -400,10 +400,22 @@ def test_char_deep_branching_matches_golden_file():
     # no x letters: every x-side skew shape is empty
     ("char_m0_n3_p1_d8.jsonl",
      ("--m", "0", "--n", "3", "--p", "1", "--degree", "8")),
+    # four x letters: S_4 orbits of exponent vectors with repeated entries
+    ("char_m4_n1_p3_d5.jsonl",
+     ("--m", "4", "--n", "1", "--p", "3", "--degree", "5")),
 ])
 def test_char_edge_orders_match_golden_files(fixture, argv):
     golden = Path(__file__).parent / "fixtures" / fixture
     code, out, _ = run_cli("char", *argv)
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_dims_matches_golden_file():
+    """dims reads super_schur: four x letters spread each decreasing
+    exponent vector over its S_4 orbit."""
+    golden = Path(__file__).parent / "fixtures" / "dims_m4_n1_l6.jsonl"
+    code, out, _ = run_cli("dims", "--m", "4", "--n", "1", "--levels", "6")
     assert code == 0
     assert out == golden.read_text()
 

@@ -1,6 +1,7 @@
 """Partition, Schur and character tests with independently derived values."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -203,12 +204,10 @@ def test_character_formula(m, n, p):
 
 
 def test_truncated_character_arith():
-    one = sf.TruncatedCharacter.one(1, 1, 3)
-    s = sf.TruncatedCharacter(1, 1, 3, {(0, 0): 1, (1, 0): 1})
-    assert (s * s).coeffs == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
-    geo = one.geometric_divide((1, 0))
-    assert geo.coeffs == {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1}
-    assert one.mul_binomial((1, 1)).coeffs == {(0, 0): 1, (1, 1): 1}
+    assert sf.weight_series_product(1, 0, 3).coeffs \
+        == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
+    assert sf.weight_series_product(1, 1, 2).coeffs == {
+        (0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
 def naive_product(a, b):
@@ -238,12 +237,11 @@ def test_truncated_character_product_matches_naive(seed):
     m, n = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2),
                        (0, 3), (3, 0)])
     cap = seed % 7
-    a, b = random_series(rng, m, n, cap), random_series(rng, m, n, cap)
-    prod = a * b
-    assert prod.coeffs == naive_product(a, b)
-    assert prod.offset == tuple(x + y for x, y in zip(a.offset, b.offset))
-    assert all(sum(e) <= cap and c for e, c in prod.coeffs.items())
-    assert (b * a).coeffs == prod.coeffs
+    form = sf.weight_series_product(m, n, cap)
+    for series in random_series(rng, m, n, cap), random_series(rng, m, n, cap):
+        prod = sf._times_product_form(series.coeffs, m, n, cap)
+        assert prod == naive_product(form, series)
+        assert all(sum(e) <= cap and c for e, c in prod.items())
 
 
 def random_series_at_cap(rng, m, n, cap):
@@ -263,23 +261,20 @@ def test_truncated_character_product_matches_naive_at_the_carry_boundary(seed):
     m, n = rng.choice([(3, 2), (2, 3), (5, 0), (0, 5), (3, 3), (4, 2), (2, 4),
                        (6, 0)])
     cap = 4 + seed % 7  # 4..10
-    a = random_series_at_cap(rng, m, n, cap)
-    b = random_series_at_cap(rng, m, n, cap)
-    b.coeffs[(0,) * (m + n)] = 1  # keeps a's degree-cap terms in the product
-    prod = a * b
-    assert prod.coeffs == naive_product(a, b)
-    assert any(max(e) == cap for e in prod.coeffs)
-    assert (b * a).coeffs == prod.coeffs
+    form = sf.weight_series_product(m, n, cap)
+    for series in (random_series_at_cap(rng, m, n, cap),
+                   random_series_at_cap(rng, m, n, cap)):
+        prod = sf._times_product_form(series.coeffs, m, n, cap)
+        assert prod == naive_product(form, series)
+        assert any(max(e) == cap for e in prod)
 
 
 def test_truncated_character_product_rejects_negative_exponent():
-    one = sf.TruncatedCharacter.one(1, 1, 3)
     # degree 1, inside 0..cap, but not a monomial the packing can hold
-    bad = sf.TruncatedCharacter(1, 1, 3, {(-1, 2): 1})
     with pytest.raises(ValueError, match="negative"):
-        one * bad
+        sf._times_product_form({(-1, 2): 1}, 1, 1, 3)
     with pytest.raises(ValueError, match="negative"):
-        bad * one
+        sf._times_product_form({(0, 0): 1, (-1, 2): 1}, 1, 1, 3)
 
 
 def test_truncated_character_equality_compares_cap():
@@ -291,24 +286,67 @@ def test_truncated_character_equality_compares_cap():
 
 
 def test_truncated_character_product_cancels_and_truncates():
-    one_plus_x = sf.TruncatedCharacter(1, 1, 4, {(0, 0): 1, (1, 0): 1})
-    one_minus_x = sf.TruncatedCharacter(1, 1, 4, {(0, 0): 1, (1, 0): -1})
-    y = sf.TruncatedCharacter(1, 1, 4, {(0, 3): 1}, offset=(1, -2))
-    prod = one_plus_x * one_minus_x
-    assert prod.coeffs == {(0, 0): 1, (2, 0): -1}
-    assert (y * y).coeffs == {} and (y * y).offset == (2, -4)
+    # (1 - x) / (1 - x) = 1, with every cancelled term dropped
+    assert sf._times_product_form({(0,): 1, (1,): -1}, 1, 0, 4) == {(0,): 1}
+    # y^3 at cap 3: every other term of the product form is cut
+    assert sf._times_product_form({(0, 3): 1}, 1, 1, 3) == {(0, 3): 1}
 
 
 def test_truncated_character_product_rejects_out_of_range_degree():
-    one = sf.TruncatedCharacter.one(1, 1, 3)
-    bad = sf.TruncatedCharacter(1, 1, 3, {(0, 0): 1})
-    bad.coeffs[(-1, 0)] = 1
     with pytest.raises(ValueError):
-        one * bad
-    bad.coeffs.pop((-1, 0))
-    bad.coeffs[(2, 2)] = 1
+        sf._times_product_form({(0, 0): 1, (-1, 0): 1}, 1, 1, 3)
     with pytest.raises(ValueError):
-        bad * one
+        sf._times_product_form({(0, 0): 1, (2, 2): 1}, 1, 1, 3)
+
+
+def naive_product_form(series):
+    """Reference: series times every factor of the product form, each
+    factor expanded as an unpacked series and multiplied in naively."""
+    m, n, cap = series.m, series.n, series.cap
+
+    def mono(*idx):
+        e = [0] * (m + n)
+        for i in idx:
+            e[i] += 1
+        return tuple(e)
+
+    xs, ys = range(m), range(m, m + n)
+    binomials = [mono(i, j) for i in xs for j in ys]
+    geometrics = ([mono(i) for i in xs]
+                  + [mono(i, k) for i in xs for k in xs if i < k]
+                  + [mono(j) for j in ys]
+                  + [mono(j, l) for j in ys for l in ys if j < l])
+    for t in binomials:
+        factor = {(0,) * (m + n): 1, t: 1}
+        series = sf.TruncatedCharacter(m, n, cap, naive_product(
+            series, sf.TruncatedCharacter(m, n, cap, factor)))
+    for t in geometrics:
+        factor = {tuple(k * x for x in t): 1
+                  for k in range(cap // sum(t) + 1)}
+        series = sf.TruncatedCharacter(m, n, cap, naive_product(
+            series, sf.TruncatedCharacter(m, n, cap, factor)))
+    return series.coeffs
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4)
+                                 if m + n])
+def test_times_product_form_edge_cases(m, n):
+    """Cap 0, no x or no y letters, and terms holding the whole degree cap
+    in one variable, the largest value a packed slot holds."""
+    rng = random.Random(100 * m + n)
+    for cap in range(9):
+        series = random_series(rng, m, n, cap)
+        for i in range(m + n):
+            e = [0] * (m + n)
+            e[i] = cap
+            series.coeffs[tuple(e)] = rng.choice([-1, 1, 3])
+        got = sf._times_product_form(series.coeffs, m, n, cap)
+        assert got == naive_product_form(series), (m, n, cap)
+        assert got == naive_product(sf.weight_series_product(m, n, cap),
+                                    series)
+    assert sf._times_product_form({(0,) * (m + n): 5}, m, n, 0) \
+        == {(0,) * (m + n): 5}
+    assert sf._times_product_form({}, m, n, 4) == {}
 
 
 def test_truncated_character_not_equal_follows_equality():
@@ -383,6 +421,51 @@ def test_branching_rule_edge_shapes():
     assert sf.skew_schur_monomials((2, 1), (1,), 0) == {}
     assert sf.skew_schur_monomials((3, 1), (1,), 1) == {(3,): 1}
     assert sf.skew_schur_monomials((2, 0), (1, 0, 0), 2) == {(1, 0): 1, (0, 1): 1}
+
+
+def test_schur_monomials_rejects_negative_variable_count():
+    with pytest.raises(ValueError, match="negative"):
+        sf.schur_monomials((2,), -2)
+
+
+def test_skew_schur_monomials_rejects_negative_variable_count():
+    with pytest.raises(ValueError, match="negative"):
+        sf.skew_schur_monomials((2, 1), (), -1)
+
+
+@functools.cache
+def full_branching_skew_schur(la, mu, nvars):
+    """Reference: the branching rule over every monomial, not only the
+    decreasing ones, on normalised partitions.  s_{la/mu}(x_1..x_k) is the
+    sum over nu with la/nu a horizontal strip of s_{nu/mu}(x_1..x_{k-1})
+    x_k^|la/nu|."""
+    if len(mu) > len(la) or any(a < b for a, b in zip(la, mu)):
+        return {}
+    inner = mu + (0,) * (len(la) - len(mu))
+    if nvars == 0:
+        return {(): 1} if la == mu else {}
+    below = la[1:] + (0,)
+    choices = [range(max(inner[i], below[i]), x + 1) for i, x in enumerate(la)]
+    out = {}
+    for rows in itertools.product(*choices):
+        nu = tuple(x for x in rows if x)
+        last = (sum(la) - sum(nu),)
+        for e, c in full_branching_skew_schur(nu, mu, nvars - 1).items():
+            out[e + last] = out.get(e + last, 0) + c
+    return out
+
+
+def test_decreasing_exponent_cache_matches_full_branching():
+    shapes = [la for k in range(9) for la in sf.partitions_of(k)]
+    for la in shapes:
+        for mu in shapes:
+            for nvars in range(5):
+                assert (sf.skew_schur_monomials(la, mu, nvars)
+                        == full_branching_skew_schur(la, mu, nvars)), \
+                    (la, mu, nvars)
+                assert all(list(e) == sorted(e, reverse=True)
+                           for e in sf._skew_schur(la, mu, nvars)), \
+                    (la, mu, nvars)
 
 
 @functools.cache
