@@ -12,9 +12,9 @@ always well defined.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-from .rational_linalg import build_column_solver
+from fractions import Fraction
 
 EVEN, ODD = 0, 1
 
@@ -24,7 +24,7 @@ def generator_parity(j: int, m: int) -> int:
     return EVEN if j <= m else ODD
 
 
-def index_parity(idx: int, m: int, n: int) -> int:
+def index_parity(idx: int, m: int) -> int:
     return EVEN if idx <= 2 * m + 1 else ODD
 
 
@@ -66,7 +66,7 @@ class SuperMatrix:
 
     def _infer_parity(self, declared):
         pars = {
-            (index_parity(i, self.m, self.n) + index_parity(j, self.m, self.n)) % 2
+            (index_parity(i, self.m) + index_parity(j, self.m)) % 2
             for (i, j) in self.entries
         }
         if len(pars) > 1:
@@ -345,6 +345,12 @@ class AlgebraBasis:
     elements: list of (label, SuperMatrix); brackets[(a, b)] maps basis labels,
     in basis order, to the nonzero rational coefficients of the expansion of
     the superbracket of a and b.
+
+    Every basis matrix has a private coordinate, the first of its entries that
+    no other basis matrix has (ArithmeticError if one has none).  The
+    coefficient of a label is the bracket's entry there over the label's own
+    entry there; the bracket minus its expansion must vanish, or it does not
+    lie in the span (ArithmeticError).
     """
 
     def __init__(self, m: int, n: int):
@@ -356,15 +362,20 @@ class AlgebraBasis:
         if any(mat.is_zero() for mat in mats.values()):
             raise ArithmeticError("degenerate basis element")
 
-        keys = sorted({k for mat in mats.values() for k in mat.coordinates()})
-        columns = [mats[lab].coordinates() for lab in self.labels]
-        try:
-            solver = build_column_solver(columns, keys)
-        except ValueError as exc:
-            raise ArithmeticError(f"basis matrices: {exc}") from exc
+        # each label's private coordinate, an entry no other basis matrix
+        # has: it proves the matrices independent and fixes each coefficient
+        coords = {lab: mat.coordinates() for lab, mat in self.elements}
+        count = Counter(k for col in coords.values() for k in col)
+        owner = {}  # private coordinate -> (basis position, label, entry)
+        for pos, lab in enumerate(self.labels):
+            key = next((k for k in coords[lab] if count[k] == 1), None)
+            if key is None:
+                raise ArithmeticError(
+                    f"basis matrices: {lab} has no coordinate of its own")
+            owner[key] = (pos, lab, coords[lab][key])
 
         # [b, a] = -(-1)^(deg a * deg b) [a, b]: each unordered pair is
-        # bracketed and solved once, the later ordered pair negates or copies
+        # bracketed and read off once, the later ordered pair negates or copies
         self.brackets: dict[tuple, dict] = {}
         for i, a in enumerate(self.labels):
             for j, b in enumerate(self.labels):
@@ -374,17 +385,18 @@ class AlgebraBasis:
                         lab: sign * c for lab, c in self.brackets[(b, a)].items()
                     }
                     continue
-                mat = superbracket(mats[a], mats[b])
-                if mat.is_zero():
-                    self.brackets[(a, b)] = {}
-                    continue
-                coeffs = solver(mat.coordinates())
-                if coeffs is None:
+                rest = superbracket(mats[a], mats[b]).coordinates()
+                found = sorted(owner[k] + (v,) for k, v in rest.items()
+                               if k in owner)
+                coeffs = {}
+                for _, lab, w, v in found:
+                    coeffs[lab] = c = Fraction(v, w)
+                    for k, x in coords[lab].items():
+                        rest[k] = rest.get(k, 0) - c * x
+                if any(rest.values()):
                     raise ArithmeticError(
                         f"bracket of {a}, {b} does not lie in the span")
-                self.brackets[(a, b)] = {
-                    self.labels[col]: c for col, c in coeffs.items()
-                }
+                self.brackets[(a, b)] = coeffs
 
     @property
     def dimension(self) -> int:
@@ -421,8 +433,8 @@ def structure_constants(m: int, n: int) -> AlgebraBasis:
     basis = AlgebraBasis(m, n)
     if basis.dimension != expected_dimension(m, n):
         raise ArithmeticError("basis size does not match the root count")
-    # build_column_solver has proven every basis matrix independent, so the
-    # even part's dimension is the number of even labels
+    # the private coordinates have proven every basis matrix independent, so
+    # the even part's dimension is the number of even labels
     if len(basis.even_labels()) != expected_even_dimension(m, n):
         raise ArithmeticError("even part has unexpected dimension")
     if not basis.diagonal_subalgebra_closed():

@@ -1,13 +1,9 @@
-"""Exact linear algebra: elimination, solving, symmetric rank/PSD.
+"""Exact linear algebra: elimination, rank, symmetric rank/PSD.
 
 No floating point anywhere.  The general routines work over Fraction.  The
-column solver works on sparse dicts of ints or Fractions: the
-structure-constant columns each have a private support coordinate, so
-elimination stays as sparse as its input, and every step is exact, so
-skipping the zeros changes no result.  The symmetric elimination works on
-integer matrices and stays fraction-free: its intermediate values are
-integer minors, and only the pivots it returns are Fractions.  The dense
-routines' matrices are desk scale.
+symmetric elimination works on integer matrices and stays fraction-free: its
+intermediate values are integer minors, and only the pivots it returns are
+Fractions.  The dense routines' matrices are desk scale.
 """
 
 from __future__ import annotations
@@ -43,62 +39,6 @@ def rref(rows):
 
 def matrix_rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def build_column_solver(columns, keys):
-    """Factor once, solve A x = v many times, where column j of A is columns[j].
-
-    columns: list of {key: int or Fraction} sparse vectors over the index set
-    keys.  Returns solve(vec_dict) -> {column index: coefficient}, holding the
-    nonzero coefficients in column order (each a Fraction), or None if vec is
-    not in the span.  Requires the columns to be linearly independent
-    (checked: a column that reduces to zero raises ValueError).
-
-    Each column is reduced against the earlier reduced columns and stored as
-    (pivot key, reduced column scaled to 1 at the pivot, its expansion in
-    the original columns); a reduced column vanishes at every earlier pivot.
-    solve() reduces vec in the same order and sums the expansions.
-    """
-    pos = {k: i for i, k in enumerate(keys)}
-    reduced = []
-    for j, col in enumerate(columns):
-        r = {k: v for k, v in col.items() if v}
-        e = {j: 1}
-        for pivot, rr, ee in reduced:
-            f = r.get(pivot)
-            if f:
-                _axpy(r, -f, rr)
-                _axpy(e, -f, ee)
-        if not r:
-            raise ValueError("columns are linearly dependent")
-        pivot = min(r, key=pos.__getitem__)
-        pv = Fraction(r[pivot])  # int entries would divide to floats
-        reduced.append((pivot, {k: v / pv for k, v in r.items()},
-                        {i: v / pv for i, v in e.items()}))
-
-    def solve(vec):
-        v = {k: c for k, c in vec.items() if c}
-        x = {}
-        for pivot, rr, ee in reduced:
-            f = v.get(pivot)
-            if f:
-                _axpy(v, -f, rr)
-                _axpy(x, f, ee)
-        if v:
-            return None
-        return dict(sorted(x.items()))
-
-    return solve
-
-
-def _axpy(y: dict, a, x: dict) -> None:
-    """y += a*x on sparse dicts, dropping entries that cancel to zero."""
-    for k, v in x.items():
-        s = y.get(k, 0) + a * v
-        if s:
-            y[k] = s
-        else:
-            del y[k]
 
 
 def symmetric_rank_psd(gram):

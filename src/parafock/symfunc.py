@@ -378,10 +378,6 @@ class TruncatedCharacter:
                 if c and sum(e) <= cap:
                     self.coeffs[tuple(e)] = c
 
-    @classmethod
-    def one(cls, m, n, cap):
-        return cls(m, n, cap, {(0,) * (m + n): 1})
-
     def with_offset(self, offset):
         return TruncatedCharacter(self.m, self.n, self.cap, self.coeffs, offset)
 

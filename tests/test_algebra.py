@@ -1,6 +1,7 @@
 """Matrix realization: generators, brackets, defining relations, basis."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -183,7 +184,8 @@ def test_paraboson_anticommutator_instance():
     assert lhs == bp.scale(-4)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(5) for n in range(5)
+                                 if m + n >= 1])
 def test_structure_constants(m, n):
     basis = alg.structure_constants(m, n)
     assert basis.dimension == alg.expected_dimension(m, n)
@@ -257,8 +259,8 @@ def test_basis_brackets_each_unordered_pair_once(m, n, monkeypatch):
 
 
 def test_even_dimension_needs_no_dense_elimination(monkeypatch):
-    """The column solver has proven every basis matrix independent, so the
-    even part is checked without a dense rank computation."""
+    """The private coordinates have proven every basis matrix independent,
+    so the even part is checked without a dense rank computation."""
 
     def no_rref(rows):
         raise AssertionError("dense elimination reached")
@@ -281,26 +283,41 @@ def test_even_dimension_mismatch_is_an_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("fault,error", [
-    ("duplicate", "basis matrices: columns are linearly dependent"),
+    ("duplicate", "basis matrices: ('c', 1, '+') has no coordinate of its own"),
     ("zero", "degenerate basis element"),
+    ("sum", "basis matrices: ('c', 1, '+') has no coordinate of its own"),
+    ("outside",
+     "bracket of ('c', 1, '+'), ('c', 1, '-') does not lie in the span"),
 ])
 def test_basis_fault_is_an_error_record(fault, error, monkeypatch, capsys):
-    """A linearly dependent or zero basis matrix is a structure_constants
-    failure (exit 1, an "error" record), not a traceback."""
+    """A zero basis matrix, one that leaves another basis matrix without a
+    coordinate of its own, or a basis whose brackets leave its span, is a
+    structure_constants failure (exit 1, an "error" record), not a
+    traceback."""
+    m, n = (2, 1) if fault == "sum" else (1, 1)
     original = alg.label_matrix
-    first, second = alg.basis_labels(1, 1)[:2]
+
+    def gen(j, s):
+        return original(("c", j, s), m, n)
+
+    replaced, replacement = {
+        "duplicate": (("c", 1, "-"), lambda: gen(1, "+")),
+        "zero": (("c", 1, "-"), lambda: alg.SuperMatrix(m, n)),
+        # same parity and sqrt(2) power as the two it sums
+        "sum": (("c", 2, "+"), lambda: gen(1, "+") + gen(1, "-")),
+        # E_11 in place of [c_1^+, c_1^-]: every matrix keeps an entry of its
+        # own, but [c_1^+, c_1^-] itself is no longer in the span
+        "outside": (("bb", 1, 1, "+", "-"),
+                    lambda: alg.SuperMatrix(m, n, {(1, 1): 1})),
+    }[fault]
 
     def faulty(label, m, n):
-        if label != second:
-            return original(label, m, n)
-        if fault == "zero":
-            return alg.SuperMatrix(m, n)
-        return original(first, m, n)
+        return replacement() if label == replaced else original(label, m, n)
 
     monkeypatch.setattr(alg, "label_matrix", faulty)
-    with pytest.raises(ArithmeticError, match=error):
-        alg.structure_constants(1, 1)
-    assert main(["verify-algebra", "--m", "1", "--n", "1"]) == 1
+    with pytest.raises(ArithmeticError, match=re.escape(error)):
+        alg.structure_constants(m, n)
+    assert main(["verify-algebra", "--m", str(m), "--n", str(n)]) == 1
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert recs[-1] == {"check": "structure_constants", "error": error}
 

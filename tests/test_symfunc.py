@@ -278,8 +278,6 @@ def test_truncated_character_product_rejects_negative_exponent():
 
 
 def test_truncated_character_equality_compares_cap():
-    assert sf.TruncatedCharacter.one(1, 1, 3) != sf.TruncatedCharacter.one(1, 1, 5)
-    assert sf.TruncatedCharacter.one(1, 1, 3) == sf.TruncatedCharacter.one(1, 1, 3)
     x3 = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1})
     x5 = sf.TruncatedCharacter(1, 1, 5, {(1, 0): 1})
     assert x3.coeffs == x5.coeffs and x3 != x5
