@@ -304,10 +304,27 @@ def valid_subrows(top, m: int, n: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _subrow_counts(m: int, n: int, s: int, row: tuple[int, ...]) -> Counter:
+    """Content of rows s..1 -> number of patterns below a row of length s,
+    by the branching rule: each subrow, in sorted order, adds its step
+    sum(row) - sum(subrow) to the contents below it.  The keys come in the
+    order of their first pattern in fillings' lexicographic order."""
+    if s == 1:
+        return Counter({(row[0],): 1})
+    out: Counter = Counter()
+    total = sum(row)
+    for nxt in sorted(_next_rows(m, n, s, row)):
+        step = (total - sum(nxt),)
+        for content, count in _subrow_counts(m, n, s - 1, nxt).items():
+            out[content + step] += count
+    return out
+
+
+@lru_cache(maxsize=None)
 def _count_table(m: int, n: int, level: int) -> tuple:
     """(width, content Counter of its patterns) per top row of one level."""
     return tuple((max(partition_from_top_row(top, m, n), default=0),
-                  Counter(map(pattern_content, fillings(top, m, n))))
+                  _subrow_counts(m, n, m + n, top))
                  for top in top_rows_for_level(m, n, level))
 
 

@@ -7,9 +7,11 @@ annihilation action, the bracket action [c_a^-, c_b^+] and the Gram entries
 follow by recursion on the monomial, with the triple relations as commutation
 rules and the Shapovalov identity <c_l^+ R, Y> = <R, c_l^- Y> for the form
 (Kac-Kazhdan, Adv. Math. 34, 1979).  All three are memoized per monomial as
-polynomials in p, so a single cache serves every order.  The upper triangle
-of each content's Gram block is memoized too, as the PPolys pair_poly
-returned, so a further order only evaluates it at p and eliminates.
+polynomials in p, so a single cache serves every order; the recursion keys a
+monomial by one packed int and holds a polynomial as its coefficient tuple.
+The upper triangle of each content's Gram block is memoized too, as the
+PPolys pair_poly returned, so a further order only evaluates it at p and
+eliminates.
 
 Per-weight Gram matrices of the contravariant form (c_a^+ and c_a^- are
 adjoint, products reverse) have exact rank and positive-semidefiniteness
@@ -127,25 +129,10 @@ class PPoly:
         return acc
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if not c:
-                continue
-            if d == 0:
-                terms.append(f"{c}")
-            elif d == 1:
-                terms.append(f"{c}*p" if c != 1 else "p")
-            else:
-                terms.append(f"{c}*p**{d}" if c != 1 else f"p**{d}")
-        return " + ".join(terms).replace("+ -", "- ")
+        return f"PPoly({self.coeffs!r})"
 
 
 _ZERO = PPoly()
-_ONE = PPoly.const(1)
-_P = PPoly.variable()
 
 
 def _add_product(out: list, a: tuple, b: tuple, scale: int) -> None:
@@ -183,7 +170,8 @@ class PBWMonomial(NamedTuple):
     """Exponents of the ordered product: singles first, bracket factors after.
 
     Mixed bracket factors square to zero, so their exponents stay in {0, 1}.
-    The tuple order (singles, then pairs) is the canonical basis order.
+    The tuple order (singles, then pairs) is the canonical basis order, and
+    the int the engine packs a monomial into sorts the same way.
     """
 
     singles: tuple[int, ...]
@@ -241,18 +229,19 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
 
 _LABEL_SCALARS = {"c": 1, "h": Fraction(1, 2), "bb": 1}
 
-
-def _accumulate(out: dict, vector: dict, factor) -> None:
-    """out += factor * vector, on {monomial: PPoly} dicts; factor is an int
-    or a PPoly (PPoly.__mul__ builds no product for a factor of +-1)."""
-    for mono, poly in vector.items():
-        val = poly * factor
-        prev = out.get(mono)
-        out[mono] = val if prev is None else prev + val
+SLOT_BITS = 8              # bits per exponent in a packed monomial key
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+# An exponent the recursion reaches from X, or from X raised by two letters
+# (act, the Cartan check), is at most X's content entry plus 2.
+CONTENT_LIMIT = (1 << SLOT_BITS) - 3
 
 
-def _nonzero(vector: dict) -> dict:
-    return {k: v for k, v in vector.items() if not v.is_zero()}
+def _finish(acc: dict) -> dict:
+    """{key: coefficient tuple in normal form}, the zero entries dropped."""
+    for cs in acc.values():
+        while cs and not cs[-1]:
+            cs.pop()
+    return {key: tuple(cs) for key, cs in acc.items() if cs}
 
 
 class VermaEngine:
@@ -261,17 +250,21 @@ class VermaEngine:
     Three per-monomial primitives carry the module: the lowering action
     low(a, X) = c_a^- X, the bracket action B(a, b) X with
     B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>, all integer
-    polynomials in p.  Eight methods are memoized: those three, the
-    p-free creation straightening c_a^+ X (integer coefficients), the lead
-    expansion of a monomial, the PBW basis of a level grouped by content,
-    the upper triangle of a content's Gram block (gram_polys), and the
-    acts_by_weight verdict of a (generator pair, monomial) (the action
-    image that act reads is not).  __init__ wraps each bound method
-    in functools.cache, so the caches belong to the engine and each reports
-    cache_info().  Callers only read the dicts the caches hand out.  They
-    are unbounded and never evicted: they grow with the levels and
-    monomials asked for, and get_engine keeps one engine per (m, n) for the
-    life of the process.
+    polynomials in p.  Nine methods are memoized, each in a functools.cache
+    of its own that __init__ wraps: those three, the p-free straightening
+    c_a^+ X, the lead expansion and the packing (_pack) of a monomial, the
+    PBW basis of a level by content, the upper triangle of a content's Gram
+    block (gram_polys), and the acts_by_weight verdict.  Callers only read
+    what the caches hand out; get_engine keeps one engine per (m, n).
+
+    The recursion keys a monomial by one int, SLOT_BITS bits per exponent,
+    singles first and the first exponent most significant, so int order is
+    the canonical order and a letter is one added unit; its polynomials are
+    coefficient tuples in normal form.  _pack, the way in, raises ValueError
+    for a monomial of the wrong shape, a negative exponent or a content
+    entry at CONTENT_LIMIT; _mono is the way out.  PBWMonomial and PPoly
+    values are built only where a value leaves the engine: pair_poly (so
+    gram_polys) and _action_image (so act and acts_by_weight).
     """
 
     def __init__(self, m: int, n: int):
@@ -280,7 +273,18 @@ class VermaEngine:
         self.r = m + n
         self.slots = pair_slots(m, n)
         self.slot_index = {pr: i for i, pr in enumerate(self.slots)}
-        for name in ("level_basis", "_insert_letter", "_lead", "low",
+        width = self.r + len(self.slots)
+        self._shift = tuple(SLOT_BITS * (width - 1 - k) for k in range(width))
+        self._unit = tuple(1 << s for s in self._shift)
+        self._no_single = 1 << SLOT_BITS * len(self.slots)
+        self._last = width - 1
+        # the odd components (odd singles, mixed factors); per mixed factor
+        # slot q, the low bits of those a factor inserted at q crosses
+        odd = [*range(m, self.r), *(q for q, pr in enumerate(self.slots, self.r)
+                                    if is_mixed_pair(pr, m))]
+        self._cross = {q: sum(self._unit[o] for o in odd if o < q)
+                       for q in odd if q >= self.r}
+        for name in ("level_basis", "_pack", "_insert_letter", "_lead", "low",
                      "bracket", "_pair", "gram_polys", "acts_by_weight"):
             setattr(self, name, cache(getattr(self, name)))
 
@@ -290,145 +294,137 @@ class VermaEngine:
     def level_basis(self, level: int) -> dict:
         """Content -> tuple of the PBW monomials of that content, in canonical
         order."""
+        if level >= CONTENT_LIMIT:
+            raise ValueError(f"level {level} overflows a packed key slot")
         grouped: dict[tuple, list] = {}
         for mono in pbw_basis(self.m, self.n, level):
             grouped.setdefault(mono.content(self.m, self.n), []).append(mono)
         return {c: tuple(monos) for c, monos in grouped.items()}
 
+    def _pack(self, mono: PBWMonomial) -> tuple:
+        """(key, content) of a monomial of this algebra."""
+        exps = mono.singles + mono.pairs
+        shaped = len(mono.singles) == self.r and len(exps) == len(self._shift)
+        content = mono.content(self.m, self.n) if shaped else ()
+        if not shaped or min(exps, default=0) < 0 \
+                or max(content, default=0) >= CONTENT_LIMIT:
+            raise ValueError(f"{mono!r} has no key in ({self.m}, {self.n})")
+        return sum(e << s for e, s in zip(exps, self._shift)), content
+
+    def _key(self, mono: PBWMonomial) -> int:
+        return self._pack(mono)[0]
+
+    def _mono(self, key: int) -> PBWMonomial:
+        exps = tuple(key >> s & _SLOT_MASK for s in self._shift)
+        return PBWMonomial(exps[:self.r], exps[self.r:])
+
     # -- creation: prepend a letter and straighten ------------------------
 
-    def _insert_letter(self, a: int, mono: PBWMonomial) -> dict:
-        """c_a^+ mono straightened into canonical monomials, as
-        {monomial: int}: the letter moves past each smaller leading single,
-        leaving a bracket factor behind."""
-        singles = mono.singles
-        s1 = next((i + 1 for i, e in enumerate(singles) if e), None)
-        if s1 is None or a <= s1:
-            new = list(singles)
-            new[a - 1] += 1
-            return {PBWMonomial(tuple(new), mono.pairs): 1}
-        tail_singles = list(singles)
-        tail_singles[s1 - 1] -= 1
-        tail = PBWMonomial(tuple(tail_singles), mono.pairs)
-        sign = -1 if (self.parity(a) * self.parity(s1)) % 2 else 1
-        out: dict[PBWMonomial, int] = {}
-        for mono2, c in self._insert_letter(a, tail).items():
-            new = list(mono2.singles)
-            new[s1 - 1] += 1
-            key = PBWMonomial(tuple(new), mono2.pairs)
-            out[key] = out.get(key, 0) + sign * c
-        for mono2, c in self._insert_pair((s1, a), tail).items():
-            out[mono2] = out.get(mono2, 0) - sign * c
-        return {k: v for k, v in out.items() if v}
+    def _insert_letter(self, a: int, x: int) -> dict:
+        """c_a^+ x straightened into canonical monomials, as {key: int}: the
+        letter moves past each smaller leading single s, leaving the factor
+        (s, a) behind, sign-commuted past the odd components before its slot
+        (an odd factor squares to zero)."""
+        unit = self._unit
+        if x < self._no_single or a <= self._lead(x)[0][1]:
+            return {x + unit[a - 1]: 1}
+        _, s, tail = self._lead(x)[0]          # x = c_s^+ tail, s < a
+        sign = -1 if self.parity(a) * self.parity(s) else 1
+        out = {key + unit[s - 1]: sign * c
+               for key, c in self._insert_letter(a, tail).items()}
+        q = self.r + self.slot_index[(s, a)]
+        cross = self._cross.get(q)
+        if cross is None or not tail >> self._shift[q] & _SLOT_MASK:
+            if cross is not None and (tail & cross).bit_count() & 1:
+                sign = -sign
+            out[tail + unit[q]] = out.get(tail + unit[q], 0) - sign
+        return {key: c for key, c in out.items() if c}
 
-    def _insert_pair(self, pr: tuple[int, int], mono: PBWMonomial) -> dict:
-        """Prepend a bracket factor, sign-commuting it to its canonical slot."""
-        idx = self.slot_index[pr]
-        mixed = is_mixed_pair(pr, self.m)
-        if mixed and mono.pairs[idx]:
-            return {}  # odd factor squares to zero
-        sign = 1
-        if mixed:
-            crossed = sum(
-                e for s, e in enumerate(mono.singles) if self.parity(s + 1)
-            )
-            crossed += sum(
-                e for q, e in enumerate(mono.pairs)
-                if q < idx and is_mixed_pair(self.slots[q], self.m)
-            )
-            if crossed % 2:
-                sign = -1
-        new = list(mono.pairs)
-        new[idx] += 1
-        return {PBWMonomial(mono.singles, tuple(new)): sign}
-
-    def _add_raised(self, out: dict, a: int, vector: dict, factor: int) -> None:
-        """out += factor * c_a^+ vector, on {monomial: PPoly} dicts; each
-        polynomial is scaled once, by the straightening coefficient times
-        factor."""
-        for mono, poly in vector.items():
-            for mono2, c in self._insert_letter(a, mono).items():
-                val = poly * (c * factor)
-                prev = out.get(mono2)
-                out[mono2] = val if prev is None else prev + val
+    def _add_raised(self, acc: dict, a: int | None, vector: dict,
+                    factor: int) -> None:
+        """acc += factor * c_a^+ vector, or factor * vector when a is None,
+        on {key: coefficient list or tuple} dicts."""
+        for key, poly in vector.items():
+            for key2, c in (((key, 1),) if a is None
+                            else self._insert_letter(a, key).items()):
+                c *= factor
+                prev = acc.get(key2)
+                if prev is None:
+                    acc[key2] = [c * v for v in poly]
+                    continue
+                if len(prev) < len(poly):
+                    prev.extend([0] * (len(poly) - len(prev)))
+                for i, v in enumerate(poly):
+                    prev[i] += c * v
 
     # -- lead expansion and the two lowering primitives ---------------------
 
-    def _lead(self, mono: PBWMonomial) -> tuple:
-        """((coefficient, letter l, rest), ...) with mono the sum of
-        coefficient * c_l^+ rest, each rest a monomial one level lower; empty
+    def _lead(self, x: int) -> tuple:
+        """((coefficient, letter l, rest), ...) with x the sum of
+        coefficient * c_l^+ rest, each rest a key one level lower; empty
         for the vacuum.  A leading bracket factor [c_i^+, c_j^+] expands into
         c_i^+ c_j^+ - (-1)^(p(i)p(j)) c_j^+ c_i^+."""
-        s = next((k for k, e in enumerate(mono.singles) if e), None)
-        if s is not None:
-            singles = list(mono.singles)
-            singles[s] -= 1
-            return ((1, s + 1, PBWMonomial(tuple(singles), mono.pairs)),)
-        q = next((k for k, e in enumerate(mono.pairs) if e), None)
-        if q is None:
+        if not x:
             return ()
-        i, j = self.slots[q]
-        pairs = list(mono.pairs)
-        pairs[q] -= 1
-        pairs = tuple(pairs)
-
-        def one(letter):
-            return PBWMonomial(
-                tuple(int(k == letter) for k in range(1, self.r + 1)), pairs)
-
+        k = self._last - (x.bit_length() - 1) // SLOT_BITS  # first nonzero
+        rest = x - self._unit[k]
+        if k < self.r:
+            return ((1, k + 1, rest),)
+        i, j = self.slots[k - self.r]
         sigma = -1 if self.parity(i) * self.parity(j) else 1
-        return ((1, i, one(j)), (-sigma, j, one(i)))
+        return ((1, i, rest + self._unit[j - 1]),
+                (-sigma, j, rest + self._unit[i - 1]))
 
-    def low(self, a: int, mono: PBWMonomial) -> dict:
-        """c_a^- mono as {monomial: PPoly}:
+    def low(self, a: int, x: int) -> dict:
+        """c_a^- x as {key: coefficient tuple}:
         c_a^- c_l^+ R = (-1)^(p(a)p(l)) c_l^+ c_a^- R + B(a, l) R."""
-        out: dict[PBWMonomial, PPoly] = {}
+        acc: dict[int, list] = {}
         odd = self.parity(a)
-        for coeff, l, rest in self._lead(mono):
+        for coeff, l, rest in self._lead(x):
             sign = -coeff if odd and self.parity(l) else coeff
-            self._add_raised(out, l, self.low(a, rest), sign)
-            _accumulate(out, self.bracket(a, l, rest), coeff)
-        return _nonzero(out)
+            self._add_raised(acc, l, self.low(a, rest), sign)
+            self._add_raised(acc, None, self.bracket(a, l, rest), coeff)
+        return _finish(acc)
 
-    def bracket(self, a: int, b: int, mono: PBWMonomial) -> dict:
-        """B(a, b) mono as {monomial: PPoly}, B(a, b) = [c_a^-, c_b^+]:
+    def bracket(self, a: int, b: int, x: int) -> dict:
+        """B(a, b) x as {key: coefficient tuple}, B(a, b) = [c_a^-, c_b^+]:
         p on the vacuum when a == b, else 0, and
         B(a, b) c_l^+ R = (-1)^((p(a)+p(b))p(l)) c_l^+ B(a, b) R
                           - 2 (-1)^(p(b)p(l)) delta_(a,l) c_b^+ R."""
-        lead = self._lead(mono)
-        out: dict[PBWMonomial, PPoly] = {}
+        lead = self._lead(x)
+        acc: dict[int, list] = {}
         if not lead and a == b:
-            out[mono] = _P
+            acc[x] = [0, 1]
         odd_ab = (self.parity(a) + self.parity(b)) % 2
         for coeff, l, rest in lead:
             odd_l = self.parity(l)
             sign = -coeff if odd_ab and odd_l else coeff
-            self._add_raised(out, l, self.bracket(a, b, rest), sign)
+            self._add_raised(acc, l, self.bracket(a, b, rest), sign)
             if a == l:
                 extra = 2 * coeff if self.parity(b) and odd_l else -2 * coeff
-                self._add_raised(out, b, {rest: _ONE}, extra)
-        return _nonzero(out)
+                self._add_raised(acc, b, {rest: (1,)}, extra)
+        return _finish(acc)
 
     # -- contravariant pairing ----------------------------------------------
 
     def pair_poly(self, m1: PBWMonomial, m2: PBWMonomial) -> PPoly:
         """Gram entry <m1, m2> as a polynomial in p; 0 across contents."""
-        if m1.content(self.m, self.n) != m2.content(self.m, self.n):
-            return _ZERO
-        return self._pair(m1, m2)
+        (x, c1), (y, c2) = self._pack(m1), self._pack(m2)
+        return PPoly._normal(self._pair(x, y)) if c1 == c2 else _ZERO
 
-    def _pair(self, x: PBWMonomial, y: PBWMonomial) -> PPoly:
-        """Shapovalov recursion <c_l^+ R, Y> = <R, c_l^- Y>, <vac, vac> = 1;
-        x and y have the same content."""
+    def _pair(self, x: int, y: int) -> tuple:
+        """Shapovalov recursion <c_l^+ R, Y> = <R, c_l^- Y>, <vac, vac> = 1,
+        as a coefficient tuple; x and y have the same content."""
         lead = self._lead(x)
         if not lead:
-            return _ONE
+            return (1,)
         total: list = []
         for coeff, l, rest in lead:
             for z, poly in self.low(l, y).items():
-                _add_product(total, poly.coeffs, self._pair(rest, z).coeffs,
-                             coeff)
-        return PPoly(total)
+                _add_product(total, poly, self._pair(rest, z), coeff)
+        while total and not total[-1]:
+            total.pop()
+        return tuple(total)
 
     def gram_polys(self, content: tuple) -> tuple:
         """(basis, upper): the content's monomials in canonical order, and
@@ -439,36 +435,38 @@ class VermaEngine:
 
     # -- generator action -----------------------------------------------------
 
-    def _apply(self, sign: str, a: int, vector: dict) -> dict:
-        """c_a^+ (sign '+') or c_a^- (sign '-') on a {monomial: PPoly} vector."""
-        out: dict[PBWMonomial, PPoly] = {}
+    def _apply(self, acc: dict, sign: str, a: int, vector: dict, factor=1):
+        """acc += factor * c_a^+ vector (sign '+') or c_a^- vector (sign
+        '-'), on {key: coefficients} dicts; returns acc."""
         if sign == "+":
-            self._add_raised(out, a, vector, 1)
+            self._add_raised(acc, a, vector, factor)
         else:
-            for mono, poly in vector.items():
-                _accumulate(out, self.low(a, mono), poly)
-        return out
+            for key, poly in vector.items():
+                for key2, poly2 in self.low(a, key).items():
+                    _add_product(acc.setdefault(key2, []), poly2, poly, factor)
+        return acc
 
     def _action_image(self, label, mono: PBWMonomial) -> dict:
         """{monomial: PPoly}: the label applied to one monomial, before the
-        label's scalar.  ('h', k) is
-        ('bb', k, k, '+', '-') and ('bb', a, b, s, t) is
-        c_a^s c_b^t - (-1)^(p(a)p(b)) c_b^t c_a^s."""
-        unit = {mono: _ONE}
+        label's scalar.  ('h', k) is ('bb', k, k, '+', '-') and
+        ('bb', a, b, s, t) is c_a^s c_b^t - (-1)^(p(a)p(b)) c_b^t c_a^s."""
+        unit = {self._key(mono): (1,)}
+        out: dict[int, list] = {}
         if label[0] == "c":
             _, a, s = label
-            out = self._apply(s, a, unit)
+            self._apply(out, s, a, unit)
         else:
             _, a, b, s, t = ("bb", label[1], label[1], "+", "-") \
                 if label[0] == "h" else label
-            out = self._apply(s, a, self._apply(t, b, unit))
             sigma = -1 if self.parity(a) * self.parity(b) else 1
-            _accumulate(out, self._apply(t, b, self._apply(s, a, unit)), -sigma)
-        return _nonzero(out)
+            self._apply(out, s, a, self._apply({}, t, b, unit))
+            self._apply(out, t, b, self._apply({}, s, a, unit), -sigma)
+        return {self._mono(key): PPoly._normal(poly)
+                for key, poly in _finish(out).items()}
 
     def acts_by_weight(self, b: int, mono: PBWMonomial) -> bool:
         """Whether the generator pair b maps mono to (p + 2 content_b) mono."""
-        eigen = PPoly((2 * mono.content(self.m, self.n)[b - 1], 1))
+        eigen = PPoly((2 * self._pack(mono)[1][b - 1], 1))
         return {mono: eigen} == self._action_image(("bb", b, b, "-", "+"), mono)
 
     def act(self, label, vector: dict, p) -> dict:

@@ -217,7 +217,7 @@ def test_pattern_counts_by_width():
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2), (2, 2),
-                                 (3, 1)])
+                                 (3, 1), (3, 3)])
 def test_pattern_counts_equal_a_direct_count(m, n):
     """The per-level table sums to a Counter over the fillings of the
     capped top rows, with the same key order."""

@@ -4,7 +4,6 @@ import functools
 import itertools
 import json
 import random
-import types
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,8 @@ def vac(m, n):
 # -- the operator-word oracle ---------------------------------------------
 # Operator-word rewriting, kept here as an independent reference for the
 # engine's per-monomial recursion.  It uses the engine only for letter
-# parities and for prepending one creation letter to a monomial.
+# parities and its pair slots; creation letters are prepended to a monomial
+# by insert_letter, the straightening on exponent tuples.
 
 @functools.cache
 def reduce_word(eng, ops):
@@ -69,14 +69,68 @@ def reduce_word(eng, ops):
     return {w: v for w, v in out.items() if not v.is_zero()}
 
 
+def insert_letter(eng, a, mono):
+    """c_a^+ mono straightened into canonical monomials, as
+    {monomial: int}, on exponent tuples: the letter moves past each smaller
+    leading single, leaving a bracket factor behind."""
+    singles = mono.singles
+    s1 = next((i + 1 for i, e in enumerate(singles) if e), None)
+    if s1 is None or a <= s1:
+        new = list(singles)
+        new[a - 1] += 1
+        return {vm.PBWMonomial(tuple(new), mono.pairs): 1}
+    tail_singles = list(singles)
+    tail_singles[s1 - 1] -= 1
+    tail = vm.PBWMonomial(tuple(tail_singles), mono.pairs)
+    sign = -1 if (eng.parity(a) * eng.parity(s1)) % 2 else 1
+    out = {}
+    for mono2, c in insert_letter(eng, a, tail).items():
+        new = list(mono2.singles)
+        new[s1 - 1] += 1
+        key = vm.PBWMonomial(tuple(new), mono2.pairs)
+        out[key] = out.get(key, 0) + sign * c
+    for mono2, c in insert_pair(eng, (s1, a), tail).items():
+        out[mono2] = out.get(mono2, 0) - sign * c
+    return {k: v for k, v in out.items() if v}
+
+
+def insert_pair(eng, pr, mono):
+    """Prepend a bracket factor, sign-commuting it to its canonical slot."""
+    idx = eng.slot_index[pr]
+    mixed = vm.is_mixed_pair(pr, eng.m)
+    if mixed and mono.pairs[idx]:
+        return {}  # odd factor squares to zero
+    sign = 1
+    if mixed:
+        crossed = sum(e for s, e in enumerate(mono.singles)
+                      if eng.parity(s + 1))
+        crossed += sum(e for q, e in enumerate(mono.pairs)
+                       if q < idx and vm.is_mixed_pair(eng.slots[q], eng.m))
+        if crossed % 2:
+            sign = -1
+    new = list(mono.pairs)
+    new[idx] += 1
+    return {vm.PBWMonomial(mono.singles, tuple(new)): sign}
+
+
+def engine_insert_letter(eng, a, mono):
+    """The engine's packed straightening image c_a^+ mono, unpacked."""
+    return {eng._mono(key): c
+            for key, c in eng._insert_letter(a, eng._key(mono)).items()}
+
+
 @functools.cache
 def straighten(eng, word):
-    """Expand a creation-letter word into canonical monomials (int coeffs)."""
+    """Expand a creation-letter word into canonical monomials (int coeffs),
+    by the reference straightening, checking the engine's image of every
+    letter against it."""
     if not word:
         return {vac(eng.m, eng.n): 1}
     out = {}
     for mono, c in straighten(eng, word[1:]).items():
-        for mono2, c2 in eng._insert_letter(word[0], mono).items():
+        image = insert_letter(eng, word[0], mono)
+        assert engine_insert_letter(eng, word[0], mono) == image
+        for mono2, c2 in image.items():
             out[mono2] = out.get(mono2, 0) + c * c2
     return {k: v for k, v in out.items() if v}
 
@@ -715,7 +769,8 @@ def test_last_pair_acts_by_the_weight_on_every_monomial(m, n):
             for b in range(m + 1, m + n + 1):
                 want = {x: vm.PPoly((2 * x.content(m, n)[b - 1], 1))}
                 assert eng._action_image(("bb", b, b, "-", "+"), x) == want
-                assert eng.bracket(b, b, x) == want
+                assert {eng._mono(key): vm.PPoly(poly) for key, poly
+                        in eng.bracket(b, b, eng._key(x)).items()} == want
                 assert eng.acts_by_weight(b, x)
 
 
@@ -811,8 +866,8 @@ def test_cartan_verdict_reads_exactly_the_pivot_monomials(monkeypatch,
     assert vm.gram_record(blk, (2,)).cartan is cartan
 
 
-MEMOIZED = ("level_basis", "_insert_letter", "_lead", "low", "bracket",
-            "_pair", "gram_polys", "acts_by_weight")
+MEMOIZED = ("level_basis", "_pack", "_insert_letter", "_lead", "low",
+            "bracket", "_pair", "gram_polys", "acts_by_weight")
 
 
 def test_engine_caches_are_per_engine():
@@ -851,26 +906,125 @@ def test_every_engine_cache_is_hit(monkeypatch):
 
 
 def test_straightening_images_are_only_read(monkeypatch):
-    """A fresh engine's cached straightening images c_a^+ X equal those of
-    the uncached recursion, and stay equal after the Gram blocks, diagonal
-    values and creation actions of (2,2) to level 4 at p = 1, 2, 3 have read
-    them: no caller writes into a dict the cache hands out."""
+    """A fresh engine's cached straightening images c_a^+ X, unpacked, equal
+    those of the reference straightening on exponent tuples, and stay equal
+    after the Gram blocks, diagonal values and creation actions of (2,2) to
+    level 4 at p = 1, 2, 3 have read them: no caller writes into a dict the
+    cache hands out."""
     eng = vm.VermaEngine(2, 2)
-    uncached = vm.VermaEngine(2, 2)
-    uncached._insert_letter = types.MethodType(vm.VermaEngine._insert_letter,
-                                               uncached)
     keys = [(a, x) for level in range(4)
             for monos in eng.level_basis(level).values() for x in monos
             for a in range(1, eng.r + 1)]
-    expected = {key: uncached._insert_letter(*key) for key in keys}
-    assert {key: eng._insert_letter(*key) for key in keys} == expected
+    expected = {key: insert_letter(eng, *key) for key in keys}
+    assert {key: engine_insert_letter(eng, *key) for key in keys} == expected
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(2, 2, p, 4):
             vm.diagonal_values(vm.gram_record(blk, (4,)))
     for a, x in keys:
         eng.act(("c", a, "+"), {x: 1}, 2)
-    assert {key: eng._insert_letter(*key) for key in keys} == expected
+    assert {key: engine_insert_letter(eng, *key) for key in keys} == expected
+
+
+RECURSION = ("_lead", "_insert_letter", "low", "bracket", "_pair")
+
+
+def holds_only_ints(value):
+    """Whether value is an int, or a tuple or dict of such values."""
+    if type(value) is int:
+        return True
+    if type(value) is tuple:
+        return all(holds_only_ints(v) for v in value)
+    if type(value) is dict:
+        return all(holds_only_ints(k) and holds_only_ints(v)
+                   for k, v in value.items())
+    return False
+
+
+def test_recursion_caches_hold_only_packed_keys(monkeypatch, capsys):
+    """Through a gram run of (2,2) to level 4, every call of the memoized
+    recursion takes int monomial keys, so every key of its caches is an
+    int, and returns ints, tuples and dicts of them: no PBWMonomial or
+    PPoly."""
+    from parafock.cli import main
+
+    eng = vm.VermaEngine(2, 2)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    calls = []
+
+    def spy(name):
+        cached = getattr(eng, name)
+
+        def spied(*args):
+            value = cached(*args)
+            calls.append((name, args, value))
+            return value
+        return spied
+
+    for name in RECURSION:
+        setattr(eng, name, spy(name))
+    assert main(["gram", "--m", "2", "--n", "2", "--p", "2",
+                 "--levels", "4"]) == 0
+    capsys.readouterr()
+    assert {name for name, _, _ in calls} == set(RECURSION)
+    for name, args, value in calls:
+        assert all(type(arg) is int for arg in args), (name, args)
+        assert holds_only_ints(value), (name, args)
+
+
+@pytest.mark.parametrize("mono", [
+    vm.PBWMonomial((0, -1), (0,)),     # negative exponent
+    vm.PBWMonomial((1, -1), (1,)),     # negative, at a nonnegative content
+    vm.PBWMonomial((1,), (0,)),        # too few singles
+    vm.PBWMonomial((1, 0), ()),        # too few bracket factors
+    vm.PBWMonomial((1, 0, 0), (0,)),   # too many singles
+    vm.PBWMonomial((vm.CONTENT_LIMIT, 0), (0,)),
+    vm.PBWMonomial((vm.CONTENT_LIMIT - 1, 0), (1,)),
+])
+def test_engine_rejects_monomials_outside_its_keys(mono):
+    """A monomial of the wrong shape, with a negative exponent, or with a
+    content entry at the slot limit is a ValueError wherever it enters the
+    engine: in pair_poly, act and acts_by_weight."""
+    eng = vm.VermaEngine(1, 1)
+    with pytest.raises(ValueError):
+        eng.pair_poly(mono, mono)
+    with pytest.raises(ValueError):
+        eng.act(("c", 1, "+"), {mono: 1}, 2)
+    with pytest.raises(ValueError):
+        eng.acts_by_weight(2, mono)
+
+
+def test_engine_keys_reach_up_to_the_slot_limit():
+    """The last content below the limit packs, lowers and raises by two
+    letters without overflowing a slot; a level that reaches the limit
+    raises."""
+    eng = vm.VermaEngine(1, 1)
+    top = vm.CONTENT_LIMIT - 1
+    x = vm.PBWMonomial((0, top), (0,))
+    assert eng._mono(eng._key(x)) == x
+    # for a paraboson c^- (c^+)^k |0> = k (c^+)^(k-1) at an even k
+    assert top % 2 == 0
+    assert eng.act(("c", 2, "-"), {x: 1}, 3) \
+        == {vm.PBWMonomial((0, top - 1), (0,)): top}
+    assert eng.act(("bb", 2, 2, "+", "+"), {x: 1}, 1) \
+        == {vm.PBWMonomial((0, top + 2), (0,)): 2}
+    with pytest.raises(ValueError):
+        eng.level_basis(vm.CONTENT_LIMIT)
+
+
+@pytest.mark.parametrize("m,n,level_max", [
+    (2, 2, 5), (3, 1, 5), (1, 3, 5), (0, 3, 5), (3, 3, 4),
+])
+def test_packed_keys_round_trip_in_basis_order(m, n, level_max):
+    """Every monomial unpacks from its key, and the keys of the monomials
+    of all levels, sorted as ints, come in the monomials' own order."""
+    eng = vm.VermaEngine(m, n)
+    monos = [x for level in range(level_max + 1)
+             for x in vm.pbw_basis(m, n, level)]
+    keys = [eng._key(x) for x in monos]
+    assert all(type(key) is int for key in keys)
+    assert [eng._mono(key) for key in keys] == monos
+    assert [eng._mono(key) for key in sorted(keys)] == sorted(monos)
 
 
 def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
