@@ -10,22 +10,25 @@ unique reading with identically vanishing residuals.  Values are exact:
 squares are rational, square roots stay symbolic as (sign, radicand) pairs.
 
 A recurrence residual is a linear form in squared matrix elements whose
-coefficients do not depend on p.  recurrence_terms builds that term table
-(source top row, slot, coefficient) once per (top row, subrow), and
-residual_from_terms evaluates it at one order.  The term tables read only the
-zero policy, so select_parsing_variant_multi builds every config's table once
-per (m, n, level_max, zero_policy) in a dict of its own and hands it to the
-sweeps of all parsing variants; the module keeps no state.  For each order p,
-residual_sweep fills a table of G_k^2 keyed by (top row, slot) that every
-residual of that order and the sweep's own values read.  A sweep keeps at
-most MAX_FAILURE_SAMPLES nonzero residuals, and its failure_count counts
-those samples, not every nonzero residual.
+coefficients do not depend on p, and it is evaluated in integers: each
+coefficient and each G_k^2 is an unreduced (numerator, denominator) pair
+under the zero policy (_pair), a term table sums to one pair (_term_sum), and
+the residual vanishes iff that numerator is (p + shift) times its
+denominator.  _top_terms builds the term tables of all subrows of a top row
+from its raisable slots and lowered rows, found once.  The tables read only
+the zero policy, so select_parsing_variant_multi builds them once per (m, n,
+level_max, zero_policy), and it runs one sweep per domain and distinct
+reading (boson_tail is read only where m >= 2); both in dicts of its own, so
+the module keeps no state.  A sweep builds a Fraction only for each of its
+values, one per (top row, slot, p), and for each failure sample it keeps:
+at most MAX_FAILURE_SAMPLES nonzero residuals, which failure_count counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import patterns as gz
@@ -113,27 +116,38 @@ def _eo_factor(kind: str, sub: int, arg, variant: ParsingVariant):
     return parity_indicator(kind, sub + arg) + 1
 
 
-def _ratio(num_factors, den_factors, variant: ParsingVariant) -> Fraction:
-    """Divide factor products under the variant's zero-cancellation policy.
+def _pair(num_factors, den_factors, sign: int, zero_policy: str):
+    """sign * prod(num_factors) / prod(den_factors) as an unreduced integer
+    (numerator, denominator) pair under the zero policy, or None where a zero
+    denominator factor survives pairing.
 
     Zeros are counted on the raw factors; 'cancel_pairs' drops one numerator
-    zero per denominator zero.  The nonzero factors are multiplied as they
-    come (integers in every closed form) and divided once.
+    zero per denominator zero.  The nonzero factors (integers in every closed
+    form) are multiplied as they come.
     """
     num_zeros = num_factors.count(0)
     den_zeros = den_factors.count(0)
-    if variant.zero_policy == "cancel_pairs":
+    if zero_policy == "cancel_pairs":
         cancel = min(num_zeros, den_zeros)
         num_zeros -= cancel
         den_zeros -= cancel
     if den_zeros:
+        return None
+    if num_zeros:
+        return 0, 1
+    return (sign * math.prod(filter(None, num_factors)),
+            math.prod(filter(None, den_factors)))
+
+
+def _ratio(num_factors, den_factors, variant: ParsingVariant) -> Fraction:
+    """_pair of the factor lists as a Fraction; raises UncancelledZeroError
+    where a zero denominator factor survives pairing."""
+    pair = _pair(num_factors, den_factors, 1, variant.zero_policy)
+    if pair is None:
         raise UncancelledZeroError(
             f"zero denominator factor survives pairing (policy "
             f"{variant.zero_policy})")
-    if num_zeros:
-        return Fraction(0)
-    return Fraction(math.prod(x for x in num_factors if x),
-                    math.prod(x for x in den_factors if x))
+    return Fraction(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +156,6 @@ def _ratio(num_factors, den_factors, variant: ParsingVariant) -> Fraction:
 
 def _squared_factors(top, k, p, m, n, variant):
     """(numerator list, denominator list, outer sign) for the k-th transition."""
-    r = m + n
     mu = lambda i: top[i - 1]
     if k <= m and k % 2 == 0:
         num = [_eo_factor("E", m, mu(k) + m - n - k, variant)]
@@ -248,34 +261,80 @@ def reduced_me(top, k: int, p: int, m: int, n: int,
 # the diagonal recurrence
 # ---------------------------------------------------------------------------
 
-def _squared(squares: dict, top, k: int, p: int, m: int, n: int,
-             variant: ParsingVariant) -> Fraction:
-    """reduced_me_squared(top, k, ...) read through a table keyed by (top, k).
+def _top_terms(top, subrows, m: int, n: int, zero_policy: str):
+    """The p-free term tables of the diagonal recurrence at a top row.
 
-    The table belongs to one (m, n, p, variant).  An uncancelled zero is
-    stored as None and raised again on every read.
+    Returns (raisable, tables): the slots of top whose raise is admissible,
+    and (subrow, terms, shift) per subrow, terms as in recurrence_terms but
+    each term ((source, k), coefficient _pair or None).  The raisable slots
+    and the lowered rows of top are found once, for all its subrows.
+
+    With mu the top row, nu the subrow, j over the fermionic slots 1..m and
+    s over the bosonic ones, the coefficient at slot k and entry x (mu_k to
+    raise, mu_k - 1 to lower from the lowered row) has the factors
+
+      fermion i  num  x - mu_j - i + j + 1 (j != i), x + nu_s + 2m - i - s + 1
+                 den  x - nu_j - i + j (j != i),     x + mu_s + 2m - i - s + 2
+      boson q    num  mu_j + x + 2m - j - q + 1,     x - nu_s - q + s + 1
+                 den  nu_j + x + 2m - j - q + 2,     x - mu_s - q + s (s != q)
+
+    with s < m + n wherever nu_s is read.  Below, each entry is taken as its
+    offset from its slot index, and x as its offset from k.
     """
-    key = (top, k)
-    if key not in squares:
-        try:
-            squares[key] = reduced_me_squared(top, k, p, m, n, variant)
-        except UncancelledZeroError:
-            squares[key] = None
-    g = squares[key]
-    if g is None:
-        raise UncancelledZeroError(
-            f"G_{k}^2 at top row {top} has an uncancelled zero (policy "
-            f"{variant.zero_policy})")
-    return g
-
-
-def _coefficient(num_factors, den_factors, variant: ParsingVariant):
-    """_ratio of the factor lists, or None where a zero denominator factor
-    survives pairing."""
-    try:
-        return _ratio(num_factors, den_factors, variant)
-    except UncancelledZeroError:
-        return None
+    if n < 1:
+        raise ValueError("the diagonal recurrence needs a bosonic last slot")
+    r = m + n
+    raisable = tuple(k for k in range(1, r + 1)
+                     if gz.raise_top_row(top, m, n, k) is not None)
+    lowered = (None,) + tuple(gz.lower_top_row(top, m, n, k)
+                              for k in range(1, r + 1))
+    mu_f = [top[j - 1] - j for j in range(1, m + 1)]
+    mu_b = [top[s - 1] - s for s in range(m + 1, r + 1)]
+    # (source row, x - k, top row's numerator and denominator factors) of
+    # each term: fermion slot i raising (theta 0) or lowering (theta 1), and
+    # boson slot q raising, then lowering
+    fermions = {}
+    for i in range(1, m + 1):
+        for theta, source in ((0, top if i in raisable else None),
+                              (1, lowered[i])):
+            if source is not None:
+                x = top[i - 1] - theta - i
+                fermions[i, theta] = (
+                    source, x,
+                    [x + 1 - e for j, e in enumerate(mu_f, 1) if j != i],
+                    [x + 2 * m + 2 + e for e in mu_b])
+    bosons = []
+    for q in range(m + 1, r + 1):
+        for lower, source in ((0, top if q in raisable else None),
+                              (1, lowered[q])):
+            if source is not None:
+                x = top[q - 1] - lower - q
+                bosons.append((
+                    q, source, x, [x + 2 * m + 1 + e for e in mu_f],
+                    [x - e for s, e in enumerate(mu_b, m + 1) if s != q]))
+    tables = []
+    for subrow in subrows:
+        if len(subrow) != r - 1:
+            raise ValueError("subrow must have length m+n-1")
+        nu_f = [subrow[j - 1] - j for j in range(1, m + 1)]
+        nu_b = [subrow[s - 1] - s for s in range(m + 1, r)]
+        terms = []
+        for i in range(1, m + 1):
+            theta = top[i - 1] - subrow[i - 1]
+            if theta not in (0, 1):
+                raise ValueError(f"invalid theta step at slot {i}")
+            if (i, theta) not in fermions:
+                continue
+            source, x, num, den = fermions[i, theta]
+            num = num + [x + 2 * m + 1 + e for e in nu_b]
+            den = [x - e for j, e in enumerate(nu_f, 1) if j != i] + den
+            terms.append(((source, i), _pair(num, den, 1, zero_policy)))
+        for q, source, x, num, den in bosons:
+            num = num + [x + 1 - e for e in nu_b]
+            den = [x + 2 * m + 2 + e for e in nu_f] + den
+            terms.append(((source, q), _pair(num, den, 1, zero_policy)))
+        tables.append((subrow, terms, 2 * (sum(top) - sum(subrow))))
+    return raisable, tables
 
 
 def recurrence_terms(top, subrow, m: int, n: int,
@@ -293,52 +352,36 @@ def recurrence_terms(top, subrow, m: int, n: int,
     variant's zero policy, or None where a zero denominator factor survives
     pairing; of the variant only zero_policy is read.
     """
-    if n < 1:
-        raise ValueError("the diagonal recurrence needs a bosonic last slot")
-    r = m + n
-    top = tuple(top)
-    subrow = tuple(subrow)
-    if len(subrow) != r - 1:
-        raise ValueError("subrow must have length m+n-1")
-    mu = lambda i: top[i - 1]
-    nu = lambda i: subrow[i - 1]
-    terms = []
+    _, [(_, terms, shift)] = _top_terms(tuple(top), [tuple(subrow)], m, n,
+                                        variant.zero_policy)
+    return [(source, k, None if c is None else Fraction(*c))
+            for (source, k), c in terms], shift
 
-    # a lowering term's factors are the raising term's, read at the lowered
-    # entry x = mu_i - 1; the other entries of the two rows agree
-    def fermion_term(i, x, source):
-        num = [x - mu(j) - i + j + 1 for j in range(1, m + 1) if j != i]
-        num += [x + nu(s) + 2 * m - i - s + 1 for s in range(m + 1, r)]
-        den = [x - nu(j) - i + j for j in range(1, m + 1) if j != i]
-        den += [x + mu(s) + 2 * m - i - s + 2 for s in range(m + 1, r + 1)]
-        terms.append((source, i, _coefficient(num, den, variant)))
 
-    def boson_term(q, x, source):
-        num = [mu(j) + x + 2 * m - j - q + 1 for j in range(1, m + 1)]
-        num += [x - nu(s) - q + s + 1 for s in range(m + 1, r)]
-        den = [nu(j) + x + 2 * m - j - q + 2 for j in range(1, m + 1)]
-        den += [x - mu(s) - q + s for s in range(m + 1, r + 1) if s != q]
-        terms.append((source, q, _coefficient(num, den, variant)))
+def _term_sum(terms, squares):
+    """sum(c * G_k^2) over a term table, as one unreduced integer pair.
 
-    for i in range(1, m + 1):
-        theta = mu(i) - nu(i)
-        if theta not in (0, 1):
-            raise ValueError(f"invalid theta step at slot {i}")
-        if theta == 0 and gz.raise_top_row(top, m, n, i) is not None:
-            fermion_term(i, mu(i), top)
-        if theta == 1:
-            lowered = gz.lower_top_row(top, m, n, i)
-            if lowered is not None:
-                fermion_term(i, mu(i) - 1, lowered)
-
-    for q in range(m + 1, r + 1):
-        if gz.raise_top_row(top, m, n, q) is not None:
-            boson_term(q, mu(q), top)
-        lowered = gz.lower_top_row(top, m, n, q)
-        if lowered is not None:
-            boson_term(q, mu(q) - 1, lowered)
-
-    return terms, 2 * (sum(top) - sum(subrow))
+    terms holds (key, coefficient pair), the pair None where it is missing,
+    and squares maps each key to its G_k^2 pair, or to None for an
+    uncancelled zero.  Returns None where a G_k^2 read has an uncancelled
+    zero, or where a term with nonzero G_k^2 has no coefficient; a missing
+    coefficient against G_k^2 = 0 drops out.
+    """
+    num, den = 0, 1
+    for key, c in terms:
+        g = squares[key]
+        if g is None:
+            return None
+        g_num, g_den = g
+        if not g_num:
+            continue
+        if c is None:
+            return None
+        c_num, c_den = c
+        d = c_den * g_den
+        num = num * d + c_num * g_num * den
+        den *= d
+    return num, den
 
 
 def residual_from_terms(terms, shift: int, p: int, m: int, n: int,
@@ -346,24 +389,30 @@ def residual_from_terms(terms, shift: int, p: int, m: int, n: int,
     """Evaluate a recurrence_terms table at order p.
 
     G_k^2 is read through squares, the (top, k) table of this (m, n, p,
-    variant), which the call fills.  The sum is kept as one integer
-    numerator and denominator and becomes a single Fraction.  Raises
+    variant), which the call fills (None for an uncancelled zero).  The sum
+    is _term_sum's integer pair and becomes a single Fraction.  Raises
     UncancelledZeroError where a G_k^2 read has an uncancelled zero, or
     where a term with nonzero G_k^2 has no coefficient; a missing
     coefficient against G_k^2 = 0 drops out.
     """
-    num, den = 0, 1
-    for source, k, coefficient in terms:
-        g = _squared(squares, source, k, p, m, n, variant)
-        if not g:
-            continue
-        if coefficient is None:
-            raise UncancelledZeroError(
-                f"the coefficient of G_{k}^2 at top row {source} has an "
-                f"uncancelled zero (policy {variant.zero_policy})")
-        d = coefficient.denominator * g.denominator
-        num = num * d + coefficient.numerator * g.numerator * den
-        den *= d
+    pairs = {}
+    for source, k, _ in terms:
+        if (source, k) not in squares:
+            try:
+                squares[source, k] = reduced_me_squared(source, k, p, m, n,
+                                                        variant)
+            except UncancelledZeroError:
+                squares[source, k] = None
+        g = squares[source, k]
+        pairs[source, k] = None if g is None else (g.numerator, g.denominator)
+    total = _term_sum([((source, k), None if c is None
+                        else (c.numerator, c.denominator))
+                       for source, k, c in terms], pairs)
+    if total is None:
+        raise UncancelledZeroError(
+            f"the residual at order {p} reads an uncancelled zero (policy "
+            f"{variant.zero_policy})")
+    num, den = total
     return Fraction(num - (p + shift) * den, den)
 
 
@@ -373,8 +422,7 @@ def recurrence_residual(top, subrow, p: int, m: int, n: int,
 
     The p-free term table of recurrence_terms, evaluated at p by
     residual_from_terms through a fresh G_k^2 table.  To share one table
-    across residuals of one order, call residual_from_terms (as
-    residual_sweep does).
+    across residuals of one order, call residual_from_terms.
     """
     terms, shift = recurrence_terms(top, subrow, m, n, variant)
     return residual_from_terms(terms, shift, p, m, n, variant, {})
@@ -396,39 +444,29 @@ def recurrence_configs(m: int, n: int, level_max: int):
 
 
 def _prepare(m: int, n: int, level_max: int, zero_policy: str):
-    """residual_sweep's p-free half: (configs, slots).  configs holds (top
-    row, subrow, recurrence_terms table, shift, raisable slots of the top
-    row) in recurrence_configs order, slots each raisable (top row, slot)."""
-    variant = ParsingVariant(zero_policy=zero_policy)
-    raisable = {}
-    configs = []
-    for top, subrow in recurrence_configs(m, n, level_max):
-        if top not in raisable:
-            raisable[top] = tuple(k for k in range(1, m + n + 1) if
-                                  gz.raise_top_row(top, m, n, k) is not None)
-        terms, shift = recurrence_terms(top, subrow, m, n, variant)
-        configs.append((top, subrow, tuple(terms), shift, raisable[top]))
-    return tuple(configs), tuple((top, k) for top in raisable
-                                 for k in raisable[top])
+    """residual_sweep's p-free half: (top row, raisable slots, tables) per
+    top row in recurrence_configs order, from _top_terms."""
+    return tuple(
+        (top, *_top_terms(top, [subrow for _, subrow in group], m, n,
+                          zero_policy))
+        for top, group in itertools.groupby(
+            recurrence_configs(m, n, level_max), key=lambda c: c[0]))
 
 
 def residual_sweep(m: int, n: int, p_values, level_max: int,
                    variant: ParsingVariant) -> dict:
     """Run the recurrence over the whole config range under one variant.
 
-    The configs, their recurrence_terms tables and the raisable slots of
-    each top row come from _prepare, built for this call only.  For each p
-    in p_values, the sweep fills one (top row, slot) -> G_k^2 table from the
-    closed form at every raisable slot (None for an uncancelled zero; the
-    rows and slots are admissible, so reduced_me_squared's checks are not
-    repeated).  Every residual of that order is evaluated through it
-    (residual_from_terms), and the returned values, keyed (top row, slot,
-    p), are its entries for the raisable slots of each top row whose
-    residual evaluated.
-
-    failures keeps the first MAX_FAILURE_SAMPLES nonzero residuals, and
-    failure_count is the number of samples kept, so it is capped at
-    MAX_FAILURE_SAMPLES too; ok is False on any nonzero residual.
+    The term tables come from _prepare, built for this call only.  For each
+    p in p_values the sweep holds one G_k^2 pair per raisable (top row,
+    slot), from the closed form (None for an uncancelled zero), and checks
+    every residual of that order in integers against them.  A config is an
+    error where its residual reads an uncancelled zero, or where a raisable
+    slot of its own top row has one.  values, keyed (top row, slot, p), are
+    the G_k^2 of each top row with an evaluated residual, up to its first
+    uncancelled zero.  failures keeps the first MAX_FAILURE_SAMPLES nonzero
+    residuals and failure_count counts them, so it is capped too; ok is
+    False on any nonzero residual or error.
     """
     return _sweep(m, n, p_values, level_max, variant, {})
 
@@ -440,32 +478,37 @@ def _sweep(m: int, n: int, p_values, level_max: int, variant: ParsingVariant,
     key = (m, n, level_max, variant.zero_policy)
     if key not in tables:
         tables[key] = _prepare(*key)
-    prepared, slots = tables[key]
+    tops = tables[key]
     configs = 0
     failures = []
     errors = 0
     values = {}
     for p in p_values:
-        squares = {}
-        for top, k in slots:
-            num, den, outer = _squared_factors(top, k, p, m, n, variant)
-            ratio = _coefficient(num, den, variant)
-            squares[(top, k)] = None if ratio is None else outer * ratio
-        for top, subrow, terms, shift, raisable in prepared:
-            configs += 1
-            try:
-                res = residual_from_terms(terms, shift, p, m, n, variant,
-                                          squares)
+        squares = {(top, k): _pair(*_squared_factors(top, k, p, m, n, variant),
+                                   variant.zero_policy)
+                   for top, raisable, _ in tops for k in raisable}
+        for top, raisable, subrows in tops:
+            intact = all(squares[top, k] is not None for k in raisable)
+            evaluated = False
+            for subrow, terms, shift in subrows:
+                configs += 1
+                total = _term_sum(terms, squares)
+                evaluated |= total is not None
+                if total is None or not intact:
+                    errors += 1
+                    continue
+                num, den = total
+                if (num != (p + shift) * den
+                        and len(failures) < MAX_FAILURE_SAMPLES):
+                    failures.append({
+                        "top": list(top), "subrow": list(subrow), "p": p,
+                        "residual": str(Fraction(num - (p + shift) * den,
+                                                 den))})
+            if evaluated:
                 for k in raisable:
-                    values[(top, k, p)] = _squared(
-                        squares, top, k, p, m, n, variant)
-            except UncancelledZeroError:
-                errors += 1
-                continue
-            if res != 0:
-                if len(failures) < MAX_FAILURE_SAMPLES:
-                    failures.append({"top": list(top), "subrow": list(subrow),
-                                     "p": p, "residual": str(res)})
+                    if squares[top, k] is None:
+                        break
+                    values[top, k, p] = Fraction(*squares[top, k])
     return {"m": m, "n": n, "level_max": level_max,
             "p_values": list(p_values), "variant": variant.short(),
             "configs": configs, "failures": failures,
@@ -485,27 +528,35 @@ def select_parsing_variant_multi(domains, p_samples, level_max: int) -> dict:
     A variant survives when its sweep is clean on every domain.  Variants
     that agree on every evaluated squared matrix element over the sweeps are
     observationally identical and count as one; several *distinct* survivors
-    (or none) raise VariantSelectionError.
+    (or none) raise VariantSelectionError.  boson_tail is read only by a
+    family that is empty when m <= 1, so there the two tail readings share
+    one sweep, recorded under each variant's own name.
     """
     p_samples = list(p_samples)
     alive = {}
     per_variant = []
     term_tables = {}  # this selection's, shared by all its variants
+    sweeps = {}  # this selection's, one per domain and distinct reading
     for variant in ALL_VARIANTS:
-        combined = {}
+        values = []  # the sweeps' values, in domain order
         for (m, n) in domains:
-            sweep = _sweep(m, n, p_samples, level_max, variant, term_tables)
-            per_variant.append({k: v for k, v in sweep.items() if k != "values"})
+            reading = (variant if m >= 2
+                       else replace(variant, boson_tail="boson_entry"))
+            if (m, n, reading) not in sweeps:
+                sweeps[m, n, reading] = _sweep(m, n, p_samples, level_max,
+                                               reading, term_tables)
+            sweep = sweeps[m, n, reading]
+            per_variant.append({k: v for k, v in sweep.items() if k != "values"}
+                               | {"variant": variant.short()})
             if not sweep["ok"]:
                 break
-            for key, val in sweep["values"].items():
-                combined[(m, n) + key] = val
+            values.append(sweep["values"])
         else:
-            alive[variant] = combined
+            alive[variant] = values
     if not alive:
         raise VariantSelectionError("no variant survives the joint sweep")
-    tables = {frozenset(tab.items()) for tab in alive.values()}
-    if len(tables) > 1:
+    first, *others = alive.values()
+    if any(other != first for other in others):
         raise VariantSelectionError(
             "distinct variants survive the joint sweep: "
             + ", ".join(v.short() for v in alive))

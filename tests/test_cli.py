@@ -452,6 +452,18 @@ def test_verify_id2_matches_golden_file():
     assert out == golden.read_text()
 
 
+def test_verify_id2_four_domain_selection_matches_golden_file():
+    """Auto mode over the two-row domains, where the two tail readings share
+    their sweeps on (1,1) and (1,2)."""
+    golden = (Path(__file__).parent / "fixtures"
+              / "id2_m1_n1_d11_21_12_22_p123_l6.jsonl")
+    code, out, _ = run_cli("verify-id2", "--m", "1", "--n", "1",
+                           "--domains", "1,1;2,1;1,2;2,2", "--p", "1,2,3",
+                           "--levels", "6")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 @pytest.mark.parametrize("domains,variant", [
     pytest.param("1,1;2,1;2,2", "mult:cancel:printed", id="mult:cancel:printed"),
     pytest.param("1,1;2,1;2,2", "argsum:strict:boson", id="argsum:strict:boson"),

@@ -262,13 +262,13 @@ def test_residual_sweep_leaves_no_tables_behind(monkeypatch):
     term tables for that call only, so a repeat builds them again, and no
     function of the module holds a cache."""
     calls = []
-    original = rm.recurrence_terms
+    original = rm._top_terms
 
-    def counting(top, subrow, m, n, variant=V):
-        calls.append((top, subrow))
-        return original(top, subrow, m, n, variant)
+    def counting(top, subrows, m, n, zero_policy):
+        calls.extend((top, subrow) for subrow in subrows)
+        return original(top, subrows, m, n, zero_policy)
 
-    monkeypatch.setattr(rm, "recurrence_terms", counting)
+    monkeypatch.setattr(rm, "_top_terms", counting)
     first = rm.residual_sweep(2, 1, [1, 2], 3, V)
     configs = len(list(rm.recurrence_configs(2, 1, 3)))
     assert len(calls) == configs
@@ -280,16 +280,15 @@ def test_residual_sweep_leaves_no_tables_behind(monkeypatch):
 
 def test_variant_selection_builds_each_term_table_once(monkeypatch):
     """The term tables read only the zero policy, so the sweeps of all eight
-    variants share one recurrence_terms call per (domain, config, zero
-    policy)."""
+    variants share one term table build per (domain, config, zero policy)."""
     calls = []
-    original = rm.recurrence_terms
+    original = rm._top_terms
 
-    def counting(top, subrow, m, n, variant=V):
-        calls.append((m, n, variant.zero_policy, top, subrow))
-        return original(top, subrow, m, n, variant)
+    def counting(top, subrows, m, n, zero_policy):
+        calls.extend((m, n, zero_policy, top, subrow) for subrow in subrows)
+        return original(top, subrows, m, n, zero_policy)
 
-    monkeypatch.setattr(rm, "recurrence_terms", counting)
+    monkeypatch.setattr(rm, "_top_terms", counting)
     domains, level_max = [(1, 1), (2, 1), (1, 2)], 3
     rep = rm.select_parsing_variant_multi(domains, [1, 2, 3], level_max)
     built = list(calls)
@@ -311,6 +310,21 @@ def test_variant_selection_builds_each_term_table_once(monkeypatch):
     assert len(rep["per_variant"]) == 12
     assert sum(configs[s["m"], s["n"]] for s in rep["per_variant"]) == 174
     assert len(calls) == 61
+
+
+def squared(squares, top, k, p, m, n, variant):
+    """reduced_me_squared read through a (top, k) table of one (m, n, p,
+    variant), which stores an uncancelled zero as None and raises it again
+    on every read."""
+    key = (top, k)
+    if key not in squares:
+        try:
+            squares[key] = rm.reduced_me_squared(top, k, p, m, n, variant)
+        except rm.UncancelledZeroError:
+            squares[key] = None
+    if squares[key] is None:
+        raise rm.UncancelledZeroError(f"G_{k}^2 at top row {top}")
+    return squares[key]
 
 
 def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):
@@ -336,7 +350,7 @@ def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):
             raise ValueError(f"invalid theta step at slot {i}")
         # raising term
         if theta == 0:
-            g = rm._squared(squares, top, i, p, m, n, variant)
+            g = squared(squares, top, i, p, m, n, variant)
             if g:
                 num = [mu(i) - mu(j) - i + j + 1
                        for j in range(1, m + 1) if j != i]
@@ -351,7 +365,7 @@ def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):
         if theta == 1:
             lowered = gz.lower_top_row(top, m, n, i)
             if lowered is not None:
-                g = rm._squared(squares, lowered, i, p, m, n, variant)
+                g = squared(squares, lowered, i, p, m, n, variant)
                 if g:
                     num = [mu(i) - mu(j) - i + j
                            for j in range(1, m + 1) if j != i]
@@ -364,7 +378,7 @@ def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):
                     total += rm._ratio(num, den, variant) * g
 
     for q in range(m + 1, r + 1):
-        g = rm._squared(squares, top, q, p, m, n, variant)
+        g = squared(squares, top, q, p, m, n, variant)
         if g:
             num = [mu(j) + mu(q) + 2 * m - j - q + 1
                    for j in range(1, m + 1)]
@@ -376,7 +390,7 @@ def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):
             total += rm._ratio(num, den, variant) * g
         lowered = gz.lower_top_row(top, m, n, q)
         if lowered is not None:
-            g = rm._squared(squares, lowered, q, p, m, n, variant)
+            g = squared(squares, lowered, q, p, m, n, variant)
             if g:
                 num = [mu(j) + mu(q) + 2 * m - j - q
                        for j in range(1, m + 1)]
@@ -407,7 +421,7 @@ def reference_sweep(m, n, p_values, level_max, variant, max_failures=10):
                                          squares=squares)
                 for k in range(1, m + n + 1):
                     if gz.raise_top_row(top, m, n, k) is not None:
-                        values[(top, k, p)] = rm._squared(
+                        values[(top, k, p)] = squared(
                             squares, top, k, p, m, n, variant)
             except rm.UncancelledZeroError:
                 errors += 1
@@ -495,9 +509,74 @@ def test_square_that_raises_raises_the_residual():
             rm.recurrence_residual(top, subrow, p, m, n, strict)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2)])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
+                                 (3, 1), (1, 3)])
 @pytest.mark.parametrize("variant", rm.ALL_VARIANTS, ids=lambda v: v.short())
 def test_sweep_matches_the_reference_sweep(m, n, variant):
     want = reference_sweep(m, n, [1, 2, 3], 4, variant)
     got = rm.residual_sweep(m, n, [1, 2, 3], 4, variant)
     assert got == want
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (0, 2), (1, 1), (1, 2), (1, 3)])
+@pytest.mark.parametrize("eo", ["indicator_times_arg", "indicator_of_sum"])
+@pytest.mark.parametrize("policy", ["cancel_pairs", "strict"])
+def test_tail_readings_sweep_alike_below_two_fermions(m, n, eo, policy):
+    """boson_tail feeds only a family that is empty when m <= 1, so there
+    the two tail readings give the same sweep but for its name."""
+    boson, printed = (rm.ParsingVariant(eo, policy, tail)
+                      for tail in ("boson_entry", "as_printed"))
+    want = rm.residual_sweep(m, n, [1, 2, 3], 5, boson)
+    got = rm.residual_sweep(m, n, [1, 2, 3], 5, printed)
+    assert got["variant"] == printed.short()
+    assert got | {"variant": boson.short()} == want
+
+
+def test_variant_selection_runs_one_sweep_per_distinct_reading(monkeypatch):
+    """On the domains with m <= 1 the two tail readings share one sweep,
+    and each still gets a record under its own name."""
+    calls = []
+    original = rm._sweep
+
+    def counting(m, n, p_values, level_max, variant, tables):
+        calls.append((m, n, variant.short()))
+        return original(m, n, p_values, level_max, variant, tables)
+
+    monkeypatch.setattr(rm, "_sweep", counting)
+    rep = rm.select_parsing_variant_multi(
+        [(1, 1), (2, 1), (1, 2), (2, 2)], [1, 2, 3], 4)
+    records = [(s["m"], s["n"], s["variant"]) for s in rep["per_variant"]]
+    assert records == [
+        (1, 1, "mult:cancel:boson"), (2, 1, "mult:cancel:boson"),
+        (1, 2, "mult:cancel:boson"), (2, 2, "mult:cancel:boson"),
+        (1, 1, "mult:cancel:printed"), (2, 1, "mult:cancel:printed"),
+        (1, 1, "mult:strict:boson"), (1, 1, "mult:strict:printed"),
+        (1, 1, "argsum:cancel:boson"), (1, 1, "argsum:cancel:printed"),
+        (1, 1, "argsum:strict:boson"), (1, 1, "argsum:strict:printed")]
+    readings = {(m, n, name if m >= 2 else name.replace("printed", "boson"))
+                for m, n, name in records}
+    assert len(calls) == len(set(calls)) == len(readings) == 8
+    assert set(calls) == readings
+    for stat in rep["per_variant"]:
+        variant = rm.ParsingVariant.from_short(stat["variant"])
+        fresh = rm.residual_sweep(stat["m"], stat["n"], [1, 2, 3], 4, variant)
+        assert stat == {k: v for k, v in fresh.items() if k != "values"}
+
+
+def test_distinct_survivors_are_refused(monkeypatch):
+    """Two clean variants whose values differ anywhere are both refused."""
+    domains = [(2, 1)]
+    rep = rm.select_parsing_variant_multi(domains, [1, 2], 3)
+    assert rep["survivors"] == ["mult:cancel:boson", "mult:cancel:printed"]
+    original = rm._sweep
+
+    def shifted(m, n, p_values, level_max, variant, tables):
+        sweep = original(m, n, p_values, level_max, variant, tables)
+        if variant.boson_tail == "as_printed":
+            key = max(sweep["values"])
+            sweep["values"] = sweep["values"] | {key: sweep["values"][key] + 1}
+        return sweep
+
+    monkeypatch.setattr(rm, "_sweep", shifted)
+    with pytest.raises(rm.VariantSelectionError, match="distinct variants"):
+        rm.select_parsing_variant_multi(domains, [1, 2], 3)
