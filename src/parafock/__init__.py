@@ -40,11 +40,8 @@ from .reduced import (
     UncancelledZeroError,
     VariantSelectionError,
     parity_indicator,
-    recurrence_residual,
-    recurrence_terms,
     reduced_me,
     reduced_me_squared,
-    residual_from_terms,
     residual_sweep,
     select_parsing_variant_multi,
 )

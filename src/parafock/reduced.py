@@ -9,17 +9,18 @@ recurrence over all admissible (top row, subrow) configurations to find the
 unique reading with identically vanishing residuals.  Values are exact:
 squares are rational, square roots stay symbolic as (sign, radicand) pairs.
 
-A recurrence residual is a linear form in squared matrix elements whose
-coefficients do not depend on p, and it is evaluated in integers: each
-coefficient and each G_k^2 is an unreduced (numerator, denominator) pair
-under the zero policy (_pair), a term table sums to one pair (_term_sum), and
-the residual vanishes iff that numerator is (p + shift) times its
-denominator.  _top_terms builds the term tables of all subrows of a top row
-from its raisable slots and lowered rows, found once.  The tables read only
-the zero policy, so select_parsing_variant_multi builds them once per (m, n,
-level_max, zero_policy), and it runs one sweep per domain and distinct
-reading (boson_tail is read only where m >= 2); both in dicts of its own, so
-the module keeps no state.  A sweep builds a Fraction only for each of its
+The recurrence has one evaluator, in integers, which residual_sweep and
+select_parsing_variant_multi run.  A residual is a linear form in squared
+matrix elements whose coefficients do not depend on p.  _top_terms builds
+the term tables of all subrows of a top row from its raisable slots and
+lowered rows, found once; each coefficient and each G_k^2 is an unreduced
+(numerator, denominator) pair under the zero policy (_pair); _term_sum sums
+a table to one pair, and the residual vanishes iff that numerator is
+(p + shift) times its denominator.  The tables read only the zero policy, so
+select_parsing_variant_multi builds them once per (m, n, level_max,
+zero_policy), and it runs one sweep per domain and distinct reading
+(boson_tail is read only where m >= 2); both in dicts of its own, so the
+module keeps no state.  A sweep builds a Fraction only for each of its
 values, one per (top row, slot, p), and for each failure sample it keeps:
 at most MAX_FAILURE_SAMPLES nonzero residuals, which failure_count counts.
 """
@@ -262,12 +263,22 @@ def reduced_me(top, k: int, p: int, m: int, n: int,
 # ---------------------------------------------------------------------------
 
 def _top_terms(top, subrows, m: int, n: int, zero_policy: str):
-    """The p-free term tables of the diagonal recurrence at a top row.
+    """The p-free term tables of the diagonal two-row recurrence at a top
+    row, for subrows from patterns.valid_subrows.
 
     Returns (raisable, tables): the slots of top whose raise is admissible,
-    and (subrow, terms, shift) per subrow, terms as in recurrence_terms but
-    each term ((source, k), coefficient _pair or None).  The raisable slots
-    and the lowered rows of top are found once, for all its subrows.
+    and (subrow, terms, shift) per subrow.  The residual at order p is
+
+        sum(c * G_k^2(source) over ((source, k), c) in terms) - (p + shift)
+
+    (_term_sum, then _sweep's comparison).  The source is top itself to
+    raise slot k and top lowered at slot k to lower it.  A term whose raised
+    or lowered top row is inadmissible is absent from the module, its G_k^2
+    is 0 at every p, and it is left out.  c is the paired numerator and
+    denominator factors' _pair under zero_policy, or None where a zero
+    denominator factor survives pairing; such a term fails the residual
+    only against a nonzero G_k^2.  The raisable slots and the lowered rows
+    of top are found once, for all its subrows.
 
     With mu the top row, nu the subrow, j over the fermionic slots 1..m and
     s over the bosonic ones, the coefficient at slot k and entry x (mu_k to
@@ -314,15 +325,11 @@ def _top_terms(top, subrows, m: int, n: int, zero_policy: str):
                     [x - e for s, e in enumerate(mu_b, m + 1) if s != q]))
     tables = []
     for subrow in subrows:
-        if len(subrow) != r - 1:
-            raise ValueError("subrow must have length m+n-1")
         nu_f = [subrow[j - 1] - j for j in range(1, m + 1)]
         nu_b = [subrow[s - 1] - s for s in range(m + 1, r)]
         terms = []
         for i in range(1, m + 1):
             theta = top[i - 1] - subrow[i - 1]
-            if theta not in (0, 1):
-                raise ValueError(f"invalid theta step at slot {i}")
             if (i, theta) not in fermions:
                 continue
             source, x, num, den = fermions[i, theta]
@@ -335,27 +342,6 @@ def _top_terms(top, subrows, m: int, n: int, zero_policy: str):
             terms.append(((source, q), _pair(num, den, 1, zero_policy)))
         tables.append((subrow, terms, 2 * (sum(top) - sum(subrow))))
     return raisable, tables
-
-
-def recurrence_terms(top, subrow, m: int, n: int,
-                     variant: ParsingVariant = DEFAULT_VARIANT):
-    """The p-free half of the diagonal two-row recurrence at (top, subrow).
-
-    Returns (terms, shift).  The residual at order p is
-
-        sum(c * G_k^2(source) for source, k, c in terms) - (p + shift)
-
-    (see residual_from_terms).  Each term is (source top row, slot k,
-    coefficient c).  A term whose raised or lowered top row is inadmissible
-    is absent from the module, its G_k^2 is 0 at every p, and it is left
-    out.  c is the paired numerator/denominator factor ratio under the
-    variant's zero policy, or None where a zero denominator factor survives
-    pairing; of the variant only zero_policy is read.
-    """
-    _, [(_, terms, shift)] = _top_terms(tuple(top), [tuple(subrow)], m, n,
-                                        variant.zero_policy)
-    return [(source, k, None if c is None else Fraction(*c))
-            for (source, k), c in terms], shift
 
 
 def _term_sum(terms, squares):
@@ -382,50 +368,6 @@ def _term_sum(terms, squares):
         num = num * d + c_num * g_num * den
         den *= d
     return num, den
-
-
-def residual_from_terms(terms, shift: int, p: int, m: int, n: int,
-                        variant: ParsingVariant, squares: dict) -> Fraction:
-    """Evaluate a recurrence_terms table at order p.
-
-    G_k^2 is read through squares, the (top, k) table of this (m, n, p,
-    variant), which the call fills (None for an uncancelled zero).  The sum
-    is _term_sum's integer pair and becomes a single Fraction.  Raises
-    UncancelledZeroError where a G_k^2 read has an uncancelled zero, or
-    where a term with nonzero G_k^2 has no coefficient; a missing
-    coefficient against G_k^2 = 0 drops out.
-    """
-    pairs = {}
-    for source, k, _ in terms:
-        if (source, k) not in squares:
-            try:
-                squares[source, k] = reduced_me_squared(source, k, p, m, n,
-                                                        variant)
-            except UncancelledZeroError:
-                squares[source, k] = None
-        g = squares[source, k]
-        pairs[source, k] = None if g is None else (g.numerator, g.denominator)
-    total = _term_sum([((source, k), None if c is None
-                        else (c.numerator, c.denominator))
-                       for source, k, c in terms], pairs)
-    if total is None:
-        raise UncancelledZeroError(
-            f"the residual at order {p} reads an uncancelled zero (policy "
-            f"{variant.zero_policy})")
-    num, den = total
-    return Fraction(num - (p + shift) * den, den)
-
-
-def recurrence_residual(top, subrow, p: int, m: int, n: int,
-                        variant: ParsingVariant = DEFAULT_VARIANT) -> Fraction:
-    """Left side minus right side of the diagonal two-row recurrence.
-
-    The p-free term table of recurrence_terms, evaluated at p by
-    residual_from_terms through a fresh G_k^2 table.  To share one table
-    across residuals of one order, call residual_from_terms.
-    """
-    terms, shift = recurrence_terms(top, subrow, m, n, variant)
-    return residual_from_terms(terms, shift, p, m, n, variant, {})
 
 
 # ---------------------------------------------------------------------------

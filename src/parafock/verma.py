@@ -32,7 +32,6 @@ builds every block; the tests compare the orbit walk against it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -62,14 +61,6 @@ class PPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def variable(cls):
-        return cls((0, 1))
 
     def is_zero(self):
         return not self.coeffs
@@ -500,8 +491,7 @@ def get_engine(m: int, n: int) -> VermaEngine:
 class GramBlock:
     """One weight space's Gram block at order p, with its elimination.
 
-    matrix holds the exact Gram entries in the type of the order p: ints at
-    an integer p, so a block at a positive order holds no Fraction.
+    matrix holds the exact integer Gram entries at the integer order p.
     pivots are the LDL pivots (Fractions); pivot_indices are the basis
     positions symmetric_rank_psd pivoted on, in pivot order, or None when
     the elimination stalled on an indefinite block.
@@ -509,11 +499,11 @@ class GramBlock:
 
     m: int
     n: int
-    p: int | Fraction
+    p: int
     content: tuple[int, ...]
     weight: tuple[int, ...]            # doubled weight
     basis: list[PBWMonomial]
-    matrix: list[list[int | Fraction]]
+    matrix: list[list[int]]
     rank: int
     psd: bool
     pivots: list[Fraction]
@@ -535,7 +525,9 @@ def basis_for_content(m: int, n: int, content) -> list[PBWMonomial]:
 
 def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
     """Gram block of the weight space of one creation content: the
-    engine's memoized entry polynomials (gram_polys) evaluated at p."""
+    engine's memoized entry polynomials (gram_polys) evaluated at the
+    integer order p.  A Fraction order gives Fraction entries, which
+    symmetric_rank_psd rejects with TypeError."""
     basis, upper = get_engine(m, n).gram_polys(tuple(content))
     mat = [[0] * len(basis) for _ in basis]
     for i, row in enumerate(upper):
@@ -543,15 +535,7 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
             val = poly.evaluate(p)
             mat[i][j] = val
             mat[j][i] = val
-    ints, den = mat, 1
-    if isinstance(p, Fraction):
-        # eliminate den * G over the integers; that scales every pivot by den
-        den = math.lcm(*(x.denominator for row in mat for x in row))
-        ints = [[x.numerator * (den // x.denominator) for x in row]
-                for row in mat]
-    rank, psd, pivots, pivot_indices = symmetric_rank_psd(ints)
-    if den != 1:
-        pivots = [d / den for d in pivots]
+    rank, psd, pivots, pivot_indices = symmetric_rank_psd(mat)
     return GramBlock(
         m=m, n=n, p=p, content=tuple(content),
         weight=gz.doubled_weight(content, m, n, p),

@@ -468,7 +468,7 @@ def test_verify_id2_four_domain_selection_matches_golden_file():
     pytest.param("1,1;2,1;2,2", "mult:cancel:printed", id="mult:cancel:printed"),
     pytest.param("1,1;2,1;2,2", "argsum:strict:boson", id="argsum:strict:boson"),
     # fails on every domain, so its residual samples pin the fermion-lowering
-    # (3,1) and pure-boson (0,3) coefficients of recurrence_terms
+    # (3,1) and pure-boson (0,3) coefficients of reduced._top_terms
     pytest.param("1,2;3,1;2,2;0,3", "argsum:cancel:boson",
                  id="argsum:cancel:boson"),
 ])
@@ -482,6 +482,30 @@ def test_verify_id2_failing_variant_matches_golden_file(domains, variant):
                            "--levels", "5", "--variant", variant)
     assert code == 1
     assert out == golden.read_text()
+
+
+def test_gk_table_negative_squares_match_golden_file():
+    """Uncapped top rows wider than p give negative squares, each an error
+    record."""
+    golden = (Path(__file__).parent / "fixtures"
+              / "gk_table_m2_n2_p3_l5_nocap.jsonl")
+    code, out, _ = run_cli("gk-table", "--m", "2", "--n", "2", "--p", "3",
+                           "--levels", "5", "--no-cap")
+    assert code == 1
+    assert out == golden.read_text()
+    assert "negative squared matrix element" in out
+
+
+def test_gk_table_uncancelled_zeros_match_golden_file():
+    """The strict zero policy leaves zero denominator factors, each an
+    error record."""
+    golden = (Path(__file__).parent / "fixtures"
+              / "gk_table_m1_n2_p2_l4_mult_strict_boson.jsonl")
+    code, out, _ = run_cli("gk-table", "--m", "1", "--n", "2", "--p", "2",
+                           "--levels", "4", "--variant", "mult:strict:boson")
+    assert code == 1
+    assert out == golden.read_text()
+    assert "zero denominator factor survives pairing" in out
 
 
 @pytest.mark.parametrize("fixture,argv", [

@@ -1,7 +1,7 @@
 """Package-wide checks: no floating point in the sources, no module-level
-definition that only the tests reach, apart from the named references that
-the package re-exports, and the README's library quick tour runs as
-printed."""
+definition or method that only the tests reach, apart from the named
+references that the package re-exports and the named uncalled methods, and
+the README's library quick tour runs as printed."""
 
 import ast
 import os
@@ -56,11 +56,14 @@ def test_package_has_no_floating_point():
 
 def unreferenced_definitions(sources):
     """(module, line, name) for each module-level def or class of the
-    {module: source} map that no module references: by name, as an
-    attribute, or in a from-import (so parafock/__init__.py's imports
-    count)."""
+    {module: source} map, and each method ("Class.method") of a module-level
+    class, that no module references: by name, as an attribute, or in a
+    from-import (so parafock/__init__.py's imports count).  A method also
+    counts where a string names it, as VermaEngine.__init__ names the
+    methods it caches; dunder methods are left out, Python calls them."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     used = set()
+    strings = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -69,11 +72,24 @@ def unreferenced_definitions(sources):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return [(module, node.lineno, node.name)
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and node.name not in used]
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                strings.add(node.value)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)) \
+                    and node.name not in used:
+                found.append((module, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(module, item.lineno, f"{node.name}.{item.name}")
+                          for item in node.body
+                          if isinstance(item, functions)
+                          and not (item.name.startswith("__")
+                                   and item.name.endswith("__"))
+                          and item.name not in used | strings]
+    return found
 
 
 def test_unreferenced_scan_sees_each_form():
@@ -85,14 +101,41 @@ def test_unreferenced_scan_sees_each_form():
         "b": "from . import a\nfrom .a import by_import\na.by_attr()\n",
     }
     assert unreferenced_definitions(sources) == [
-        ("a", 5, "unused"), ("a", 6, "Unused")]
+        ("a", 5, "unused"), ("a", 6, "Unused"), ("a", 7, "Unused.method")]
+
+
+def test_unreferenced_scan_sees_a_test_only_method():
+    """A method of a used class that only a test would call is reported;
+    one read as an attribute, named by a string or a dunder is not."""
+    sources = {
+        "a": "class Engine:\n"
+             "    def __init__(self):\n"
+             "        setattr(self, 'by_string', None)\n"
+             "    def by_attr(self): pass\n"
+             "    def by_string(self): pass\n"
+             "    def test_only(self): pass\n",
+        "b": "from .a import Engine\nEngine().by_attr()\n",
+    }
+    assert unreferenced_definitions(sources) == [
+        ("a", 6, "Engine.test_only")]
+
+
+# Methods of module-level classes that no module calls, each kept for its
+# callers outside the package.
+UNCALLED_METHODS = {
+    "VermaEngine.act": "the module action on vectors, which the tests of "
+                       "the triple relations and contravariance apply",
+    "TruncatedCharacter.level_totals": "the per-level totals the README "
+                                       "quick tour prints",
+}
 
 
 def test_package_defines_nothing_only_tests_reach():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert "__init__.py" in sources
-    assert unreferenced_definitions(sources) == []
+    found = {name for _, _, name in unreferenced_definitions(sources)}
+    assert found == set(UNCALLED_METHODS)
 
 
 # Module-level definitions that only parafock/__init__.py's re-exports
@@ -103,8 +146,6 @@ EXPORT_ONLY = {
                          "walk is tested against",
     "lr_coefficient": "one LR coefficient, the reference for the LR tableau "
                       "counts the character identity sums",
-    "recurrence_residual": "one residual through a fresh G_k^2 table, the "
-                           "reference for the sweep's shared table",
     "has_arm_leg_offset": "the Frobenius arm-leg test that "
                           "offset_family_partitions is checked against",
     "pattern_weight": "a validated pattern's doubled weight, which the "
@@ -114,12 +155,13 @@ EXPORT_ONLY = {
 
 def test_export_only_definitions_are_the_named_references():
     """Without __init__.py, whose from-imports re-export the API, exactly
-    the EXPORT_ONLY names are unreferenced; each is still exported."""
+    the EXPORT_ONLY names and the UNCALLED_METHODS are unreferenced; each
+    EXPORT_ONLY name is still exported."""
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     found = {name for _, _, name in unreferenced_definitions(sources)}
-    assert found == set(EXPORT_ONLY)
+    assert found == set(EXPORT_ONLY) | set(UNCALLED_METHODS)
     assert all(hasattr(parafock, name) for name in EXPORT_ONLY)
 
 

