@@ -47,7 +47,6 @@ from .reduced import (
 )
 from .symfunc import (
     FrobeniusForm,
-    TruncatedCharacter,
     character_formula_report,
     conjugate,
     frobenius,

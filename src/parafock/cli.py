@@ -193,8 +193,7 @@ def cmd_dims(args, out: Emitter) -> bool:
                                                max_width=p):
             la = patterns.partition_from_top_row(top, args.m, args.n)
             fills = patterns.fillings(top, args.m, args.n)
-            schur_dim = sum(
-                symfunc.super_schur(la, args.m, args.n).coeffs.values())
+            schur_dim = sum(symfunc.super_schur(la, args.m, args.n).values())
             ok &= len(fills) == schur_dim
             rec = {"level": level, "top_row": list(top),
                    "partition": list(la), "count": len(fills),
@@ -214,14 +213,15 @@ def cmd_char(args, out: Emitter) -> bool:
     rep = symfunc.character_formula_report(args.m, args.n, p, args.degree)
     for series in ("verma", "irreducible"):
         ch = rep[series]
-        for expo, mult in ch.items_sorted():
-            out.emit({"series": series, "level": sum(expo),
-                      "weight_vector": list(ch.doubled_weight(expo)),
-                      "multiplicity": mult})
+        for content in sorted(ch, key=lambda e: (sum(e), e)):
+            weight = patterns.doubled_weight(content, args.m, args.n, p)
+            out.emit({"series": series, "level": sum(content),
+                      "weight_vector": list(weight),
+                      "multiplicity": ch[content]})
     out.emit({"check": "character_formula", "series_equal": rep["series_equal"],
               "lr_identity_failures": len(rep["lr_identity_failures"]),
               "ok": rep["ok"]})
-    both = symfunc.verma_character(args.m, args.n, p, args.degree)
+    both = symfunc.verma_character(args.m, args.n, args.degree)
     expansion_ok = both == rep["verma"]
     out.emit({"check": "weight_series_expansion", "ok": expansion_ok})
     return rep["ok"] and expansion_ok
@@ -328,8 +328,7 @@ def cmd_gram(args, out: Emitter) -> bool:
     _check_session(args)
     p = _single_p(args)
     out.emit(_meta("gram", m=args.m, n=args.n, p=p, levels=args.levels))
-    char_mult = symfunc.irreducible_character(
-        args.m, args.n, p, args.levels).coeffs
+    char_mult = symfunc.irreducible_character(args.m, args.n, p, args.levels)
     ok = True
     records = list(verma.gram_records_up_to(args.m, args.n, p, args.levels))
     for rec in records:

@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .symfunc import (check_partition, conjugate, hook_partitions,
-                       lowest_weight_offset)
+from .symfunc import check_partition, conjugate, hook_partitions
 
 
 @dataclass(frozen=True)
@@ -278,9 +277,10 @@ def pattern_content(pat: GZPattern) -> tuple[int, ...]:
 
 def doubled_weight(content, m: int, n: int, p: int) -> tuple[int, ...]:
     """The vacuum shift: doubled weight (2x the Cartan eigenvalues) of a
-    creation content in the module of order p."""
-    return tuple(o + 2 * c
-                 for o, c in zip(lowest_weight_offset(m, n, p), content))
+    creation content in the module of order p, the doubled vacuum weight
+    (-p,...,-p | p,...,p) plus twice the content."""
+    shift = [-p] * m + [p] * n
+    return tuple(o + 2 * c for o, c in zip(shift, content))
 
 
 def pattern_weight(pat: GZPattern, p: int) -> tuple[int, ...]:

@@ -1,7 +1,10 @@
-"""Partition combinatorics, supersymmetric Schur functions and truncated characters.
+"""Partition combinatorics, supersymmetric Schur functions and characters.
 
-Everything here is exact integer arithmetic: characters are finitely truncated
-multivariate series with nonnegative integer coefficients, and Schur-type
+Everything here is exact integer arithmetic.  A character, like every series
+here, is a plain dict {creation content: multiplicity}: the exponent vector
+of x_1..x_m, y_1..y_n keyed to a nonzero integer coefficient, up to a total
+degree.  The vacuum shift is not applied here; it is applied only where a
+weight is printed, through patterns.doubled_weight.  Schur-type
 polynomials are computed by the branching rule, one variable at a time, with
 each intermediate skew shape cached (no determinants, no division).  The
 cache holds only the coefficients at weakly decreasing exponent vectors;
@@ -353,67 +356,8 @@ def _inner_shapes(la, m: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# truncated characters
+# characters: {creation content: multiplicity}
 # ---------------------------------------------------------------------------
-
-class TruncatedCharacter:
-    """Series in x_1..x_m, y_1..y_n truncated at total degree cap.
-
-    Coefficients are integers keyed by exponent tuples of length m+n.  The
-    global half-integer prefactor is never expanded: it is carried as `offset`,
-    a vector of doubled exponents, so term weights are offset + 2*exponents
-    (doubled to stay integral for odd p).
-    """
-
-    __slots__ = ("m", "n", "cap", "offset", "coeffs")
-
-    def __init__(self, m, n, cap, coeffs=None, offset=None):
-        self.m = m
-        self.n = n
-        self.cap = cap
-        self.offset = tuple(offset) if offset is not None else (0,) * (m + n)
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c and sum(e) <= cap:
-                    self.coeffs[tuple(e)] = c
-
-    def with_offset(self, offset):
-        return TruncatedCharacter(self.m, self.n, self.cap, self.coeffs, offset)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedCharacter):
-            return NotImplemented
-        return (
-            (self.m, self.n, self.cap, self.offset)
-            == (other.m, other.n, other.cap, other.offset)
-            and self.coeffs == other.coeffs
-        )
-
-    def level_totals(self) -> list[int]:
-        """Total multiplicity per total degree, degrees 0..cap."""
-        totals = [0] * (self.cap + 1)
-        for e, c in self.coeffs.items():
-            totals[sum(e)] += c
-        return totals
-
-    def doubled_weight(self, expo) -> tuple[int, ...]:
-        return tuple(o + 2 * e for o, e in zip(self.offset, expo))
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __repr__(self):
-        return (
-            f"TruncatedCharacter(m={self.m}, n={self.n}, cap={self.cap}, "
-            f"terms={len(self.coeffs)})"
-        )
-
-
-def lowest_weight_offset(m: int, n: int, p: int) -> tuple[int, ...]:
-    """Doubled exponent vector of the global prefactor: (-p,...,-p | p,...,p)."""
-    return tuple([-p] * m + [p] * n)
-
 
 def _schur_sum(m: int, n: int, signed_partitions) -> dict:
     """Coefficients of the sum of sign * s_la(x_1..x_m | y_1..y_n) over the
@@ -423,8 +367,7 @@ def _schur_sum(m: int, n: int, signed_partitions) -> dict:
     s_{la/tau}(x) s_{tau'}(y).  The sum is taken tau first: the x-parts of
     every la are added into one x-series per tau, at decreasing exponents
     only, and each tau then spreads each x-vector over its orbit once, in a
-    single product with its y-part.  Cancelled coefficients may remain as
-    zeros; TruncatedCharacter drops them.
+    single product with its y-part.  Cancelled coefficients are dropped.
     """
     by_tau: dict[tuple[int, ...], dict] = {}
     for la, sign in signed_partitions:
@@ -442,17 +385,16 @@ def _schur_sum(m: int, n: int, signed_partitions) -> dict:
                 for ey, cy in ypart:
                     key = ex + ey
                     out[key] = out.get(key, 0) + cx * cy
-    return out
+    return {key: c for key, c in out.items() if c}
 
 
-def super_schur(la, m: int, n: int) -> TruncatedCharacter:
-    """Supersymmetric Schur polynomial s_la(x_1..x_m | y_1..y_n), truncated
-    at its own degree |la|.
+def super_schur(la, m: int, n: int) -> dict:
+    """Supersymmetric Schur polynomial s_la(x_1..x_m | y_1..y_n).
 
-    Identically zero exactly when la violates the (m|n)-hook condition.
+    Identically zero (an empty dict) exactly when la violates the (m|n)-hook
+    condition.
     """
-    la = check_partition(la)
-    return TruncatedCharacter(m, n, weight(la), _schur_sum(m, n, [(la, 1)]))
+    return _schur_sum(m, n, [(check_partition(la), 1)])
 
 
 def _times_product_form(coeffs: dict, m: int, n: int, cap: int) -> dict:
@@ -502,50 +444,49 @@ def _pair_sums(units: list) -> list:
     return [a + b for a, b in itertools.combinations(units, 2)]
 
 
-def weight_series_product(m: int, n: int, cap: int) -> TruncatedCharacter:
-    """prod(1+x_i y_j) / [prod(1-x_i) prod(1-x_i x_k) prod(1-y_j) prod(1-y_j y_l)]."""
-    return TruncatedCharacter(
-        m, n, cap, _times_product_form({(0,) * (m + n): 1}, m, n, cap))
+def weight_series_product(m: int, n: int, cap: int) -> dict:
+    """prod(1+x_i y_j) / [prod(1-x_i) prod(1-x_i x_k) prod(1-y_j) prod(1-y_j y_l)],
+    truncated at total degree cap."""
+    return _times_product_form({(0,) * (m + n): 1}, m, n, cap)
 
 
-def verma_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
-    """Character of the induced module, with the lowest-weight offset attached,
-    as the sum of supersymmetric Schur polynomials over all hook partitions
-    of each degree.  weight_series_product gives the same series from the
-    closed product form.
+def verma_character(m: int, n: int, cap: int) -> dict:
+    """Character of the induced module up to degree cap, as the sum of
+    supersymmetric Schur polynomials over all hook partitions of each
+    degree.  weight_series_product gives the same series from the closed
+    product form.
     """
     hooks = ((la, 1) for d in range(cap + 1) for la in hook_partitions(d, m, n))
-    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, hooks),
-                              lowest_weight_offset(m, n, p))
+    return _schur_sum(m, n, hooks)
 
 
 @lru_cache(maxsize=None)
-def _narrow_character(m: int, n: int, width: int, cap: int) -> TruncatedCharacter:
+def _narrow_character(m: int, n: int, width: int, cap: int) -> dict:
     """The sum of s_la(x|y) over the hook partitions of width <= width and
-    degree <= cap, without offset.  Only with_offset copies are handed out."""
+    degree <= cap.  Only copies are handed out."""
     narrow = ((la, 1) for d in range(cap + 1)
               for la in hook_partitions(d, m, n, max_width=width))
-    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, narrow))
+    return _schur_sum(m, n, narrow)
 
 
-def irreducible_character(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
-    """Character of the irreducible lowest-weight module: hook partitions of
-    width <= p.  A partition's width is at most its degree, so every p >= cap
-    shares the Schur sum of p = cap; only the offset depends on p."""
-    return _narrow_character(m, n, min(p, cap), cap).with_offset(
-        lowest_weight_offset(m, n, p))
+def irreducible_character(m: int, n: int, p: int, cap: int) -> dict:
+    """Character of the irreducible lowest-weight module up to degree cap:
+    hook partitions of width <= p.  A partition's width is at most its
+    degree, so every p >= cap shares the Schur sum of p = cap."""
+    return dict(_narrow_character(m, n, min(p, cap), cap))
 
 
 def _alternating_sign(sigma, p: int) -> int:
     return -1 if sign_exponent(sigma, p) % 2 else 1
 
 
-def alternating_cut_sum(m: int, n: int, p: int, cap: int) -> TruncatedCharacter:
-    """Signed sum of s_sigma(x|y) over the hook partitions with arm-leg offset p."""
+def alternating_cut_sum(m: int, n: int, p: int, cap: int) -> dict:
+    """Signed sum of s_sigma(x|y) over the hook partitions with arm-leg
+    offset p and degree <= cap."""
     signed = ((sigma, _alternating_sign(sigma, p))
               for sigma in offset_family_partitions(p, cap)
               if in_hook(sigma, m, n))
-    return TruncatedCharacter(m, n, cap, _schur_sum(m, n, signed))
+    return _schur_sum(m, n, signed)
 
 
 def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
@@ -558,15 +499,13 @@ def character_formula_report(m: int, n: int, p: int, cap: int) -> dict:
         through Littlewood-Richardson coefficients (no series arithmetic).
 
     The two series it builds are returned as "irreducible" and "verma" (the
-    product form), both with the lowest-weight offset attached.
+    product form).
     """
     irreducible = irreducible_character(m, n, p, cap)
-    verma = weight_series_product(m, n, cap).with_offset(
-        lowest_weight_offset(m, n, p))
+    verma = weight_series_product(m, n, cap)
     # truncation at cap is a ring map: this is the truncated verma * alt
-    alt = alternating_cut_sum(m, n, p, cap).coeffs
-    series_equal = irreducible == TruncatedCharacter(
-        m, n, cap, _times_product_form(alt, m, n, cap), verma.offset)
+    series_equal = irreducible == _times_product_form(
+        alternating_cut_sum(m, n, p, cap), m, n, cap)
 
     # the sum over nu of c^gamma_(nu,sigma) is the number of LR tableaux of
     # shape gamma/sigma of any content: one count per (gamma, sigma)

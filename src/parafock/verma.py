@@ -183,14 +183,16 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
     slots = pair_slots(m, n)
     out = []
 
-    def pair_vectors(idx, left):
-        if idx == len(slots):
-            yield ()
-            return
-        cap = 1 if is_mixed_pair(slots[idx], m) else left
-        for e in range(0, min(cap, left) + 1):
-            for rest in pair_vectors(idx + 1, left - e):
-                yield (e,) + rest
+    def pair_vectors(start, left):
+        # the exponents of slots start.. with at most left factors in all;
+        # each call places one nonzero exponent, so the depth is at most
+        # left + 1 however many slots there are
+        yield (0,) * (len(slots) - start)
+        for idx in range(start, len(slots)):
+            cap = 1 if is_mixed_pair(slots[idx], m) else left
+            for e in range(1, min(cap, left) + 1):
+                for rest in pair_vectors(idx + 1, left - e):
+                    yield (0,) * (idx - start) + (e,) + rest
 
     def single_vectors(k, left):
         if k == r - 1:
@@ -201,14 +203,11 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
                 yield (e,) + rest
 
     for pv in pair_vectors(0, level // 2):
-        used = 2 * sum(pv)
-        if used > level:
-            continue
         if r == 0:
             if level == 0:
                 out.append(PBWMonomial((), pv))
             continue
-        for sv in single_vectors(0, level - used):
+        for sv in single_vectors(0, level - 2 * sum(pv)):
             out.append(PBWMonomial(sv, pv))
     out.sort()
     return out
@@ -270,11 +269,16 @@ class VermaEngine:
         self._no_single = 1 << SLOT_BITS * len(self.slots)
         self._last = width - 1
         # the odd components (odd singles, mixed factors); per mixed factor
-        # slot q, the low bits of those a factor inserted at q crosses
-        odd = [*range(m, self.r), *(q for q, pr in enumerate(self.slots, self.r)
+        # slot q, the low bits of those a factor inserted at q crosses: odd
+        # ascends, so each is the running sum of the units before q
+        odd =[*range(m, self.r), *(q for q, pr in enumerate(self.slots, self.r)
                                     if is_mixed_pair(pr, m))]
-        self._cross = {q: sum(self._unit[o] for o in odd if o < q)
-                       for q in odd if q >= self.r}
+        self._cross = {}
+        crossed = 0
+        for o in odd:
+            if o >= self.r:
+                self._cross[o] = crossed
+            crossed += self._unit[o]
         for name in ("level_basis", "_pack", "_insert_letter", "_lead", "low",
                      "bracket", "_pair", "gram_polys", "acts_by_weight"):
             setattr(self, name, cache(getattr(self, name)))

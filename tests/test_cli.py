@@ -403,6 +403,9 @@ def test_char_deep_branching_matches_golden_file():
     # four x letters: S_4 orbits of exponent vectors with repeated entries
     ("char_m4_n1_p3_d5.jsonl",
      ("--m", "4", "--n", "1", "--p", "3", "--degree", "5")),
+    # no y letters: every weight carries only the -p half of the vacuum shift
+    ("char_m3_n0_p2_d7.jsonl",
+     ("--m", "3", "--n", "0", "--p", "2", "--degree", "7")),
 ])
 def test_char_edge_orders_match_golden_files(fixture, argv):
     golden = Path(__file__).parent / "fixtures" / fixture
@@ -541,6 +544,11 @@ def test_gk_table_uncancelled_zeros_match_golden_file():
      ("matelems", "--m", "3", "--n", "0", "--p", "2", "--levels", "5")),
     ("matelems_m0_n3_p1_l5.jsonl",
      ("matelems", "--m", "0", "--n", "3", "--p", "1", "--levels", "5")),
+    # the two halves of the vacuum shift alone: -p only, then +p only
+    ("gram_m3_n0_p2_l5.jsonl",
+     ("gram", "--m", "3", "--n", "0", "--p", "2", "--levels", "5")),
+    ("gram_m0_n3_p1_l5.jsonl",
+     ("gram", "--m", "0", "--n", "3", "--p", "1", "--levels", "5")),
 ])
 def test_gram_oracle_matches_golden_file(fixture, argv):
     """Ranks with radicals (p = 1, 3) and diagonal values, as whole stdout;
@@ -549,6 +557,16 @@ def test_gram_oracle_matches_golden_file(fixture, argv):
     code, out, _ = run_cli(*argv)
     assert code == 0
     assert out == golden.read_text()
+
+
+def test_gram_many_pair_slots():
+    """m + n = 45 gives 990 bracket factor slots; the PBW basis recurses
+    only over the slots that hold a factor, so no slot count overflows the
+    stack."""
+    code, out, err = run_cli("gram", "--m", "23", "--n", "22", "--p", "1",
+                             "--levels", "1")
+    assert code == 0 and err == ""
+    assert len(records(out)) == 49
 
 
 def test_gram_levels_zero_vacuum_only():

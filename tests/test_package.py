@@ -56,22 +56,38 @@ def test_package_has_no_floating_point():
 
 def unreferenced_definitions(sources):
     """(module, line, name) for each module-level def or class of the
-    {module: source} map, and each method ("Class.method") of a module-level
-    class, that no module references: by name, as an attribute, or in a
-    from-import (so parafock/__init__.py's imports count).  A method also
-    counts where a string names it, as VermaEngine.__init__ names the
-    methods it caches; dunder methods are left out, Python calls them."""
+    {module name: source} map, and each method ("Class.method") of a
+    module-level class, that nothing references.
+
+    A module-level definition counts as referenced only by name in its own
+    module, in a from-import from its own module (so parafock/__init__.py's
+    imports count), or as an attribute of a name bound to its module, as
+    `from . import patterns as gz` binds gz; a same-named attribute of any
+    other object does not count.  A method counts where any module reads
+    it as an attribute or a string names it, as VermaEngine.__init__ names
+    the methods it caches; dunder methods are left out, Python calls them."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    used = set()
+    used = set()       # (module, name) of the module-level references
+    attributes = set()
     strings = set()
-    for tree in trees.values():
+    for module, tree in trees.items():
+        bound = {}     # name -> the module a relative import binds it to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    used.update((node.module, alias.name)
+                                for alias in node.names)
+                else:
+                    bound.update((alias.asname or alias.name, alias.name)
+                                 for alias in node.names)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                used.add((module, node.id))
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) \
+                        and node.value.id in bound:
+                    used.add((bound[node.value.id], node.attr))
             elif isinstance(node, ast.Constant) \
                     and isinstance(node.value, str):
                 strings.add(node.value)
@@ -80,7 +96,7 @@ def unreferenced_definitions(sources):
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (*functions, ast.ClassDef)) \
-                    and node.name not in used:
+                    and (module, node.name) not in used:
                 found.append((module, node.lineno, node.name))
             if isinstance(node, ast.ClassDef):
                 found += [(module, item.lineno, f"{node.name}.{item.name}")
@@ -88,7 +104,7 @@ def unreferenced_definitions(sources):
                           if isinstance(item, functions)
                           and not (item.name.startswith("__")
                                    and item.name.endswith("__"))
-                          and item.name not in used | strings]
+                          and item.name not in attributes | strings]
     return found
 
 
@@ -102,6 +118,20 @@ def test_unreferenced_scan_sees_each_form():
     }
     assert unreferenced_definitions(sources) == [
         ("a", 5, "unused"), ("a", 6, "Unused"), ("a", 7, "Unused.method")]
+
+
+def test_unreferenced_scan_counts_only_references_to_the_module():
+    """A module-level definition is not referenced by a same-named
+    attribute of another object, nor by a same-named name or from-import
+    elsewhere; an attribute of an alias bound to its module counts."""
+    sources = {
+        "a": "def cartan(): pass\ndef by_alias(): pass\n",
+        "b": "from . import a as alias\nfrom .c import cartan\n"
+             "alias.by_alias()\ndef read(rec):\n    return rec.cartan\n"
+             "read(cartan)\n",
+        "c": "cartan = 1\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", 1, "cartan")]
 
 
 def test_unreferenced_scan_sees_a_test_only_method():
@@ -125,15 +155,13 @@ def test_unreferenced_scan_sees_a_test_only_method():
 UNCALLED_METHODS = {
     "VermaEngine.act": "the module action on vectors, which the tests of "
                        "the triple relations and contravariance apply",
-    "TruncatedCharacter.level_totals": "the per-level totals the README "
-                                       "quick tour prints",
 }
 
 
 def test_package_defines_nothing_only_tests_reach():
-    sources = {path.name: path.read_text()
+    sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert "__init__.py" in sources
+    assert "__init__" in sources
     found = {name for _, _, name in unreferenced_definitions(sources)}
     assert found == set(UNCALLED_METHODS)
 
@@ -150,6 +178,8 @@ EXPORT_ONLY = {
                           "offset_family_partitions is checked against",
     "pattern_weight": "a validated pattern's doubled weight, which the "
                       "tests of the vacuum shift and the diagonal labels read",
+    "cartan": "the Cartan element h_k, which the tests of [c_j^+, c_j^-] "
+              "compare against",
 }
 
 
@@ -157,7 +187,7 @@ def test_export_only_definitions_are_the_named_references():
     """Without __init__.py, whose from-imports re-export the API, exactly
     the EXPORT_ONLY names and the UNCALLED_METHODS are unreferenced; each
     EXPORT_ONLY name is still exported."""
-    sources = {path.name: path.read_text()
+    sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     found = {name for _, _, name in unreferenced_definitions(sources)}

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from parafock import patterns as gz
 from parafock import symfunc as sf
 
 
@@ -89,17 +90,17 @@ def test_sign_exponent_integral_and_nonnegative():
 
 def test_super_schur_hand_values():
     one = sf.super_schur((1,), 1, 1)
-    assert one.coeffs == {(1, 0): 1, (0, 1): 1}
+    assert one == {(1, 0): 1, (0, 1): 1}
     s11 = sf.super_schur((1, 1), 1, 1)
-    assert s11.coeffs == {(1, 1): 1, (0, 2): 1}
+    assert s11 == {(1, 1): 1, (0, 2): 1}
     s2 = sf.super_schur((2,), 1, 1)
-    assert s2.coeffs == {(2, 0): 1, (1, 1): 1}
-    assert sf.super_schur((2, 2), 1, 1).coeffs == {}
+    assert s2 == {(2, 0): 1, (1, 1): 1}
+    assert sf.super_schur((2, 2), 1, 1) == {}
 
 
 def test_super_schur_single_box_general():
     ch = sf.super_schur((1,), 2, 2)
-    assert ch.coeffs == {
+    assert ch == {
         (1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}
 
 
@@ -108,7 +109,7 @@ def test_hook_vanishing_iff():
         for n in (1, 2):
             for d in range(9):
                 for la in sf.partitions_of(d):
-                    zero = not sf.super_schur(la, m, n).coeffs and d > 0
+                    zero = not sf.super_schur(la, m, n) and d > 0
                     if d == 0:
                         continue
                     assert zero == (not sf.in_hook(la, m, n)), (la, m, n)
@@ -118,9 +119,9 @@ def test_schur_specializes_to_ordinary():
     for la in [(2,), (1, 1), (2, 1), (3, 1)]:
         ch = sf.super_schur(la, 2, 0)
         ordinary = sf.schur_monomials(la, 2)
-        assert ch.coeffs == ordinary
+        assert ch == ordinary
     # too many rows for the variables: zero
-    assert sf.super_schur((1, 1, 1), 2, 0).coeffs == {}
+    assert sf.super_schur((1, 1, 1), 2, 0) == {}
 
 
 def test_lr_coefficients_against_polynomial_products():
@@ -150,49 +151,57 @@ def test_lr_coefficients_against_polynomial_products():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_weight_series_equals_schur_sum(m, n):
-    a = sf.weight_series_product(m, n, 6).with_offset(
-        sf.lowest_weight_offset(m, n, 1))
-    b = sf.verma_character(m, n, 1, 6)
-    assert a == b
+    assert sf.weight_series_product(m, n, 6) == sf.verma_character(m, n, 6)
+
+
+def level_totals(ch, cap):
+    """Total multiplicity per total degree, degrees 0..cap."""
+    totals = [0] * (cap + 1)
+    for e, c in ch.items():
+        totals[sum(e)] += c
+    return totals
 
 
 def test_verma_character_level_totals():
-    ch = sf.verma_character(1, 1, 2, 6)
-    assert ch.level_totals() == [1, 2, 4, 6, 8, 10, 12]
-    assert ch.coeffs[(0,) * 2] == 1
-    ch = sf.verma_character(1, 1, 2, 1)
-    assert ch.coeffs == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    ch = sf.verma_character(1, 1, 6)
+    assert level_totals(ch, 6) == [1, 2, 4, 6, 8, 10, 12]
+    assert ch[(0,) * 2] == 1
+    ch = sf.verma_character(1, 1, 1)
+    assert ch == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
 
 
 def test_irreducible_character_levels():
     # order 1 collapses to one fermion and one boson mode
-    assert sf.irreducible_character(1, 1, 1, 4).level_totals() == [1, 2, 2, 2, 2]
-    assert sf.irreducible_character(1, 1, 2, 4).level_totals() == [1, 2, 4, 4, 4]
-    assert sf.irreducible_character(1, 1, 3, 0).level_totals() == [1]
+    assert level_totals(sf.irreducible_character(1, 1, 1, 4), 4) \
+        == [1, 2, 2, 2, 2]
+    assert level_totals(sf.irreducible_character(1, 1, 2, 4), 4) \
+        == [1, 2, 4, 4, 4]
+    assert level_totals(sf.irreducible_character(1, 1, 3, 0), 0) == [1]
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_irreducible_character_above_its_cap_is_the_cap_series(m, n):
     """Every width fits at p >= cap, so p > cap gives the p = cap
-    coefficients, key order included, under p's own offset; a caller that
+    coefficients, key order included, up to degree cap; a caller that
     writes into one character changes no other."""
     for cap in range(5):
         at_cap = sf.irreducible_character(m, n, cap, cap)
+        before = list(at_cap.items())
         for p in range(cap + 1, cap + 4):
             ch = sf.irreducible_character(m, n, p, cap)
-            assert list(ch.coeffs.items()) == list(at_cap.coeffs.items())
-            assert ch.offset == sf.lowest_weight_offset(m, n, p)
-            assert ch.cap == cap
-            ch.coeffs[(0,) * (m + n)] = 7
-        assert sf.irreducible_character(m, n, cap + 1, cap).coeffs \
-            == at_cap.coeffs
+            assert list(ch.items()) == before
+            assert all(sum(e) <= cap for e in ch)
+            ch[(0,) * (m + n)] = 7
+        assert list(sf.irreducible_character(m, n, cap + 1, cap).items()) \
+            == before
 
 
 def test_character_offsets_are_doubled_lowest_weight():
-    ch = sf.irreducible_character(2, 1, 3, 2)
-    assert ch.offset == (-3, -3, 3)
-    assert ch.doubled_weight((0, 0, 0)) == (-3, -3, 3)
-    assert ch.doubled_weight((1, 0, 2)) == (-1, -3, 7)
+    """A character keys the vacuum by the zero content; its printed weight
+    is patterns.doubled_weight's (-p,...,-p | p,...,p)."""
+    assert sf.irreducible_character(2, 1, 3, 2)[(0, 0, 0)] == 1
+    assert gz.doubled_weight((0, 0, 0), 2, 1, 3) == (-3, -3, 3)
+    assert gz.doubled_weight((1, 0, 2), 2, 1, 3) == (-1, -3, 7)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
@@ -204,17 +213,19 @@ def test_character_formula(m, n, p):
 
 
 def test_truncated_character_arith():
-    assert sf.weight_series_product(1, 0, 3).coeffs \
+    assert sf.weight_series_product(1, 0, 3) \
         == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
-    assert sf.weight_series_product(1, 1, 2).coeffs == {
+    assert sf.weight_series_product(1, 1, 2) == {
         (0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
-def naive_product(a, b):
+def naive_product(a, b, cap):
+    """The product of two series, truncated at total degree cap, without
+    zero coefficients."""
     coeffs = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
-            if sum(e1) + sum(e2) <= a.cap:
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if sum(e1) + sum(e2) <= cap:
                 key = tuple(x + y for x, y in zip(e1, e2))
                 coeffs[key] = coeffs.get(key, 0) + c1 * c2
     return {e: c for e, c in coeffs.items() if c}
@@ -227,8 +238,7 @@ def random_series(rng, m, n, cap):
         for _ in range(rng.randint(0, cap)):  # one unit of degree at a time
             e[rng.randrange(m + n)] += 1
         coeffs[tuple(e)] = rng.choice([-2, -1, 1, 2])
-    offset = [rng.randint(-3, 3) for _ in range(m + n)]
-    return sf.TruncatedCharacter(m, n, cap, coeffs, offset)
+    return coeffs
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -239,8 +249,8 @@ def test_truncated_character_product_matches_naive(seed):
     cap = seed % 7
     form = sf.weight_series_product(m, n, cap)
     for series in random_series(rng, m, n, cap), random_series(rng, m, n, cap):
-        prod = sf._times_product_form(series.coeffs, m, n, cap)
-        assert prod == naive_product(form, series)
+        prod = sf._times_product_form(series, m, n, cap)
+        assert prod == naive_product(form, series, cap)
         assert all(sum(e) <= cap and c for e, c in prod.items())
 
 
@@ -251,7 +261,7 @@ def random_series_at_cap(rng, m, n, cap):
     for i in rng.sample(range(m + n), 2):
         e = [0] * (m + n)
         e[i] = cap
-        series.coeffs[tuple(e)] = rng.choice([-1, 1, 3])
+        series[tuple(e)] = rng.choice([-1, 1, 3])
     return series
 
 
@@ -264,8 +274,8 @@ def test_truncated_character_product_matches_naive_at_the_carry_boundary(seed):
     form = sf.weight_series_product(m, n, cap)
     for series in (random_series_at_cap(rng, m, n, cap),
                    random_series_at_cap(rng, m, n, cap)):
-        prod = sf._times_product_form(series.coeffs, m, n, cap)
-        assert prod == naive_product(form, series)
+        prod = sf._times_product_form(series, m, n, cap)
+        assert prod == naive_product(form, series, cap)
         assert any(max(e) == cap for e in prod)
 
 
@@ -275,12 +285,6 @@ def test_truncated_character_product_rejects_negative_exponent():
         sf._times_product_form({(-1, 2): 1}, 1, 1, 3)
     with pytest.raises(ValueError, match="negative"):
         sf._times_product_form({(0, 0): 1, (-1, 2): 1}, 1, 1, 3)
-
-
-def test_truncated_character_equality_compares_cap():
-    x3 = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1})
-    x5 = sf.TruncatedCharacter(1, 1, 5, {(1, 0): 1})
-    assert x3.coeffs == x5.coeffs and x3 != x5
 
 
 def test_truncated_character_product_cancels_and_truncates():
@@ -297,10 +301,10 @@ def test_truncated_character_product_rejects_out_of_range_degree():
         sf._times_product_form({(0, 0): 1, (2, 2): 1}, 1, 1, 3)
 
 
-def naive_product_form(series):
+def naive_product_form(series, m, n, cap):
     """Reference: series times every factor of the product form, each
-    factor expanded as an unpacked series and multiplied in naively."""
-    m, n, cap = series.m, series.n, series.cap
+    factor expanded as an unpacked series and multiplied in naively, the
+    product truncated at total degree cap."""
 
     def mono(*idx):
         e = [0] * (m + n)
@@ -315,15 +319,12 @@ def naive_product_form(series):
                   + [mono(j) for j in ys]
                   + [mono(j, l) for j in ys for l in ys if j < l])
     for t in binomials:
-        factor = {(0,) * (m + n): 1, t: 1}
-        series = sf.TruncatedCharacter(m, n, cap, naive_product(
-            series, sf.TruncatedCharacter(m, n, cap, factor)))
+        series = naive_product(series, {(0,) * (m + n): 1, t: 1}, cap)
     for t in geometrics:
         factor = {tuple(k * x for x in t): 1
                   for k in range(cap // sum(t) + 1)}
-        series = sf.TruncatedCharacter(m, n, cap, naive_product(
-            series, sf.TruncatedCharacter(m, n, cap, factor)))
-    return series.coeffs
+        series = naive_product(series, factor, cap)
+    return series
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4)
@@ -337,23 +338,14 @@ def test_times_product_form_edge_cases(m, n):
         for i in range(m + n):
             e = [0] * (m + n)
             e[i] = cap
-            series.coeffs[tuple(e)] = rng.choice([-1, 1, 3])
-        got = sf._times_product_form(series.coeffs, m, n, cap)
-        assert got == naive_product_form(series), (m, n, cap)
+            series[tuple(e)] = rng.choice([-1, 1, 3])
+        got = sf._times_product_form(series, m, n, cap)
+        assert got == naive_product_form(series, m, n, cap), (m, n, cap)
         assert got == naive_product(sf.weight_series_product(m, n, cap),
-                                    series)
+                                    series, cap)
     assert sf._times_product_form({(0,) * (m + n): 5}, m, n, 0) \
         == {(0,) * (m + n): 5}
     assert sf._times_product_form({}, m, n, 4) == {}
-
-
-def test_truncated_character_not_equal_follows_equality():
-    x = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1})
-    same = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1})
-    shifted = sf.TruncatedCharacter(1, 1, 3, {(1, 0): 1}, offset=(-1, 1))
-    assert x == same and not x != same
-    assert x != shifted and not x == shifted
-    assert x != {(1, 0): 1} and not x == {(1, 0): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +475,20 @@ def tableau_super_schur(la, m, n):
 
 def reference_sum(m, n, cap, partitions, signs=None):
     """Sum of sign * s_la(x|y) over the partitions, one character at a time
-    from the tableau enumerator, truncated at cap."""
+    from the tableau enumerator, truncated at cap, without zero
+    coefficients."""
     coeffs = {}
     for k, la in enumerate(partitions):
         for e, c in tableau_super_schur(la, m, n).items():
             coeffs[e] = coeffs.get(e, 0) + (signs[k] if signs else 1) * c
-    return sf.TruncatedCharacter(m, n, cap, coeffs)
+    return {e: c for e, c in coeffs.items() if c and sum(e) <= cap}
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (3, 2), (0, 3), (3, 0)])
 def test_super_schur_matches_tableau_enumeration(m, n):
     for k in range(8):
         for la in sf.partitions_of(k):
-            assert (sf.super_schur(la, m, n).coeffs
+            assert (sf.super_schur(la, m, n)
                     == tableau_super_schur(la, m, n)), (la, m, n)
 
 
@@ -505,19 +498,18 @@ def test_in_place_sums_match_character_sums(m, n, p):
     for cap in range(8):
         hooks = [la for d in range(cap + 1) for la in sf.hook_partitions(d, m, n)]
         narrow = [la for la in hooks if not la or la[0] <= p]
-        offset = sf.lowest_weight_offset(m, n, p)
-        irreducible = reference_sum(m, n, cap, narrow).with_offset(offset)
+        irreducible = reference_sum(m, n, cap, narrow)
         assert sf.irreducible_character(m, n, p, cap) == irreducible
         assert (sf.character_formula_report(m, n, p, cap)["irreducible"]
                 == irreducible)
-        assert (sf.verma_character(m, n, p, cap)
-                == reference_sum(m, n, cap, hooks).with_offset(offset))
+        assert (sf.verma_character(m, n, cap)
+                == reference_sum(m, n, cap, hooks))
         sigmas = [s for s in sf.offset_family_partitions(p, cap)
                   if sf.in_hook(s, m, n)]
         signs = [(-1) ** sf.sign_exponent(s, p) for s in sigmas]
         cut = sf.alternating_cut_sum(m, n, p, cap)
         assert cut == reference_sum(m, n, cap, sigmas, signs)
-        assert all(cut.coeffs.values())  # cancelled terms are dropped
+        assert all(cut.values())  # cancelled terms are dropped
 
 
 def test_lr_tableaux_of_any_content_sum_lr_coefficients():
