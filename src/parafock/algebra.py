@@ -156,6 +156,13 @@ def _add_product(ent: dict, a: SuperMatrix, b: SuperMatrix, c: int) -> None:
             ent[key] = ent.get(key, 0) + cu * v
 
 
+def _lines(mat: SuperMatrix) -> tuple[set, set]:
+    """The rows and the columns that hold mat's entries.  A term a_ik b_kj
+    of ab needs k among a's columns and b's rows, so ab = ba = 0 unless a
+    column of one matrix is a row of the other: their supports meet."""
+    return {i for i, _ in mat.entries}, {j for _, j in mat.entries}
+
+
 def _elementary(m, n, pairs, sqrt2_power=0):
     return SuperMatrix(m, n, {(i, j): c for (i, j, c) in pairs}, sqrt2_power)
 
@@ -258,11 +265,15 @@ def verify_relations(m: int, n: int) -> tuple[dict, dict]:
 
     The para relations' left-hand sides are the triple left-hand sides with
     j, k, l in one sector, so each is checked against both right-hand sides
-    as it is built.
+    as it is built.  An outer bracket whose supports do not meet is zero
+    (_lines) and is not taken: its triple is still counted, and a shared
+    zero matrix is compared against both right-hand sides.
     """
     r = m + n
     gens = {(j, s): make_generator(GeneratorId(j, s), m, n)
             for j in range(1, r + 1) for s in SIGNS}
+    lines = {g: _lines(mat) for g, mat in gens.items()}
+    zero = SuperMatrix(m, n)
     triple = {"m": m, "n": n, "checked": 0, "failures": []}
     para = {"m": m, "n": n, "checked": 0, "failures": []}
     for j in range(1, r + 1):
@@ -270,6 +281,7 @@ def verify_relations(m: int, n: int) -> tuple[dict, dict]:
             for xi in SIGNS:
                 for eta in SIGNS:
                     inner = superbracket(gens[(j, xi)], gens[(k, eta)])
+                    in_rows, in_cols = _lines(inner)
                     for l in range(1, r + 1):
                         sector = None
                         if j <= m and k <= m and l <= m:
@@ -277,7 +289,11 @@ def verify_relations(m: int, n: int) -> tuple[dict, dict]:
                         elif j > m and k > m and l > m:
                             sector, base = "paraboson", m
                         for eps in SIGNS:
-                            lhs = superbracket(inner, gens[(l, eps)])
+                            rows, cols = lines[(l, eps)]
+                            if in_cols & rows or cols & in_rows:
+                                lhs = superbracket(inner, gens[(l, eps)])
+                            else:
+                                lhs = zero
                             args = (j, xi, k, eta, l, eps, gens, m)
                             triple["checked"] += 1
                             if lhs != triple_bracket_rhs(*args):
@@ -351,6 +367,11 @@ class AlgebraBasis:
     coefficient of a label is the bracket's entry there over the label's own
     entry there; the bracket minus its expansion must vanish, or it does not
     lie in the span (ArithmeticError).
+
+    Only the pairs whose supports meet are bracketed: any other pair has
+    ab = ba = 0 (_lines), so its expansion is {}.  A row index and a column
+    index, built once over the basis matrices, give each label the labels
+    that meet it.
     """
 
     def __init__(self, m: int, n: int):
@@ -374,23 +395,45 @@ class AlgebraBasis:
                     f"basis matrices: {lab} has no coordinate of its own")
             owner[key] = (pos, lab, coords[lab][key])
 
-        # [b, a] = -(-1)^(deg a * deg b) [a, b]: each unordered pair is
-        # bracketed and read off once, the later ordered pair negates or copies
+        lines = [_lines(mat) for _, mat in self.elements]
+        # row (column) -> basis positions of the matrices with an entry there
+        by_row: dict[int, list[int]] = {}
+        by_col: dict[int, list[int]] = {}
+        for pos, (rows, cols) in enumerate(lines):
+            for i in rows:
+                by_row.setdefault(i, []).append(pos)
+            for j in cols:
+                by_col.setdefault(j, []).append(pos)
+
+        # [b, a] = -(-1)^(deg a * deg b) [a, b]: each unordered pair whose
+        # supports meet is bracketed and read off once, the later ordered
+        # pair negates or copies
         self.brackets: dict[tuple, dict] = {}
         for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
-                if j < i:
-                    sign = 1 if mats[a].parity * mats[b].parity else -1
-                    self.brackets[(a, b)] = {
-                        lab: sign * c for lab, c in self.brackets[(b, a)].items()
-                    }
+            rows, cols = lines[i]
+            meets = {pos for j in cols for pos in by_row.get(j, ())}
+            meets.update(pos for j in rows for pos in by_col.get(j, ()))
+            for b in self.labels[:i]:
+                mirror = self.brackets[(b, a)]
+                if mirror and not mats[a].parity * mats[b].parity:
+                    self.brackets[(a, b)] = {lab: -c
+                                             for lab, c in mirror.items()}
+                else:
+                    self.brackets[(a, b)] = dict(mirror)
+            for j in range(i, len(self.labels)):
+                b = self.labels[j]
+                if j not in meets:
+                    self.brackets[(a, b)] = {}
                     continue
                 rest = superbracket(mats[a], mats[b]).coordinates()
                 found = sorted(owner[k] + (v,) for k, v in rest.items()
                                if k in owner)
                 coeffs = {}
                 for _, lab, w, v in found:
-                    coeffs[lab] = c = Fraction(v, w)
+                    coeffs[lab] = Fraction(v, w)
+                    # an int quotient keeps the remainder in ints
+                    q, r = divmod(v, w)
+                    c = coeffs[lab] if r else q
                     for k, x in coords[lab].items():
                         rest[k] = rest.get(k, 0) - c * x
                 if any(rest.values()):

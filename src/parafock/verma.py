@@ -220,6 +220,7 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
 _LABEL_SCALARS = {"c": 1, "h": Fraction(1, 2), "bb": 1}
 
 SLOT_BITS = 8              # bits per exponent in a packed monomial key
+# (a byte, so a key's big-endian bytes are its exponents: _pack, _mono)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 # An exponent the recursion reaches from X, or from X raised by two letters
 # (act, the Cartan check), is at most X's content entry plus 2.
@@ -304,13 +305,13 @@ class VermaEngine:
         if not shaped or min(exps, default=0) < 0 \
                 or max(content, default=0) >= CONTENT_LIMIT:
             raise ValueError(f"{mono!r} has no key in ({self.m}, {self.n})")
-        return sum(e << s for e, s in zip(exps, self._shift)), content
+        return int.from_bytes(bytes(exps), "big"), content
 
     def _key(self, mono: PBWMonomial) -> int:
         return self._pack(mono)[0]
 
     def _mono(self, key: int) -> PBWMonomial:
-        exps = tuple(key >> s & _SLOT_MASK for s in self._shift)
+        exps = tuple(key.to_bytes(len(self._shift), "big"))
         return PBWMonomial(exps[:self.r], exps[self.r:])
 
     # -- creation: prepend a letter and straighten ------------------------

@@ -125,9 +125,16 @@ def test_para_relation_failure_records(monkeypatch):
         for signs in all_signs.split()]
 
 
+def supports_meet(a, b):
+    """A column of one matrix is a row of the other, entry by entry."""
+    return any(k == i for (_, k) in a.entries for (i, _) in b.entries) \
+        or any(k == i for (_, k) in b.entries for (i, _) in a.entries)
+
+
 def test_verify_algebra_brackets_each_triple_once(monkeypatch, capsys):
     """The relation checks bracket each [g_j^xi, g_k^eta] once and each
-    [[g_j^xi, g_k^eta], g_l^eps] once; the para check reuses the latter."""
+    [[g_j^xi, g_k^eta], g_l^eps] once where the supports of the two meet;
+    the para check reuses the latter."""
     calls = {"inner": 0, "outer": 0, "basis": 0}
     phase = ["relations"]
     bracket, basis = alg.superbracket, alg.structure_constants
@@ -148,8 +155,12 @@ def test_verify_algebra_brackets_each_triple_once(monkeypatch, capsys):
     assert main(["verify-algebra", "--m", "2", "--n", "2"]) == 0
     capsys.readouterr()
     r = 4
+    gens = [alg.make_generator(alg.GeneratorId(j, s), 2, 2)
+            for j in range(1, r + 1) for s in alg.SIGNS]
+    meeting = sum(supports_meet(bracket(a, b), c)
+                  for a in gens for b in gens for c in gens)
     assert calls["inner"] == 4 * r ** 2
-    assert calls["outer"] == 8 * r ** 3
+    assert calls["outer"] == meeting == 116 < 8 * r ** 3
     assert calls["basis"] > 0
 
 
@@ -253,9 +264,100 @@ def test_basis_brackets_each_unordered_pair_once(m, n, monkeypatch):
     basis = alg.AlgebraBasis(m, n)
     d = basis.dimension
     label_brackets = sum(1 for lab in basis.labels if lab[0] == "bb")
-    assert len(calls) == label_brackets + d * (d + 1) // 2
+    mats = [mat for _, mat in basis.elements]
+    meeting = sum(supports_meet(mats[i], mats[j])
+                  for i in range(d) for j in range(i, d))
+    assert len(calls) == label_brackets + meeting
+    assert meeting < d * (d + 1) // 2
     assert list(basis.brackets) == [(a, b) for a in basis.labels
                                     for b in basis.labels]
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 3),
+                                 (3, 0)])
+def test_basis_skips_only_pairs_whose_bracket_is_zero(m, n, monkeypatch):
+    """Every ordered pair the row and column indexes skip has ab = ba = 0
+    and an empty expansion; every pair they bracket has meeting supports."""
+    seen = []
+    original = alg.superbracket
+
+    def recording(a, b):
+        seen.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(alg, "superbracket", recording)
+    basis = alg.AlgebraBasis(m, n)
+    pos = {id(mat): i for i, (_, mat) in enumerate(basis.elements)}
+    bracketed = {(pos[id(a)], pos[id(b)]) for a, b in seen
+                 if id(a) in pos and id(b) in pos}
+    assert all(i <= j for i, j in bracketed)
+    skipped = 0
+    for i, (a, mat_a) in enumerate(basis.elements):
+        for j, (b, mat_b) in enumerate(basis.elements):
+            if (min(i, j), max(i, j)) in bracketed:
+                assert supports_meet(mat_a, mat_b), (a, b)
+            else:
+                skipped += 1
+                assert two_product_bracket(mat_a, mat_b).is_zero(), (a, b)
+                assert basis.brackets[(a, b)] == {}, (a, b)
+    assert skipped > 0
+
+
+def test_skips_read_the_matrices_not_the_labels(monkeypatch, capsys):
+    """An extra entry (4, 1) on f_2^+ of (2, 0) makes pairs meet whose
+    supports are disjoint in the realization; their brackets are then
+    taken, so verify-algebra reports the failures they carry."""
+    make = alg.make_generator
+
+    def gen(j, s):
+        return make(alg.GeneratorId(j, s), 2, 0)
+
+    # [[f_1^+, f_1^-], f_2^+] and the pair f_1^+, [f_1^+, f_2^+] are zero
+    assert not supports_meet(alg.superbracket(gen(1, "+"), gen(1, "-")),
+                             gen(2, "+"))
+    assert not supports_meet(gen(1, "+"),
+                             alg.superbracket(gen(1, "+"), gen(2, "+")))
+
+    def extra(gid, m, n):
+        g = make(gid, m, n)
+        if (gid.index, gid.sign) != (2, "+"):
+            return g
+        return alg.SuperMatrix(m, n, {**g.entries, (4, 1): 1}, g.sqrt2_power)
+
+    monkeypatch.setattr(alg, "make_generator", extra)
+    triple = alg.verify_relations(2, 0)[0]
+    assert {"j": 1, "xi": "+", "k": 1, "eta": "-", "l": 2, "eps": "+"} \
+        in triple["failures"]
+    assert main(["verify-algebra", "--m", "2", "--n", "0"]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert recs[-1] == {
+        "check": "structure_constants",
+        "error": "bracket of ('c', 1, '+'), ('bb', 1, 2, '+', '+') "
+                 "does not lie in the span"}
+
+
+def test_half_integer_coefficients_are_read_exactly(monkeypatch):
+    """With [c_1^+, c_1^-] doubled in the basis of (1,1), some private
+    entries no longer divide the bracket entries: those coefficients are
+    halves, and every expansion still re-expands exactly."""
+    original = alg.label_matrix
+
+    def doubled(label, m, n):
+        mat = original(label, m, n)
+        return mat.scale(2) if label == ("bb", 1, 1, "+", "-") else mat
+
+    monkeypatch.setattr(alg, "label_matrix", doubled)
+    basis = alg.structure_constants(1, 1)
+    mats = dict(basis.elements)
+    halves = 0
+    for (a, b), expansion in basis.brackets.items():
+        assert all(type(c) is Fraction for c in expansion.values())
+        halves += any(c.denominator == 2 for c in expansion.values())
+        acc = alg.SuperMatrix(1, 1)
+        for lab, c in expansion.items():
+            acc = acc + mats[lab].scale(c)
+        assert alg.superbracket(mats[a], mats[b]) == acc, (a, b)
+    assert halves > 0
 
 
 def test_even_dimension_needs_no_dense_elimination(monkeypatch):

@@ -1,9 +1,11 @@
 """End-to-end CLI checks: exit codes, record shapes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parafock
+from parafock import algebra, cli
 from parafock.cli import main
 
 # the child imports the same package as the test process
@@ -363,11 +366,49 @@ def test_dump_basis_matches_golden_file(tmp_path):
     assert target.read_text() == golden.read_text()
 
 
-def test_verify_algebra_matches_golden_file():
-    golden = Path(__file__).parent / "fixtures" / "verify_algebra_m3_n3.jsonl"
-    code, out, err = run_cli("verify-algebra", "--m", "3", "--n", "3")
+@pytest.mark.parametrize("m,n,dump", [
+    (3, 3, False),
+    # one sector each: no odd generator pair, then no even one
+    (4, 0, False),
+    (0, 4, False),
+    # the same stdout with --dump, and the dump file besides
+    (1, 3, True),
+], ids=["m3_n3", "m4_n0", "m0_n4", "m1_n3_dump"])
+def test_verify_algebra_matches_golden_file(m, n, dump, tmp_path):
+    fixtures = Path(__file__).parent / "fixtures"
+    stem = f"verify_algebra_m{m}_n{n}"
+    argv = ["verify-algebra", "--m", str(m), "--n", str(n)]
+    target = tmp_path / "basis.jsonl"
+    if dump:
+        argv += ["--dump", str(target)]
+    code, out, err = run_cli(*argv)
     assert (code, err) == (0, "")
-    assert out == golden.read_text()
+    assert out == (fixtures / f"{stem}.jsonl").read_text()
+    if dump:
+        assert target.read_text() \
+            == (fixtures / f"{stem}_dump.jsonl").read_text()
+
+
+def test_verify_algebra_size_cap(monkeypatch, capsys):
+    """m + n past the cap is a usage error raised before any bracket; the
+    cap itself reaches the algebra."""
+    cap = cli.MAX_ALGEBRA_RANK
+
+    class Reached(Exception):
+        pass
+
+    def reached(m, n):
+        raise Reached((m, n))
+
+    monkeypatch.setattr(algebra, "verify_relations", reached)
+    monkeypatch.setattr(algebra, "structure_constants", reached)
+    for m, n in [(cap + 1, 0), (0, cap + 1), (cap, 1), (40, 0)]:
+        assert main(["verify-algebra", "--m", str(m), "--n", str(n)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: verify-algebra needs m + n <= {cap}\n")
+    for m, n in [(cap, 0), (0, cap), (cap - 1, 1)]:
+        with pytest.raises(Reached, match=re.escape(str((m, n)))):
+            main(["verify-algebra", "--m", str(m), "--n", str(n)])
 
 
 def test_main_callable_directly():
@@ -567,6 +608,16 @@ def test_gram_many_pair_slots():
                              "--levels", "1")
     assert code == 0 and err == ""
     assert len(records(out)) == 49
+
+
+def test_gram_at_sixty_pairs_keeps_its_output():
+    """(60, 60) packs a monomial into 7,260 byte slots; the records of
+    level 1 are pinned by the sha256 of stdout."""
+    code, out, err = run_cli("gram", "--m", "60", "--n", "60", "--p", "1",
+                             "--levels", "1")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "18d536c8498b953be1bbe67a2d907bca8497ba80d1b98849476f49fa1c9decb5")
 
 
 def test_gram_levels_zero_vacuum_only():

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1040,6 +1041,30 @@ def test_packed_keys_round_trip_in_basis_order(m, n, level_max):
     assert all(type(key) is int for key in keys)
     assert [eng._mono(key) for key in keys] == monos
     assert [eng._mono(key) for key in sorted(keys)] == sorted(monos)
+
+
+def test_packed_keys_round_trip_at_many_slots():
+    """At (60, 60) a key has 7,260 byte slots, the first exponent most
+    significant; packing and unpacking agree with the slot shifts, and a
+    negative or overflowing exponent has no key."""
+    eng = vm.VermaEngine(60, 60)
+    width = eng.r + len(eng.slots)
+    rng = random.Random(60)
+    for _ in range(50):
+        exps = [0] * width
+        for k in rng.sample(range(width), 3):
+            exps[k] = rng.randint(1, 80)
+        x = vm.PBWMonomial(tuple(exps[:eng.r]), tuple(exps[eng.r:]))
+        key = sum(e << vm.SLOT_BITS * (width - 1 - k)
+                  for k, e in enumerate(exps))
+        assert eng._key(x) == key
+        assert eng._mono(key) == x
+    zeros = (0,) * len(eng.slots)
+    for singles in [(-1,) + (0,) * 119, (vm.CONTENT_LIMIT,) + (0,) * 119]:
+        x = vm.PBWMonomial(singles, zeros)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{x!r} has no key in (60, 60)")):
+            eng._key(x)
 
 
 def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
