@@ -27,6 +27,10 @@ MAX_DEGREE = 12
 # verify-algebra's table holds d^2 entries, d = 2(m+n)^2 + m + 3n: at
 # (0, 30) the run takes about 8 s and 660 MiB (2 vCPU, CPython 3.11)
 MAX_ALGEBRA_RANK = 30
+# gram and matelems build a Verma engine, whose packed-key units grow like
+# (m+n)^4: at (80, 80) `gram --p 1 --levels 1` takes 0.4 s and 215 MiB
+# (2 vCPU, CPython 3.11)
+MAX_ORACLE_RANK = 160
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -86,10 +90,11 @@ def _meta(command: str, **extra) -> dict:
     return {"meta": command, "schema_version": 1, **extra}
 
 
-def _check_session(args, need_p=True, domain=True):
+def _check_session(args, need_p=True, domain=True, cap=None):
     """Raise UsageError for out-of-range options.  --p must be >= 1, or
     >= 0 where need_p is False (p = 0 caps dims at the vacuum); --m/--n
-    are skipped where domain is False (verify-id2 --domains)."""
+    are skipped where domain is False (verify-id2 --domains), and m + n
+    must not exceed cap where one is given."""
     if domain and (args.m < 0 or args.n < 0 or args.m + args.n < 1):
         raise UsageError("need m >= 0, n >= 0 and m + n >= 1")
     low = 1 if need_p else 0
@@ -101,6 +106,8 @@ def _check_session(args, need_p=True, domain=True):
     degree = getattr(args, "degree", None)
     if degree is not None and not 0 <= degree <= MAX_DEGREE:
         raise UsageError(f"degree must be in 0..{MAX_DEGREE}")
+    if cap is not None and args.m + args.n > cap:
+        raise UsageError(f"{args.command} needs m + n <= {cap}")
 
 
 def _single_p(args) -> int:
@@ -117,10 +124,7 @@ def _single_p(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_algebra(args, out: Emitter) -> bool:
-    _check_session(args, need_p=False)
-    if args.m + args.n > MAX_ALGEBRA_RANK:
-        raise UsageError(
-            f"verify-algebra needs m + n <= {MAX_ALGEBRA_RANK}")
+    _check_session(args, need_p=False, cap=MAX_ALGEBRA_RANK)
     out.emit(_meta("verify-algebra", m=args.m, n=args.n))
     ok = True
     for check, rep in zip(("triple_relations", "para_relations"),
@@ -331,7 +335,7 @@ def cmd_gk_table(args, out: Emitter) -> bool:
 
 
 def cmd_gram(args, out: Emitter) -> bool:
-    _check_session(args)
+    _check_session(args, cap=MAX_ORACLE_RANK)
     p = _single_p(args)
     out.emit(_meta("gram", m=args.m, n=args.n, p=p, levels=args.levels))
     char_mult = symfunc.irreducible_character(args.m, args.n, p, args.levels)
@@ -359,7 +363,7 @@ def cmd_gram(args, out: Emitter) -> bool:
 
 
 def cmd_matelems(args, out: Emitter) -> bool:
-    _check_session(args)
+    _check_session(args, cap=MAX_ORACLE_RANK)
     p = _single_p(args)
     out.emit(_meta("matelems", m=args.m, n=args.n, p=p,
                    levels=args.levels))

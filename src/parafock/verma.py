@@ -10,8 +10,9 @@ rules and the Shapovalov identity <c_l^+ R, Y> = <R, c_l^- Y> for the form
 polynomials in p, so a single cache serves every order; the recursion keys a
 monomial by one packed int and holds a polynomial as its coefficient tuple.
 The upper triangle of each content's Gram block is memoized too, as the
-PPolys pair_poly returned, so a further order only evaluates it at p and
-eliminates.
+PPolys pair_poly returned, and so are each level's orbit table and the
+Cartan verdict of each pivot set, so a further order only evaluates each
+triangle at p and eliminates.
 
 Per-weight Gram matrices of the contravariant form (c_a^+ and c_a^- are
 adjoint, products reverse) have exact rank and positive-semidefiniteness
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import add
 from typing import NamedTuple
 
 from .rational_linalg import symmetric_rank_psd
@@ -241,12 +243,14 @@ class VermaEngine:
     Three per-monomial primitives carry the module: the lowering action
     low(a, X) = c_a^- X, the bracket action B(a, b) X with
     B(a, b) = [c_a^-, c_b^+], and the Gram entry <X, Y>, all integer
-    polynomials in p.  Nine methods are memoized, each in a functools.cache
-    of its own that __init__ wraps: those three, the p-free straightening
-    c_a^+ X, the lead expansion and the packing (_pack) of a monomial, the
-    PBW basis of a level by content, the upper triangle of a content's Gram
-    block (gram_polys), and the acts_by_weight verdict.  Callers only read
-    what the caches hand out; get_engine keeps one engine per (m, n).
+    polynomials in p.  Eleven methods are memoized, each in a
+    functools.cache of its own that __init__ wraps: those three, the p-free
+    straightening c_a^+ X, the lead expansion and the packing (_pack) of a
+    monomial, the PBW basis of a level by content and its orbit table
+    (orbits), the upper triangle of a content's Gram block (gram_polys),
+    the acts_by_weight verdict and its conjunction over a content's pivot
+    positions (cartan).  Callers only read what the caches hand out;
+    get_engine keeps one engine per (m, n).
 
     The recursion keys a monomial by one int, SLOT_BITS bits per exponent,
     singles first and the first exponent most significant, so int order is
@@ -280,8 +284,9 @@ class VermaEngine:
             if o >= self.r:
                 self._cross[o] = crossed
             crossed += self._unit[o]
-        for name in ("level_basis", "_pack", "_insert_letter", "_lead", "low",
-                     "bracket", "_pair", "gram_polys", "acts_by_weight"):
+        for name in ("level_basis", "orbits", "_pack", "_insert_letter",
+                     "_lead", "low", "bracket", "_pair", "gram_polys",
+                     "cartan", "acts_by_weight"):
             setattr(self, name, cache(getattr(self, name)))
 
     def parity(self, a: int) -> int:
@@ -296,6 +301,16 @@ class VermaEngine:
         for mono in pbw_basis(self.m, self.n, level):
             grouped.setdefault(mono.content(self.m, self.n), []).append(mono)
         return {c: tuple(monos) for c, monos in grouped.items()}
+
+    def orbits(self, level: int) -> tuple:
+        """((content, twice the content, orbit representative), ...) for the
+        contents of a level in canonical order; the representative is the
+        content with each parity class sorted descending."""
+        m = self.m
+        return tuple(
+            (c, tuple(2 * e for e in c),
+             (*sorted(c[:m], reverse=True), *sorted(c[m:], reverse=True)))
+            for c in sorted(self.level_basis(level)))
 
     def _pack(self, mono: PBWMonomial) -> tuple:
         """(key, content) of a monomial of this algebra."""
@@ -460,6 +475,13 @@ class VermaEngine:
         return {self._mono(key): PPoly._normal(poly)
                 for key, poly in _finish(out).items()}
 
+    def cartan(self, content: tuple, positions: tuple, indices: tuple) -> bool:
+        """Whether each generator pair b in indices acts by weight
+        (acts_by_weight) on the content's basis monomials at positions."""
+        basis = self.level_basis(sum(content)).get(content, ())
+        return all(self.acts_by_weight(b, basis[i])
+                   for b in indices for i in positions)
+
     def acts_by_weight(self, b: int, mono: PBWMonomial) -> bool:
         """Whether the generator pair b maps mono to (p + 2 content_b) mono."""
         eigen = PPoly((2 * self._pack(mono)[1][b - 1], 1))
@@ -578,18 +600,17 @@ class GramRecord(NamedTuple):
 def gram_record(block: GramBlock, indices) -> GramRecord:
     """The block's record, with the Cartan identity {c_b^-, c_b^+} =
     p + 2 content_b checked for each generator index b in indices
-    (engine.acts_by_weight) on every pivot monomial, the basis monomial at
-    one of the block's pivot indices.  The elimination's LDL transform rows
-    lie in the span of the pivot monomials."""
+    (engine.cartan) on every pivot monomial, the basis monomial at one of
+    the block's pivot indices.  The elimination's LDL transform rows lie in
+    the span of the pivot monomials."""
     pivot_indices = block.pivot_indices
-    engine = get_engine(block.m, block.n)
     return GramRecord(
         content=block.content, weight=block.weight, size=block.size,
         rank=block.rank, psd=block.psd,
         pivot_count=None if pivot_indices is None else len(pivot_indices),
-        cartan=pivot_indices is not None and all(
-            engine.acts_by_weight(b, block.basis[i])
-            for b in indices for i in pivot_indices))
+        cartan=pivot_indices is not None
+        and get_engine(block.m, block.n).cartan(
+            block.content, tuple(pivot_indices), tuple(indices)))
 
 
 def gram_records_up_to(m: int, n: int, p: int, level_max: int):
@@ -597,22 +618,23 @@ def gram_records_up_to(m: int, n: int, p: int, level_max: int):
     content), one Gram block built per S_m x S_n orbit of contents.
 
     The block is the orbit representative's, the content with each parity
-    class sorted descending, built when the walk first reaches the orbit.
-    Its record, the Cartan identity checked for every boson index, stands
-    for each content of the orbit under that content's doubled weight.
+    class sorted descending (engine.orbits), built when the walk first
+    reaches the orbit.  Its record, the Cartan identity checked for every
+    boson index, stands for each content of the orbit under that content's
+    doubled weight.
     """
+    engine = get_engine(m, n)
     bosons = tuple(range(m + 1, m + n + 1))
+    vacuum = gz.doubled_weight((0,) * (m + n), m, n, p)
     for level in range(level_max + 1):
         by_orbit: dict[tuple, GramRecord] = {}
-        for content in level_contents(m, n, level):
-            rep = (tuple(sorted(content[:m], reverse=True))
-                   + tuple(sorted(content[m:], reverse=True)))
+        for content, twice, rep in engine.orbits(level):
             rec = by_orbit.get(rep)
             if rec is None:
                 rec = by_orbit[rep] = gram_record(
                     gram_block_for_content(m, n, p, rep), bosons)
-            yield rec._replace(content=content,
-                               weight=gz.doubled_weight(content, m, n, p))
+            yield GramRecord(content, tuple(map(add, vacuum, twice)),
+                             *rec[2:])
 
 
 def _records_by_level(records: list[GramRecord]
@@ -677,7 +699,7 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
                 continue
             # a pattern's p + 2*(top row sum - second row sum) is the last
             # entry of its doubled weight
-            expected = [Fraction(rec.weight[-1])] * counts[rec.content]
+            expected = [rec.weight[-1]] * counts[rec.content]
             checked += len(values)
             if values != expected:
                 failures.append({

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parafock
-from parafock import algebra, cli
+from parafock import algebra, cli, symfunc, verma
 from parafock.cli import main
 
 # the child imports the same package as the test process
@@ -409,6 +409,31 @@ def test_verify_algebra_size_cap(monkeypatch, capsys):
     for m, n in [(cap, 0), (0, cap), (cap - 1, 1)]:
         with pytest.raises(Reached, match=re.escape(str((m, n)))):
             main(["verify-algebra", "--m", str(m), "--n", str(n)])
+
+
+def test_gram_and_matelems_size_cap(monkeypatch, capsys):
+    """m + n past the cap is a usage error raised before the oracle or the
+    character is reached; the cap itself reaches them."""
+    cap = cli.MAX_ORACLE_RANK
+
+    class Reached(Exception):
+        pass
+
+    def reached(m, n, *rest):
+        raise Reached((m, n))
+
+    monkeypatch.setattr(symfunc, "irreducible_character", reached)
+    monkeypatch.setattr(verma, "get_engine", reached)
+    monkeypatch.setattr(verma, "gram_records_up_to", reached)
+    for command in ("gram", "matelems"):
+        for m, n in [(cap + 1, 0), (0, cap + 1), (cap // 2, cap // 2 + 1)]:
+            argv = [command, "--m", str(m), "--n", str(n), "--levels", "1"]
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {command} needs m + n <= {cap}\n")
+        for m, n in [(cap, 0), (0, cap), (cap // 2, cap // 2)]:
+            with pytest.raises(Reached, match=re.escape(str((m, n)))):
+                main([command, "--m", str(m), "--n", str(n), "--levels", "1"])
 
 
 def test_main_callable_directly():

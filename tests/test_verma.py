@@ -440,6 +440,31 @@ def test_diagonal_check_rejects_n0():
         orbit_check(vm.diagonal_check, 2, 0, 1, 2)
 
 
+def test_diagonal_check_reports_a_mismatch(monkeypatch):
+    """One pivot too many, or a wrong diagonal value, on the weight space
+    (1,1,1) of (1,2) at p = 2 (three patterns, value 4) is a got/expected
+    failure there; checked counts the values read."""
+    m, n, p, level_max = 1, 2, 2, 3
+    records = list(vm.gram_records_up_to(m, n, p, level_max))
+    at = next(i for i, rec in enumerate(records) if rec.content == (1, 1, 1))
+    rec = records[at]
+    assert (rec.weight, rec.pivot_count) == ((0, 4, 4), 3)
+    bumped = list(records)
+    bumped[at] = rec._replace(pivot_count=4)
+    assert vm.diagonal_check(m, n, p, level_max, bumped) == {
+        "m": 1, "n": 2, "p": 2, "level_max": 3, "checked": 29, "ok": False,
+        "failures": [{"weight": [0, 4, 4], "got": ["4"] * 4,
+                      "expected": ["4"] * 3}]}
+    values = vm.diagonal_values
+    monkeypatch.setattr(vm, "diagonal_values", lambda r: (
+        [Fraction(9, 2)] * r.pivot_count if r.content == (1, 1, 1)
+        else values(r)))
+    assert vm.diagonal_check(m, n, p, level_max, records) == {
+        "m": 1, "n": 2, "p": 2, "level_max": 3, "checked": 28, "ok": False,
+        "failures": [{"weight": [0, 4, 4], "got": ["9/2"] * 3,
+                      "expected": ["4"] * 3}]}
+
+
 def test_radical_cut_check():
     rep = orbit_check(vm.radical_cut_check, 1, 1, 1, 2)
     assert rep["ok"] and rep["cut_witness"] is not None
@@ -882,8 +907,9 @@ def test_cartan_verdict_reads_exactly_the_pivot_monomials(monkeypatch,
     assert vm.gram_record(blk, (2,)).cartan is cartan
 
 
-MEMOIZED = ("level_basis", "_pack", "_insert_letter", "_lead", "low",
-            "bracket", "_pair", "gram_polys", "acts_by_weight")
+MEMOIZED = ("level_basis", "orbits", "_pack", "_insert_letter", "_lead",
+            "low", "bracket", "_pair", "gram_polys", "cartan",
+            "acts_by_weight")
 
 
 def test_engine_caches_are_per_engine():
@@ -895,8 +921,10 @@ def test_engine_caches_are_per_engine():
               for name in MEMOIZED}
     fresh = vm.VermaEngine(1, 1)
     for level in range(4):
+        fresh.orbits(level)
         for content, monos in fresh.level_basis(level).items():
             fresh.gram_polys(content)
+            fresh.cartan(content, tuple(range(len(monos))), (2,))
             for x in monos:
                 fresh.pair_poly(x, x)
                 fresh.acts_by_weight(2, x)
@@ -906,14 +934,15 @@ def test_engine_caches_are_per_engine():
 
 
 def test_every_engine_cache_is_hit(monkeypatch):
-    """Driven through the Gram blocks and diagonal values of (2,2) to level 4
-    at p = 1, 2, 3, a fresh engine hits every cache it wraps, and the
-    wrapped methods are exactly MEMOIZED."""
+    """Driven through the Gram blocks, diagonal values and orbit walk of
+    (2,2) to level 4 at p = 1, 2, 3, a fresh engine hits every cache it
+    wraps, and the wrapped methods are exactly MEMOIZED."""
     eng = vm.VermaEngine(2, 2)
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(2, 2, p, 4):
             vm.diagonal_values(vm.gram_record(blk, (4,)))
+        list(vm.gram_records_up_to(2, 2, p, 4))
     wrapped = {name: fn for name, fn in vars(eng).items()
                if hasattr(fn, "cache_info")}
     assert set(wrapped) == set(MEMOIZED)
@@ -1169,10 +1198,11 @@ def test_orbit_walk_matches_the_all_content_walk(m, n, level_max, monkeypatch,
                                                  capsys):
     """Every record of the orbit walk, both checks that read it, and the whole
     gram and matelems outputs equal those built from every content's own
-    block."""
+    block, at the orders 1..3 and at level_max + 1, where every block has
+    full rank."""
     from parafock.cli import main
 
-    for p in (1, 2, 3):
+    for p in (1, 2, 3, level_max + 1):
         reference = list(all_content_records(m, n, p, level_max))
         records = list(vm.gram_records_up_to(m, n, p, level_max))
         assert records == reference
