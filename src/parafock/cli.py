@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 from . import algebra, patterns, reduced, symfunc, verma
@@ -31,6 +32,10 @@ MAX_ALGEBRA_RANK = 30
 # (m+n)^4: at (80, 80) `gram --p 1 --levels 1` takes 0.4 s and 215 MiB
 # (2 vCPU, CPython 3.11)
 MAX_ORACLE_RANK = 160
+# char's series hold one entry per creation content, C(m+n+degree, degree)
+# of them: at (0, 8) with degree 12 (125,970 contents) `char --p 12` takes
+# about 8 s and 194 MiB (2 vCPU, CPython 3.11)
+MAX_CHAR_CONTENTS = 130_000
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -218,6 +223,10 @@ def cmd_dims(args, out: Emitter) -> bool:
 
 def cmd_char(args, out: Emitter) -> bool:
     _check_session(args)
+    if math.comb(args.m + args.n + args.degree, args.degree) \
+            > MAX_CHAR_CONTENTS:
+        raise UsageError(f"char needs C(m + n + degree, degree) <= "
+                         f"{MAX_CHAR_CONTENTS}")
     p = _single_p(args)
     out.emit(_meta("char", m=args.m, n=args.n, p=p, degree=args.degree))
     rep = symfunc.character_formula_report(args.m, args.n, p, args.degree)

@@ -519,7 +519,8 @@ class GramBlock:
     """One weight space's Gram block at order p, with its elimination.
 
     matrix holds the exact integer Gram entries at the integer order p.
-    pivots are the LDL pivots (Fractions); pivot_indices are the basis
+    minors are the elimination's leading principal minors M_1, M_2, ...
+    (ints; all positive on a PSD block); pivot_indices are the basis
     positions symmetric_rank_psd pivoted on, in pivot order, or None when
     the elimination stalled on an indefinite block.
     """
@@ -533,7 +534,7 @@ class GramBlock:
     matrix: list[list[int]]
     rank: int
     psd: bool
-    pivots: list[Fraction]
+    minors: list[int]
     pivot_indices: list[int] | None
 
     @property
@@ -562,11 +563,11 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
             val = poly.evaluate(p)
             mat[i][j] = val
             mat[j][i] = val
-    rank, psd, pivots, pivot_indices = symmetric_rank_psd(mat)
+    rank, psd, minors, pivot_indices = symmetric_rank_psd(mat)
     return GramBlock(
         m=m, n=n, p=p, content=tuple(content),
         weight=gz.doubled_weight(content, m, n, p),
-        basis=list(basis), matrix=mat, rank=rank, psd=psd, pivots=pivots,
+        basis=list(basis), matrix=mat, rank=rank, psd=psd, minors=minors,
         pivot_indices=pivot_indices,
     )
 
@@ -650,7 +651,7 @@ def _records_by_level(records: list[GramRecord]
 # oracle reports
 # ---------------------------------------------------------------------------
 
-def diagonal_values(rec: GramRecord) -> list[Fraction]:
+def diagonal_values(rec: GramRecord) -> list[int]:
     """Sorted values of the last generator pair's anticommutator on the
     G-orthogonal basis of LDL transform rows of the record's block, at the
     record's order.
@@ -658,7 +659,7 @@ def diagonal_values(rec: GramRecord) -> list[Fraction]:
     On a transform row u_k the value is (u_k^T G B u_k) / (u_k^T G u_k), B
     the pair.  Every u_k lies in the span of the pivot monomials, so if B
     acts by the weight's last entry w on each pivot monomial (the record's
-    Cartan verdict), B u_k = w u_k and every value is w.  Raises
+    Cartan verdict), B u_k = w u_k and every value is the integer w.  Raises
     ArithmeticError, naming the weight, if that Cartan identity fails or
     the elimination stalled.
     """
@@ -669,7 +670,7 @@ def diagonal_values(rec: GramRecord) -> list[Fraction]:
     if not rec.cartan:
         raise ArithmeticError(
             f"the Cartan identity fails on the weight space {list(rec.weight)}")
-    return [Fraction(rec.weight[-1])] * rec.pivot_count
+    return [rec.weight[-1]] * rec.pivot_count
 
 
 def diagonal_check(m: int, n: int, p: int, level_max: int,

@@ -158,7 +158,7 @@ def test_criterion_10_positivity():
     ok = True
     for m, n, p, lmax in ORACLE_RUNS:
         for blk in vm.gram_blocks_up_to(m, n, p, lmax):
-            ok &= blk.psd and all(d > 0 for d in blk.pivots)
+            ok &= blk.psd and all(minor > 0 for minor in blk.minors)
     _report(10, "every Gram block in the oracle range is positive "
                 "semidefinite", ok, t0)
 

@@ -364,10 +364,10 @@ def test_even_dimension_needs_no_dense_elimination(monkeypatch):
     """The private coordinates have proven every basis matrix independent,
     so the even part is checked without a dense rank computation."""
 
-    def no_rref(rows):
+    def no_elimination(rows):
         raise AssertionError("dense elimination reached")
 
-    monkeypatch.setattr(rational_linalg, "rref", no_rref)
+    monkeypatch.setattr(rational_linalg, "symmetric_rank_psd", no_elimination)
     basis = alg.structure_constants(3, 3)
     assert len(basis.even_labels()) == alg.expected_even_dimension(3, 3)
 

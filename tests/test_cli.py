@@ -436,6 +436,30 @@ def test_gram_and_matelems_size_cap(monkeypatch, capsys):
                 main([command, "--m", str(m), "--n", str(n), "--levels", "1"])
 
 
+def test_char_size_cap(monkeypatch, capsys):
+    """A series past the cap on C(m + n + degree, degree) is a usage error
+    raised before the characters are reached; the cap itself reaches them."""
+    cap = cli.MAX_CHAR_CONTENTS
+
+    class Reached(Exception):
+        pass
+
+    def reached(m, n, *rest):
+        raise Reached((m, n))
+
+    monkeypatch.setattr(symfunc, "character_formula_report", reached)
+    # C(72, 12) is about 1.5e13, C(21, 12) = 293,930, C(20, 12) = 125,970
+    for m, n, degree in [(30, 30, 12), (5, 4, 12), (0, 9, 12)]:
+        argv = ["char", "--m", str(m), "--n", str(n), "--degree", str(degree)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: char needs C(m + n + degree, degree) <= {cap}\n")
+    for m, n, degree in [(0, 8, 12), (8, 0, 12), (3, 2, 10)]:
+        with pytest.raises(Reached, match=re.escape(str((m, n)))):
+            main(["char", "--m", str(m), "--n", str(n),
+                  "--degree", str(degree)])
+
+
 def test_main_callable_directly():
     assert main(["verify-algebra", "--m", "0", "--n", "1"]) == 0
 

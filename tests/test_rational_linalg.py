@@ -1,17 +1,53 @@
 """Exact elimination checks: the fraction-free symmetric elimination against
-the Fraction LDL it replaced, and against exact ranks and determinants."""
+the Fraction eliminations it replaced, and against exact determinants."""
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parafock import verma as vm
-from parafock.rational_linalg import matrix_rank, symmetric_rank_psd
+from parafock.rational_linalg import symmetric_rank_psd
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+# The Fraction row reduction that once finished a stalled elimination, kept
+# as the rank reference.
+
+def rref(rows):
+    """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols)."""
+    a = [list(map(Fraction, r)) for r in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def matrix_rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
 # The Fraction LDL that symmetric_rank_psd replaced, kept as the reference
-# for rank, PSD verdict and pivots.
+# for rank, PSD verdict and LDL pivots; a stall finishes the rank by rref.
 
 def ldl_reference(gram):
     nn = len(gram)
@@ -69,21 +105,25 @@ def det(rows):
     return out
 
 
+def ldl_pivots(minors):
+    """The LDL pivots M_k / M_(k-1) rebuilt from the leading minors."""
+    return [Fraction(x, y) for x, y in zip(minors, [1] + minors)]
+
+
 def check_against_reference(gram):
-    """symmetric_rank_psd agrees with the LDL reference, and its pivot
-    indices are rank distinct positions whose first k span a principal
-    minor equal to the product of the first k pivots; on a PSD matrix the
-    elimination never returns to a skipped index, so they ascend."""
-    rank, psd, pivots, pivot_indices = symmetric_rank_psd(gram)
-    assert (rank, psd, pivots) == ldl_reference(gram)
+    """symmetric_rank_psd agrees with the LDL reference and the rref rank;
+    its minors are ints, and its pivot indices are rank distinct positions
+    whose first k span the principal minor M_k; on a PSD matrix the
+    elimination never returns to a skipped index, so they ascend.  Returns
+    whether the elimination finished without a stall."""
+    rank, psd, minors, pivot_indices = symmetric_rank_psd(gram)
+    assert (rank, psd, ldl_pivots(minors)) == ldl_reference(gram)
     assert rank == matrix_rank(gram)
-    assert all(type(x) is Fraction for x in pivots)
+    assert all(type(x) is int for x in minors)
     if pivot_indices is None:
         return False
     assert len(set(pivot_indices)) == len(pivot_indices) == rank
-    minor = 1
-    for k, d in enumerate(pivots, 1):
-        minor *= d
+    for k, minor in enumerate(minors, 1):
         lead = pivot_indices[:k]
         assert det([[gram[i][j] for j in lead] for i in lead]) == minor
     if psd:
@@ -146,7 +186,38 @@ def test_real_gram_blocks_match_reference():
         for m, n in ((1, 1), (2, 1), (1, 2), (0, 2)):
             for blk in vm.gram_blocks_up_to(m, n, p, 4):
                 rank, psd, pivots = ldl_reference(blk.matrix)
-                assert (blk.rank, blk.psd, blk.pivots) == (rank, psd, pivots)
+                assert (blk.rank, blk.psd, ldl_pivots(blk.minors)) \
+                    == (rank, psd, pivots)
                 assert blk.pivot_indices is not None
                 indefinite[p] = indefinite.get(p, 0) + (not psd)
     assert indefinite == {0: 0, -1: 88, -2: 56, -3: 67}
+
+
+def test_stalled_gram_block_finishes_its_rank():
+    """At p = -1 the (1, 1, 2) block of (3, 0) stalls; the elimination
+    finishes its rank in the same loop, and the rank is rref's."""
+    blk = vm.gram_block_for_content(3, 0, -1, (1, 1, 2))
+    assert blk.pivot_indices is None and not blk.psd
+    assert blk.rank == matrix_rank(blk.matrix)
+    assert not check_against_reference(blk.matrix)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size <= 8; half of them have a zero
+    diagonal, so every nonzero one of those stalls at once."""
+    size = draw(st.integers(0, 8))
+    zero_diagonal = draw(st.booleans())
+    gram = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + zero_diagonal, size):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    return gram
+
+
+@settings(PROPERTY, max_examples=300)
+@given(symmetric_matrices())
+def test_symmetric_elimination_property(gram):
+    """On random symmetric matrices, stalled ones included, the rank is
+    rref's and (rank, psd, LDL pivots) is the LDL reference's."""
+    check_against_reference(gram)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -372,10 +373,10 @@ def test_radical_at_order_one():
     blk = vm.gram_block_for_content(1, 1, 1, (2, 0))
     assert blk.size == 1 and blk.rank == 0 and blk.psd
     assert blk.basis == [vm.PBWMonomial((2, 0), (0,))]
-    assert blk.matrix == [[0]] and blk.pivots == [] and blk.pivot_indices == []
+    assert blk.matrix == [[0]] and blk.minors == [] and blk.pivot_indices == []
     blk2 = vm.gram_block_for_content(1, 1, 1, (1, 1))
     assert (blk2.size, blk2.rank, blk2.psd) == (2, 1, True)
-    assert blk2.pivots == [Fraction(4)]
+    assert blk2.minors == [4]
     # the radical vector pairs to zero against everything in the block
     eng = vm.get_engine(1, 1)
     vec = dict(zip(blk2.basis, (1, -2)))
@@ -408,7 +409,7 @@ def test_positive_semidefinite_full_range(m, n):
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(m, n, p, 4):
             assert blk.psd, (m, n, p, blk.weight)
-            assert all(d > 0 for d in blk.pivots)
+            assert all(minor > 0 for minor in blk.minors)
 
 
 def test_rank_independent_of_basis_order():
@@ -758,14 +759,15 @@ def reference_diagonal_values(block):
 ])
 def test_diagonal_values_match_gram_schmidt(m, n, level_max):
     """The pivot indices are the basis indices Gram-Schmidt keeps, the
-    pivots are its squared norms, and the diagonal values read from the
-    pivot monomials equal the Gram-Schmidt ones."""
+    k-th leading minor is the product of its first k squared norms, and the
+    diagonal values read from the pivot monomials equal the Gram-Schmidt
+    ones."""
     radicals = 0
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(m, n, p, level_max):
             _, norms, indices = orthogonalize(blk)
             assert blk.pivot_indices == indices and len(indices) == blk.rank
-            assert blk.pivots == norms
+            assert blk.minors == list(itertools.accumulate(norms, operator.mul))
             assert vm.diagonal_values(vm.gram_record(blk, (m + n,))) \
                 == reference_diagonal_values(blk)
             radicals += blk.size - blk.rank
