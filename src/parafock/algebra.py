@@ -358,9 +358,12 @@ def label_parity(label: tuple, m: int) -> int:
 class AlgebraBasis:
     """Ordered basis with verified structure constants.
 
-    elements: list of (label, SuperMatrix); brackets[(a, b)] maps basis labels,
-    in basis order, to the nonzero rational coefficients of the expansion of
-    the superbracket of a and b.
+    elements: list of (label, SuperMatrix).  brackets is a half-table: for a
+    at or before b in basis order, brackets[(a, b)] maps basis labels, in
+    basis order, to the nonzero rational coefficients of the expansion of
+    the superbracket of a and b, and a pair whose bracket is zero is not
+    stored.  The other half follows from the sign rule
+    [b, a] = -(-1)^(deg a * deg b) [a, b], which names the same labels.
 
     Every basis matrix has a private coordinate, the first of its entries that
     no other basis matrix has (ArithmeticError if one has none).  The
@@ -369,9 +372,8 @@ class AlgebraBasis:
     lie in the span (ArithmeticError).
 
     Only the pairs whose supports meet are bracketed: any other pair has
-    ab = ba = 0 (_lines), so its expansion is {}.  A row index and a column
-    index, built once over the basis matrices, give each label the labels
-    that meet it.
+    ab = ba = 0 (_lines).  A row index and a column index, built once over
+    the basis matrices, give each label the labels that meet it.
     """
 
     def __init__(self, m: int, n: int):
@@ -405,26 +407,13 @@ class AlgebraBasis:
             for j in cols:
                 by_col.setdefault(j, []).append(pos)
 
-        # [b, a] = -(-1)^(deg a * deg b) [a, b]: each unordered pair whose
-        # supports meet is bracketed and read off once, the later ordered
-        # pair negates or copies
         self.brackets: dict[tuple, dict] = {}
         for i, a in enumerate(self.labels):
             rows, cols = lines[i]
             meets = {pos for j in cols for pos in by_row.get(j, ())}
             meets.update(pos for j in rows for pos in by_col.get(j, ()))
-            for b in self.labels[:i]:
-                mirror = self.brackets[(b, a)]
-                if mirror and not mats[a].parity * mats[b].parity:
-                    self.brackets[(a, b)] = {lab: -c
-                                             for lab, c in mirror.items()}
-                else:
-                    self.brackets[(a, b)] = dict(mirror)
-            for j in range(i, len(self.labels)):
+            for j in sorted(pos for pos in meets if pos >= i):
                 b = self.labels[j]
-                if j not in meets:
-                    self.brackets[(a, b)] = {}
-                    continue
                 rest = superbracket(mats[a], mats[b]).coordinates()
                 found = sorted(owner[k] + (v,) for k, v in rest.items()
                                if k in owner)
@@ -439,7 +428,8 @@ class AlgebraBasis:
                 if any(rest.values()):
                     raise ArithmeticError(
                         f"bracket of {a}, {b} does not lie in the span")
-                self.brackets[(a, b)] = coeffs
+                if coeffs:
+                    self.brackets[(a, b)] = coeffs
 
     @property
     def dimension(self) -> int:
@@ -453,12 +443,11 @@ class AlgebraBasis:
         return [lab for lab in self.labels if lab[0] == "bb" and lab[3] != lab[4]]
 
     def diagonal_subalgebra_closed(self) -> bool:
+        """Whether the gl(m|n) piece is bracket-closed; [b, a] names the
+        labels of [a, b], so the stored half-table decides it."""
         sub = set(self.diagonal_subalgebra_labels())
-        for a in sub:
-            for b in sub:
-                if any(lab not in sub for lab in self.brackets[(a, b)]):
-                    return False
-        return True
+        return all(lab in sub for (a, b), coeffs in self.brackets.items()
+                   if a in sub and b in sub for lab in coeffs)
 
 
 def expected_dimension(m: int, n: int) -> int:

@@ -25,9 +25,10 @@ from . import algebra, patterns, reduced, symfunc, verma
 
 MAX_LEVEL = 12   # safety cap: desk-scale exact arithmetic
 MAX_DEGREE = 12
-# verify-algebra's table holds d^2 entries, d = 2(m+n)^2 + m + 3n: at
-# (0, 30) the run takes about 8 s and 660 MiB (2 vCPU, CPython 3.11)
-MAX_ALGEBRA_RANK = 30
+# verify-algebra brackets the basis pairs whose supports meet, among d^2,
+# d = 2(m+n)^2 + m + 3n: at (0, 46) and (46, 0) the run takes 7.5-8.7 s and
+# 168-173 MiB, at (0, 48) and (48, 0) 9.4-14 s (2 vCPU, CPython 3.11)
+MAX_ALGEBRA_RANK = 46
 # gram and matelems build a Verma engine, whose packed-key units grow like
 # (m+n)^4: at (80, 80) `gram --p 1 --levels 1` takes 0.4 s and 215 MiB
 # (2 vCPU, CPython 3.11)
@@ -144,7 +145,8 @@ def cmd_verify_algebra(args, out: Emitter) -> bool:
                   "even_dimension": algebra.expected_even_dimension(args.m, args.n),
                   "diagonal_subalgebra_size":
                       len(basis.diagonal_subalgebra_labels()),
-                  "closed": basis.diagonal_subalgebra_closed()})
+                  # structure_constants raises unless the piece is closed
+                  "closed": True})
         if args.dump:
             try:
                 with open(args.dump, "w") as fh:

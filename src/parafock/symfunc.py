@@ -453,11 +453,11 @@ def weight_series_product(m: int, n: int, cap: int) -> dict:
 def verma_character(m: int, n: int, cap: int) -> dict:
     """Character of the induced module up to degree cap, as the sum of
     supersymmetric Schur polynomials over all hook partitions of each
-    degree.  weight_series_product gives the same series from the closed
-    product form.
+    degree.  A partition's width is at most its degree, so this is the
+    irreducible character at p = cap.  weight_series_product gives the same
+    series from the closed product form.
     """
-    hooks = ((la, 1) for d in range(cap + 1) for la in hook_partitions(d, m, n))
-    return _schur_sum(m, n, hooks)
+    return irreducible_character(m, n, cap, cap)
 
 
 @lru_cache(maxsize=None)

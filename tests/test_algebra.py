@@ -1,5 +1,6 @@
 """Matrix realization: generators, brackets, defining relations, basis."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -125,6 +126,18 @@ def test_para_relation_failure_records(monkeypatch):
         for signs in all_signs.split()]
 
 
+def bracket(basis, a, b):
+    """The expansion of [a, b] for any ordered pair of basis labels: the
+    stored half-table entry, or the mirror through the sign rule
+    [a, b] = -(-1)^(deg a * deg b) [b, a]; a pair stored nowhere is zero."""
+    if (a, b) in basis.brackets:
+        return basis.brackets[(a, b)]
+    sign = 1 if alg.label_parity(a, basis.m) * alg.label_parity(b, basis.m) \
+        else -1
+    return {lab: sign * c
+            for lab, c in basis.brackets.get((b, a), {}).items()}
+
+
 def supports_meet(a, b):
     """A column of one matrix is a row of the other, entry by entry."""
     return any(k == i for (_, k) in a.entries for (i, _) in b.entries) \
@@ -209,12 +222,41 @@ def test_structure_constants(m, n):
 def test_every_bracket_reexpands(m, n):
     basis = alg.structure_constants(m, n)
     mats = dict(basis.elements)
-    for (a, b), expansion in basis.brackets.items():
-        got = alg.superbracket(mats[a], mats[b])
-        acc = alg.SuperMatrix(m, n)
-        for lab, c in expansion.items():
-            acc = acc + mats[lab].scale(c)
-        assert got == acc, (a, b)
+    for a in basis.labels:
+        for b in basis.labels:
+            got = alg.superbracket(mats[a], mats[b])
+            acc = alg.SuperMatrix(m, n)
+            for lab, c in bracket(basis, a, b).items():
+                acc = acc + mats[lab].scale(c)
+            assert got == acc, (a, b)
+
+
+# sha256 of the full table of ordered pairs, in basis order, with each
+# expansion's keys, key order, values and value types, for every (m, n)
+# with m, n <= 4, as the table of every ordered pair was stored before it
+# became a half-table
+FULL_TABLE_SHA256 = \
+    "4653621419881632b694da6d777b04fc9d244066ec7d741335b8d9811f032ffa"
+
+
+def test_half_table_gives_the_full_table():
+    digest = hashlib.sha256()
+    pairs = coefficients = 0
+    for m in range(5):
+        for n in range(5):
+            if m + n < 1:
+                continue
+            basis = alg.structure_constants(m, n)
+            for a in basis.labels:
+                for b in basis.labels:
+                    expansion = bracket(basis, a, b)
+                    pairs += 1
+                    coefficients += len(expansion)
+                    digest.update(repr((m, n, a, b, [
+                        (lab, type(c).__name__, c)
+                        for lab, c in expansion.items()])).encode())
+    assert (pairs, coefficients) == (92_260, 25_200)
+    assert digest.hexdigest() == FULL_TABLE_SHA256
 
 
 def two_product_bracket(a, b):
@@ -240,18 +282,23 @@ def test_one_pass_superbracket_matches_two_products(m, n):
 
 
 def test_structure_constants_antisupersymmetric():
+    """The sign rule the half-table relies on holds for the matrices, and
+    for the expansions read through it."""
     basis = alg.structure_constants(1, 1)
+    mats = dict(basis.elements)
     for a in basis.labels:
         pa = alg.label_parity(a, 1)
         for b in basis.labels:
             pb = alg.label_parity(b, 1)
             sgn = -1 if (pa * pb) % 2 == 0 else 1
-            lhs = basis.brackets[(a, b)]
-            rhs = {k: sgn * v for k, v in basis.brackets[(b, a)].items()}
+            assert alg.superbracket(mats[a], mats[b]) \
+                == alg.superbracket(mats[b], mats[a]).scale(sgn), (a, b)
+            lhs = bracket(basis, a, b)
+            rhs = {k: sgn * v for k, v in bracket(basis, b, a).items()}
             assert lhs == rhs, (a, b)
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (0, 2)])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (0, 2), (3, 3)])
 def test_basis_brackets_each_unordered_pair_once(m, n, monkeypatch):
     calls = []
     original = alg.superbracket
@@ -269,8 +316,14 @@ def test_basis_brackets_each_unordered_pair_once(m, n, monkeypatch):
                   for i in range(d) for j in range(i, d))
     assert len(calls) == label_brackets + meeting
     assert meeting < d * (d + 1) // 2
-    assert list(basis.brackets) == [(a, b) for a in basis.labels
-                                    for b in basis.labels]
+    # the half-table stores exactly the at-or-before pairs whose bracket is
+    # nonzero, in basis order
+    assert list(basis.brackets) == [
+        (a, b) for i, (a, mat_a) in enumerate(basis.elements)
+        for b, mat_b in basis.elements[i:]
+        if not two_product_bracket(mat_a, mat_b).is_zero()]
+    assert len(basis.brackets) == {(1, 1): 41, (2, 1): 118, (0, 2): 54,
+                                   (3, 3): 939}[(m, n)]
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 3),
@@ -299,7 +352,7 @@ def test_basis_skips_only_pairs_whose_bracket_is_zero(m, n, monkeypatch):
             else:
                 skipped += 1
                 assert two_product_bracket(mat_a, mat_b).is_zero(), (a, b)
-                assert basis.brackets[(a, b)] == {}, (a, b)
+                assert bracket(basis, a, b) == {}, (a, b)
     assert skipped > 0
 
 
@@ -350,13 +403,15 @@ def test_half_integer_coefficients_are_read_exactly(monkeypatch):
     basis = alg.structure_constants(1, 1)
     mats = dict(basis.elements)
     halves = 0
-    for (a, b), expansion in basis.brackets.items():
-        assert all(type(c) is Fraction for c in expansion.values())
-        halves += any(c.denominator == 2 for c in expansion.values())
-        acc = alg.SuperMatrix(1, 1)
-        for lab, c in expansion.items():
-            acc = acc + mats[lab].scale(c)
-        assert alg.superbracket(mats[a], mats[b]) == acc, (a, b)
+    for a in basis.labels:
+        for b in basis.labels:
+            expansion = bracket(basis, a, b)
+            assert all(type(c) is Fraction for c in expansion.values())
+            halves += any(c.denominator == 2 for c in expansion.values())
+            acc = alg.SuperMatrix(1, 1)
+            for lab, c in expansion.items():
+                acc = acc + mats[lab].scale(c)
+            assert alg.superbracket(mats[a], mats[b]) == acc, (a, b)
     assert halves > 0
 
 
@@ -382,6 +437,31 @@ def test_even_dimension_mismatch_is_an_error(monkeypatch, capsys):
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert recs[-1] == {"check": "structure_constants",
                         "error": "even part has unexpected dimension"}
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_closure_is_checked_once(closed, monkeypatch, capsys):
+    """verify-algebra reports the closure verdict structure_constants has
+    reached without checking again; a piece that is not closed is an error
+    record."""
+    calls = []
+
+    def verdict(basis):
+        calls.append(basis)
+        return closed
+
+    monkeypatch.setattr(alg.AlgebraBasis, "diagonal_subalgebra_closed",
+                        verdict)
+    assert main(["verify-algebra", "--m", "1", "--n", "1"]) == (0 if closed
+                                                                else 1)
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(calls) == 1
+    if closed:
+        assert recs[-1]["closed"] is True
+    else:
+        assert recs[-1] == {
+            "check": "structure_constants",
+            "error": "mixed-sign pair brackets are not bracket-closed"}
 
 
 @pytest.mark.parametrize("fault,error", [
@@ -436,7 +516,8 @@ def test_realization_is_integer(m, n):
              for a in gens for b in gens for c in gens]
     assert all(type(v) is int for mat in mats for v in mat.entries.values())
     assert all(type(c) in (int, Fraction)
-               for coeffs in basis.brackets.values() for c in coeffs.values())
+               for a in basis.labels for b in basis.labels
+               for c in bracket(basis, a, b).values())
 
 
 def test_cartan_acts_with_root_value():

@@ -402,7 +402,7 @@ def test_verify_algebra_size_cap(monkeypatch, capsys):
 
     monkeypatch.setattr(algebra, "verify_relations", reached)
     monkeypatch.setattr(algebra, "structure_constants", reached)
-    for m, n in [(cap + 1, 0), (0, cap + 1), (cap, 1), (40, 0)]:
+    for m, n in [(cap + 1, 0), (0, cap + 1), (cap, 1), (cap + 10, 0)]:
         assert main(["verify-algebra", "--m", str(m), "--n", str(n)]) == 2
         assert capsys.readouterr() == (
             "", f"error: verify-algebra needs m + n <= {cap}\n")
@@ -515,7 +515,9 @@ def test_dims_matches_golden_file():
 
 def test_char_builds_each_series_once(monkeypatch, capsys):
     """char reads the irreducible character and the Verma product off
-    character_formula_report instead of building them a second time."""
+    character_formula_report instead of building them a second time; the
+    Verma character's Schur sum is the irreducible character at p = degree,
+    built once more."""
     from parafock import symfunc
 
     calls = {}
@@ -524,7 +526,8 @@ def test_char_builds_each_series_once(monkeypatch, capsys):
         fn = getattr(symfunc, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            key = (name,) + args
+            calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(symfunc, name, wrapper)
 
@@ -533,7 +536,9 @@ def test_char_builds_each_series_once(monkeypatch, capsys):
     assert main(["char", "--m", "2", "--n", "1", "--p", "2",
                  "--degree", "4"]) == 0
     capsys.readouterr()
-    assert calls == {"irreducible_character": 1, "weight_series_product": 1}
+    assert calls == {("irreducible_character", 2, 1, 2, 4): 1,
+                     ("weight_series_product", 2, 1, 4): 1,
+                     ("irreducible_character", 2, 1, 4, 4): 1}
 
 
 def test_verify_id2_matches_golden_file():

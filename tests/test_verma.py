@@ -306,6 +306,7 @@ def test_gram_symmetric_and_weight_homogeneous():
 def test_action_respects_structure_constants():
     """X(Yv) - (-1)^(|X||Y|) Y(Xv) must equal the bracket's action."""
     from parafock import algebra as alg
+    from test_algebra import bracket
 
     rng = random.Random(3)
     m, n, p = 1, 1, 2
@@ -332,7 +333,7 @@ def test_action_respects_structure_constants():
         lhs = add(eng.act(x, eng.act(y, v, p), p),
                   eng.act(y, eng.act(x, v, p), p), Fraction(-sgn))
         rhs: dict = {}
-        for lab, c in basis.brackets[(x, y)].items():
+        for lab, c in bracket(basis, x, y).items():
             rhs = add(rhs, eng.act(lab, v, p), c)
         assert lhs == rhs, (x, y, v)
 
