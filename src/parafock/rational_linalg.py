@@ -15,6 +15,22 @@ import operator
 def symmetric_rank_psd(gram):
     """Exact rank and positive semidefiniteness of a symmetric integer matrix.
 
+    The validating entry: entries must be integers (TypeError otherwise) and
+    a non-symmetric matrix raises ValueError.  It hands its own int copy to
+    bareiss_rank_psd, so gram is never written, and returns that result.
+    """
+    a = [list(map(operator.index, row)) for row in gram]
+    if any(map(list.__ne__, a, map(list, zip(*a)))):
+        raise ValueError("matrix is not symmetric")
+    return bareiss_rank_psd(a)
+
+
+def bareiss_rank_psd(a: list):
+    """symmetric_rank_psd's elimination, on a square symmetric list of int
+    rows that it does not check.  It overwrites the rows of a: each update
+    puts a new list in a's slot, and no row list is written into, so a
+    caller that keeps the matrix hands in a shallow copy.
+
     One fraction-free (Bareiss) congruence elimination with diagonal
     pivoting: the pivot is the first remaining index with a nonzero diagonal.
     Every intermediate entry is an integer minor, so each division is exact;
@@ -37,26 +53,20 @@ def symmetric_rank_psd(gram):
     pivot count.  Bareiss's identity holds for any pivot row and column, so
     every division stays exact.  A stalled matrix has psd False, only the
     minors before the stall, and pivot_indices None.
-    Entries must be integers (TypeError otherwise); a non-symmetric matrix
-    raises ValueError.
     """
-    a = [list(map(operator.index, row)) for row in gram]
-    nn = len(a)
-    for i in range(nn):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    rows = list(range(nn))
+    rows = list(range(len(a)))
     minors = []
     pivot_indices = []  # None once the elimination has stalled
     prev = 1  # the last pivot element, the minor over the pivots so far
     while rows:
-        pi = (None if pivot_indices is None
-              else next((i for i in rows if a[i][i]), None))
-        if pi is not None:
-            pj = pi
-            minors.append(a[pi][pi])
-            pivot_indices.append(pi)
+        # the first remaining nonzero diagonal, looked for until a stall
+        for pi in rows if pivot_indices is not None else ():
+            d = a[pi][pi]
+            if d:
+                pj = pi
+                minors.append(d)
+                pivot_indices.append(pi)
+                break
         else:
             # no diagonal pivot: zero remaining rows end the elimination,
             # and a nonzero remaining block is indefinite, so pivot off the
@@ -65,19 +75,20 @@ def symmetric_rank_psd(gram):
                            for j, x in enumerate(a[i]) if x), (None, None))
             if pi is None:
                 break
+            d = a[pi][pj]
             pivot_indices = None
         rows.remove(pi)
-        d = a[pi][pj]
         row = a[pi]
         # row-only update: symmetric pivots leave the remaining block
         # symmetric and equal to the congruence reduction; rows with a zero
         # in the pivot column are only rescaled to the new minor
         for i in rows:
-            f = a[i][pj]
+            r = a[i]
+            f = r[pj]
             if f:
-                a[i] = [(d * x - f * y) // prev for x, y in zip(a[i], row)]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(r, row)]
             elif d != prev:
-                a[i] = [d * x // prev for x in a[i]]
+                a[i] = [d * x // prev for x in r]
         prev = d
-    psd = pivot_indices is not None and all(x > 0 for x in minors)
-    return nn - len(rows), psd, minors, pivot_indices
+    psd = pivot_indices is not None and min(minors, default=1) > 0
+    return len(a) - len(rows), psd, minors, pivot_indices

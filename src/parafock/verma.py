@@ -36,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add
+from operator import add, index
 from typing import NamedTuple
 
-from .rational_linalg import symmetric_rank_psd
+from .rational_linalg import bareiss_rank_psd
 from . import patterns as gz
-from .symfunc import hook_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +520,7 @@ class GramBlock:
     matrix holds the exact integer Gram entries at the integer order p.
     minors are the elimination's leading principal minors M_1, M_2, ...
     (ints; all positive on a PSD block); pivot_indices are the basis
-    positions symmetric_rank_psd pivoted on, in pivot order, or None when
+    positions bareiss_rank_psd pivoted on, in pivot order, or None when
     the elimination stalled on an indefinite block.
     """
 
@@ -529,7 +528,6 @@ class GramBlock:
     n: int
     p: int
     content: tuple[int, ...]
-    weight: tuple[int, ...]            # doubled weight
     basis: list[PBWMonomial]
     matrix: list[list[int]]
     rank: int
@@ -540,6 +538,11 @@ class GramBlock:
     @property
     def size(self) -> int:
         return len(self.basis)
+
+    @property
+    def weight(self) -> tuple[int, ...]:
+        """The doubled weight of the content at order p."""
+        return gz.doubled_weight(self.content, self.m, self.n, self.p)
 
 
 def level_contents(m: int, n: int, level: int) -> list[tuple[int, ...]]:
@@ -554,22 +557,17 @@ def basis_for_content(m: int, n: int, content) -> list[PBWMonomial]:
 def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
     """Gram block of the weight space of one creation content: the
     engine's memoized entry polynomials (gram_polys) evaluated at the
-    integer order p.  A Fraction order gives Fraction entries, which
-    symmetric_rank_psd rejects with TypeError."""
+    integer order p into int rows, filled symmetric from the triangle and
+    eliminated by bareiss_rank_psd, with no check of entries or symmetry.
+    A non-integer order is a TypeError before any entry is evaluated."""
+    p = index(p)
     basis, upper = get_engine(m, n).gram_polys(tuple(content))
     mat = [[0] * len(basis) for _ in basis]
     for i, row in enumerate(upper):
         for j, poly in enumerate(row, i):
-            val = poly.evaluate(p)
-            mat[i][j] = val
-            mat[j][i] = val
-    rank, psd, minors, pivot_indices = symmetric_rank_psd(mat)
-    return GramBlock(
-        m=m, n=n, p=p, content=tuple(content),
-        weight=gz.doubled_weight(content, m, n, p),
-        basis=list(basis), matrix=mat, rank=rank, psd=psd, minors=minors,
-        pivot_indices=pivot_indices,
-    )
+            mat[i][j] = mat[j][i] = poly.evaluate(p)
+    return GramBlock(m, n, p, tuple(content), list(basis), mat,
+                     *bareiss_rank_psd(list(mat)))
 
 
 def gram_blocks_up_to(m: int, n: int, p: int, level_max: int):
@@ -598,53 +596,35 @@ class GramRecord(NamedTuple):
     cartan: bool
 
 
-def gram_record(block: GramBlock, indices) -> GramRecord:
-    """The block's record, with the Cartan identity {c_b^-, c_b^+} =
-    p + 2 content_b checked for each generator index b in indices
-    (engine.cartan) on every pivot monomial, the basis monomial at one of
-    the block's pivot indices.  The elimination's LDL transform rows lie in
-    the span of the pivot monomials."""
-    pivot_indices = block.pivot_indices
-    return GramRecord(
-        content=block.content, weight=block.weight, size=block.size,
-        rank=block.rank, psd=block.psd,
-        pivot_count=None if pivot_indices is None else len(pivot_indices),
-        cartan=pivot_indices is not None
-        and get_engine(block.m, block.n).cartan(
-            block.content, tuple(pivot_indices), tuple(indices)))
-
-
 def gram_records_up_to(m: int, n: int, p: int, level_max: int):
     """The records of levels <= level_max in canonical order (level, then
     content), one Gram block built per S_m x S_n orbit of contents.
 
     The block is the orbit representative's, the content with each parity
     class sorted descending (engine.orbits), built when the walk first
-    reaches the orbit.  Its record, the Cartan identity checked for every
-    boson index, stands for each content of the orbit under that content's
-    doubled weight.
+    reaches the orbit.  Its size, rank, PSD flag and pivots stand for each
+    content of the orbit under that content's doubled weight, with the
+    Cartan identity {c_b^-, c_b^+} = p + 2 content_b checked for every boson
+    index b (engine.cartan) on every pivot monomial, the basis monomial at
+    one of the block's pivot indices: the elimination's LDL transform rows
+    lie in the span of the pivot monomials.
     """
     engine = get_engine(m, n)
     bosons = tuple(range(m + 1, m + n + 1))
     vacuum = gz.doubled_weight((0,) * (m + n), m, n, p)
     for level in range(level_max + 1):
-        by_orbit: dict[tuple, GramRecord] = {}
+        by_orbit: dict[tuple, tuple] = {}
         for content, twice, rep in engine.orbits(level):
-            rec = by_orbit.get(rep)
-            if rec is None:
-                rec = by_orbit[rep] = gram_record(
-                    gram_block_for_content(m, n, p, rep), bosons)
-            yield GramRecord(content, tuple(map(add, vacuum, twice)),
-                             *rec[2:])
-
-
-def _records_by_level(records: list[GramRecord]
-                      ) -> dict[int, list[GramRecord]]:
-    """Level -> the records of that level, in their given order."""
-    by_level: dict[int, list[GramRecord]] = {}
-    for rec in records:
-        by_level.setdefault(sum(rec.content), []).append(rec)
-    return by_level
+            tail = by_orbit.get(rep)
+            if tail is None:
+                blk = gram_block_for_content(m, n, p, rep)
+                pivots = blk.pivot_indices
+                tail = by_orbit[rep] = (
+                    blk.size, blk.rank, blk.psd,
+                    None if pivots is None else len(pivots),
+                    pivots is not None
+                    and engine.cartan(rep, tuple(pivots), bosons))
+            yield GramRecord(content, tuple(map(add, vacuum, twice)), *tail)
 
 
 # ---------------------------------------------------------------------------
@@ -683,31 +663,30 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
     multiset per weight; a failed identity is an "error" failure.
     `records` are those of gram_records_up_to(m, n, p, level_max), so each
     content has its orbit representative's verdict, checked there for every
-    boson index.
+    boson index; they are read in their given order.
     """
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")
-    by_level = _records_by_level(records)
+    counts = [gz.pattern_counts(m, n, level, max_width=p)
+              for level in range(level_max + 1)]
     failures = []
     checked = 0
-    for level in range(level_max + 1):
-        counts = gz.pattern_counts(m, n, level, max_width=p)
-        for rec in by_level.get(level, ()):
-            try:
-                values = diagonal_values(rec)
-            except ArithmeticError as exc:
-                failures.append({"weight": list(rec.weight), "error": str(exc)})
-                continue
-            # a pattern's p + 2*(top row sum - second row sum) is the last
-            # entry of its doubled weight
-            expected = [rec.weight[-1]] * counts[rec.content]
-            checked += len(values)
-            if values != expected:
-                failures.append({
-                    "weight": list(rec.weight),
-                    "got": [str(v) for v in values],
-                    "expected": [str(v) for v in expected],
-                })
+    for rec in records:
+        try:
+            values = diagonal_values(rec)
+        except ArithmeticError as exc:
+            failures.append({"weight": list(rec.weight), "error": str(exc)})
+            continue
+        # a pattern's p + 2*(top row sum - second row sum) is the last
+        # entry of its doubled weight
+        expected = [rec.weight[-1]] * counts[sum(rec.content)][rec.content]
+        checked += len(values)
+        if values != expected:
+            failures.append({
+                "weight": list(rec.weight),
+                "got": [str(v) for v in values],
+                "expected": [str(v) for v in expected],
+            })
     return {"m": m, "n": n, "p": p, "level_max": level_max,
             "checked": checked, "failures": failures, "ok": not failures}
 
@@ -720,17 +699,20 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
     top-row width <= p, and that admitting width p+1 strictly overcounts at
     some weight of some level (whenever such patterns exist in range).
     `records` are those of gram_records_up_to(m, n, p, level_max), so each
-    content has its orbit representative's rank.
+    content has its orbit representative's rank.  At a level <= p the widths
+    p and p + 1 cap nothing, so no witness is sought there; a cut is
+    expected where a top row of width p + 1 >= 1 exists in range.
     """
     def weight(content):
         return list(gz.doubled_weight(content, m, n, p))
 
-    by_level = _records_by_level(records)
+    by_level: dict[int, list[GramRecord]] = {}
+    for rec in records:
+        by_level.setdefault(sum(rec.content), []).append(rec)
     failures = []
     witness = None
     for level in range(level_max + 1):
         capped = gz.pattern_counts(m, n, level, max_width=p)
-        wide = gz.pattern_counts(m, n, level, max_width=p + 1)
         ranks = {rec.content: rec.rank for rec in by_level.get(level, ())}
         for c, rank in ranks.items():
             if rank != capped[c]:
@@ -740,18 +722,17 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
             if c not in ranks:
                 failures.append({"level": level, "weight": weight(c),
                                  "rank": 0, "patterns": cnt})
-        if witness is None:
+        if witness is None and p < level:
+            wide = gz.pattern_counts(m, n, level, max_width=p + 1)
             for c in sorted(wide):
                 if wide[c] > capped[c]:
                     witness = {"level": level, "weight": weight(c),
                                "wide_count": wide[c],
                                "capped_count": capped[c]}
                     break
-    cut_expected = any(
-        la and la[0] == p + 1
-        for level in range(level_max + 1)
-        for la in hook_partitions(level, m, n)
-    )
+    cut_expected = 0 <= p < level_max and any(
+        width == p + 1 for level in range(p + 1, level_max + 1)
+        for width, _ in gz._count_table(m, n, level))
     ok = not failures and (witness is not None) == cut_expected
     return {"m": m, "n": n, "p": p, "level_max": level_max,
             "failures": failures, "cut_witness": witness,

@@ -318,8 +318,10 @@ def test_several_orders_are_a_returned_usage_error(capsys):
 def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
     """One walk of the blocks serves the command and all its checks: it
     builds the block of each orbit representative (each parity class
-    non-increasing) exactly once and no other."""
-    from parafock import verma
+    non-increasing) exactly once and no other, through the per-block
+    gram_block_for_content, and never reaches the validating
+    symmetric_rank_psd."""
+    from parafock import rational_linalg, verma
 
     real_block = verma.gram_block_for_content
     real_walk = verma.gram_records_up_to
@@ -334,8 +336,18 @@ def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
         walks.append(args)
         return real_walk(*args, **kwargs)
 
+    def validating(gram):
+        raise AssertionError("the validating elimination was reached")
+
     monkeypatch.setattr(verma, "gram_block_for_content", counting_block)
     monkeypatch.setattr(verma, "gram_records_up_to", counting_walk)
+    entry = rational_linalg.symmetric_rank_psd
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("parafock"):
+            for name, value in list(vars(module).items()):
+                if value is entry:
+                    monkeypatch.setattr(module, name, validating)
+    assert rational_linalg.symmetric_rank_psd is validating
     assert main([command, "--m", str(m), "--n", str(n), "--p", "2",
                  "--levels", "3"]) == 0
     capsys.readouterr()

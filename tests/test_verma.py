@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from parafock import patterns as gz
 from parafock import symfunc as sf
+from parafock import rational_linalg
 from parafock import verma as vm
 from parafock.rational_linalg import symmetric_rank_psd
 
@@ -428,6 +429,24 @@ def orbit_check(check, m, n, p, level_max):
                  list(vm.gram_records_up_to(m, n, p, level_max)))
 
 
+def block_record(blk, indices):
+    """The record of one block, the Cartan identity checked for each index
+    in indices on its pivot monomials: what gram_records_up_to reads of an
+    orbit representative's block, built here from the block's fields."""
+    pivots = blk.pivot_indices
+    return vm.GramRecord(
+        blk.content, blk.weight, blk.size, blk.rank, blk.psd,
+        None if pivots is None else len(pivots),
+        pivots is not None and vm.get_engine(blk.m, blk.n).cartan(
+            blk.content, tuple(pivots), tuple(indices)))
+
+
+def walk_record(m, n, p, content):
+    """The orbit walk's record of one content."""
+    return next(rec for rec in vm.gram_records_up_to(m, n, p, sum(content))
+                if rec.content == content)
+
+
 def test_diagonal_check():
     rep = orbit_check(vm.diagonal_check, 1, 1, 2, 4)
     assert rep["ok"] and rep["checked"] > 0
@@ -491,6 +510,63 @@ def test_radical_cut_check_reports_mismatches_by_doubled_weight():
     rep = vm.radical_cut_check(1, 1, 2, 2, missing)
     assert rep["failures"] == [
         {"level": 2, "weight": [0, 4], "rank": 0, "patterns": 2}]
+
+
+def radical_cut_reference(m, n, p, level_max, records):
+    """radical_cut_check's report from its definition: a fresh
+    pattern_counts per level and width for the ranks and the witness, and
+    the nonempty hook partitions of first part p + 1 for the expected cut."""
+    def weight(content):
+        return list(gz.doubled_weight(content, m, n, p))
+
+    failures = []
+    witness = None
+    for level in range(level_max + 1):
+        capped = gz.pattern_counts(m, n, level, max_width=p)
+        wide = gz.pattern_counts(m, n, level, max_width=p + 1)
+        ranks = {rec.content: rec.rank for rec in records
+                 if sum(rec.content) == level}
+        failures += [{"level": level, "weight": weight(c), "rank": rank,
+                      "patterns": capped[c]}
+                     for c, rank in ranks.items() if rank != capped[c]]
+        failures += [{"level": level, "weight": weight(c), "rank": 0,
+                      "patterns": cnt}
+                     for c, cnt in capped.items() if c not in ranks]
+        wider = [c for c in sorted(wide) if wide[c] > capped[c]]
+        if witness is None and wider:
+            witness = {"level": level, "weight": weight(wider[0]),
+                       "wide_count": wide[wider[0]],
+                       "capped_count": capped[wider[0]]}
+    cut_expected = any(len(la) > 0 and la[0] == p + 1
+                       for level in range(level_max + 1)
+                       for la in sf.hook_partitions(level, m, n))
+    return {"m": m, "n": n, "p": p, "level_max": level_max,
+            "failures": failures, "cut_witness": witness,
+            "cut_expected": cut_expected,
+            "ok": not failures and (witness is not None) == cut_expected}
+
+
+@pytest.mark.parametrize("m,n,level_max", [
+    (2, 2, 4), (3, 1, 4), (1, 2, 5), (0, 3, 4), (3, 0, 4)])
+def test_radical_cut_check_equals_its_definition(m, n, level_max):
+    """At every order from -2 to level_max + 2, on the walk's records and on
+    records with one rank bumped and one content missing, the report equals
+    the one built from hook partitions and pattern_counts.  At p = -1 the
+    vacuum is a witness, but the empty partition, of width 0 = p + 1, is no
+    expected cut."""
+    for p in range(-2, level_max + 3):
+        records = list(vm.gram_records_up_to(m, n, p, level_max))
+        last = records[-1]
+        changed = [rec._replace(rank=rec.rank + 1) for rec in records[:1]] \
+            + records[1:-1]
+        for recs in (records, changed):
+            assert vm.radical_cut_check(m, n, p, level_max, recs) \
+                == radical_cut_reference(m, n, p, level_max, recs)
+        assert last.content not in {rec.content for rec in changed}
+        if p == -1:
+            rep = vm.radical_cut_check(m, n, p, level_max, records)
+            assert rep["cut_witness"]["level"] == 0
+            assert not rep["cut_expected"]
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
@@ -769,7 +845,7 @@ def test_diagonal_values_match_gram_schmidt(m, n, level_max):
             _, norms, indices = orthogonalize(blk)
             assert blk.pivot_indices == indices and len(indices) == blk.rank
             assert blk.minors == list(itertools.accumulate(norms, operator.mul))
-            assert vm.diagonal_values(vm.gram_record(blk, (m + n,))) \
+            assert vm.diagonal_values(block_record(blk, (m + n,))) \
                 == reference_diagonal_values(blk)
             radicals += blk.size - blk.rank
     assert radicals
@@ -784,7 +860,7 @@ def test_diagonal_values_on_indefinite_forms(p):
     for m, n, level_max in ((1, 1, 6), (2, 1, 5), (1, 2, 5), (2, 2, 4)):
         for blk in vm.gram_blocks_up_to(m, n, p, level_max):
             assert blk.pivot_indices == orthogonalize(blk)[2]
-            assert vm.diagonal_values(vm.gram_record(blk, (m + n,))) \
+            assert vm.diagonal_values(block_record(blk, (m + n,))) \
                 == reference_diagonal_values(blk)
             negative += not blk.psd
     assert negative
@@ -796,7 +872,7 @@ def test_diagonal_values_raise_on_stalled_elimination():
     blk = vm.gram_block_for_content(3, 0, -1, (1, 1, 2))
     assert blk.pivot_indices is None and not blk.psd
     with pytest.raises(ArithmeticError):
-        vm.diagonal_values(vm.gram_record(blk, (3,)))
+        vm.diagonal_values(block_record(blk, (3,)))
 
 
 # -- the Cartan identity diagonal_values rests on ------------------------------
@@ -838,8 +914,7 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
     monkeypatch.setattr(eng, "_action_image", poisoned)
     weight = list(gz.doubled_weight((0, 1), 1, 1, 2))
     with pytest.raises(ArithmeticError) as exc:
-        vm.diagonal_values(
-            vm.gram_record(vm.gram_block_for_content(1, 1, 2, (0, 1)), (2,)))
+        vm.diagonal_values(walk_record(1, 1, 2, (0, 1)))
     assert str(weight) in str(exc.value)
     rep = orbit_check(vm.diagonal_check, 1, 1, 2, 2)
     assert not rep["ok"]
@@ -907,7 +982,7 @@ def test_cartan_verdict_reads_exactly_the_pivot_monomials(monkeypatch,
         return image(lab, x)
 
     monkeypatch.setattr(eng, "_action_image", poisoned)
-    assert vm.gram_record(blk, (2,)).cartan is cartan
+    assert walk_record(1, 1, 1, (1, 1)).cartan is cartan
 
 
 MEMOIZED = ("level_basis", "orbits", "_pack", "_insert_letter", "_lead",
@@ -944,7 +1019,7 @@ def test_every_engine_cache_is_hit(monkeypatch):
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(2, 2, p, 4):
-            vm.diagonal_values(vm.gram_record(blk, (4,)))
+            vm.diagonal_values(block_record(blk, (4,)))
         list(vm.gram_records_up_to(2, 2, p, 4))
     wrapped = {name: fn for name, fn in vars(eng).items()
                if hasattr(fn, "cache_info")}
@@ -968,7 +1043,7 @@ def test_straightening_images_are_only_read(monkeypatch):
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     for p in (1, 2, 3):
         for blk in vm.gram_blocks_up_to(2, 2, p, 4):
-            vm.diagonal_values(vm.gram_record(blk, (4,)))
+            vm.diagonal_values(block_record(blk, (4,)))
     for a, x in keys:
         eng.act(("c", a, "+"), {x: 1}, 2)
     assert {key: engine_insert_letter(eng, *key) for key in keys} == expected
@@ -1136,7 +1211,8 @@ def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
 @given(st.data())
 def test_cached_blocks_evaluate_the_entry_polynomials(data):
     """At any integer order a block built from the engine's cached triangle
-    equals the entrywise pair_poly(x, y).evaluate(p) and holds only ints."""
+    equals the entrywise pair_poly(x, y).evaluate(p) and holds only ints,
+    after its unchecked elimination, whose result is the validating one's."""
     m, n = data.draw(st.sampled_from(PROPERTY_DOMAINS))
     eng = vm.get_engine(m, n)
     level = data.draw(st.integers(0, 3))
@@ -1147,13 +1223,29 @@ def test_cached_blocks_evaluate_the_entry_polynomials(data):
     assert blk.matrix == [[eng.pair_poly(x, y).evaluate(p) for y in blk.basis]
                           for x in blk.basis]
     assert all(type(v) is int for row in blk.matrix for v in row)
+    assert symmetric_rank_psd(blk.matrix) \
+        == (blk.rank, blk.psd, blk.minors, blk.pivot_indices)
 
 
 def test_fraction_orders_are_refused():
-    """The Gram block takes integer orders only: a Fraction order's
-    Fraction entries reach symmetric_rank_psd's integer check."""
+    """The Gram block takes integer orders only: a Fraction order fails the
+    block's integer check of p."""
     with pytest.raises(TypeError):
         vm.gram_block_for_content(1, 1, Fraction(1, 3), (1, 0))
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 1)])
+def test_fraction_orders_are_refused_before_any_elimination(p, monkeypatch):
+    """The orbit walk takes integer orders only, as its blocks do: a
+    Fraction order, even an integral one, is a TypeError raised before
+    either entry to the elimination is reached."""
+    def eliminated(rows):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(vm, "bareiss_rank_psd", eliminated)
+    monkeypatch.setattr(rational_linalg, "symmetric_rank_psd", eliminated)
+    with pytest.raises(TypeError):
+        list(vm.gram_records_up_to(1, 1, p, 2))
 
 
 # -- symmetry of the index permutations within each parity class -------------
@@ -1190,7 +1282,7 @@ def all_content_records(m, n, p, level_max):
     for the last pair only: the walk the orbit walk replaces."""
     last = (m + n,) if n else ()
     for blk in vm.gram_blocks_up_to(m, n, p, level_max):
-        yield vm.gram_record(blk, last)
+        yield block_record(blk, last)
 
 
 @pytest.mark.parametrize("m,n,level_max", [
