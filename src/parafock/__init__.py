@@ -34,7 +34,6 @@ from .patterns import (
     top_row_from_partition,
     top_rows_for_level,
 )
-from .rational_linalg import symmetric_rank_psd
 from .reduced import (
     ParsingVariant,
     SignedSqrtRational,

@@ -15,22 +15,6 @@ import operator
 def symmetric_rank_psd(gram):
     """Exact rank and positive semidefiniteness of a symmetric integer matrix.
 
-    The validating entry: entries must be integers (TypeError otherwise) and
-    a non-symmetric matrix raises ValueError.  It hands its own int copy to
-    bareiss_rank_psd, so gram is never written, and returns that result.
-    """
-    a = [list(map(operator.index, row)) for row in gram]
-    if any(map(list.__ne__, a, map(list, zip(*a)))):
-        raise ValueError("matrix is not symmetric")
-    return bareiss_rank_psd(a)
-
-
-def bareiss_rank_psd(a: list):
-    """symmetric_rank_psd's elimination, on a square symmetric list of int
-    rows that it does not check.  It overwrites the rows of a: each update
-    puts a new list in a's slot, and no row list is written into, so a
-    caller that keeps the matrix hands in a shallow copy.
-
     One fraction-free (Bareiss) congruence elimination with diagonal
     pivoting: the pivot is the first remaining index with a nonzero diagonal.
     Every intermediate entry is an integer minor, so each division is exact;
@@ -53,7 +37,14 @@ def bareiss_rank_psd(a: list):
     pivot count.  Bareiss's identity holds for any pivot row and column, so
     every division stays exact.  A stalled matrix has psd False, only the
     minors before the stall, and pivot_indices None.
+
+    Entries must be integers (TypeError otherwise) and a non-symmetric
+    matrix raises ValueError.  The loop eliminates in its own int copy of
+    the rows, so gram is never written.
     """
+    a = [[*map(operator.index, row)] for row in gram]
+    if a != [*map(list, zip(*a))]:
+        raise ValueError("matrix is not symmetric")
     rows = list(range(len(a)))
     minors = []
     pivot_indices = []  # None once the elimination has stalled

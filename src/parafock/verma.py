@@ -39,8 +39,9 @@ from functools import cache
 from operator import add, index
 from typing import NamedTuple
 
-from .rational_linalg import bareiss_rank_psd
+from .rational_linalg import symmetric_rank_psd
 from . import patterns as gz
+from .symfunc import hook_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ class GramBlock:
     matrix holds the exact integer Gram entries at the integer order p.
     minors are the elimination's leading principal minors M_1, M_2, ...
     (ints; all positive on a PSD block); pivot_indices are the basis
-    positions bareiss_rank_psd pivoted on, in pivot order, or None when
+    positions symmetric_rank_psd pivoted on, in pivot order, or None when
     the elimination stalled on an indefinite block.
     """
 
@@ -558,8 +559,8 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
     """Gram block of the weight space of one creation content: the
     engine's memoized entry polynomials (gram_polys) evaluated at the
     integer order p into int rows, filled symmetric from the triangle and
-    eliminated by bareiss_rank_psd, with no check of entries or symmetry.
-    A non-integer order is a TypeError before any entry is evaluated."""
+    eliminated by symmetric_rank_psd.  A non-integer order is a TypeError
+    before any entry is evaluated."""
     p = index(p)
     basis, upper = get_engine(m, n).gram_polys(tuple(content))
     mat = [[0] * len(basis) for _ in basis]
@@ -567,7 +568,7 @@ def gram_block_for_content(m: int, n: int, p: int, content) -> GramBlock:
         for j, poly in enumerate(row, i):
             mat[i][j] = mat[j][i] = poly.evaluate(p)
     return GramBlock(m, n, p, tuple(content), list(basis), mat,
-                     *bareiss_rank_psd(list(mat)))
+                     *symmetric_rank_psd(mat))
 
 
 def gram_blocks_up_to(m: int, n: int, p: int, level_max: int):
@@ -663,7 +664,8 @@ def diagonal_check(m: int, n: int, p: int, level_max: int,
     multiset per weight; a failed identity is an "error" failure.
     `records` are those of gram_records_up_to(m, n, p, level_max), so each
     content has its orbit representative's verdict, checked there for every
-    boson index; they are read in their given order.
+    boson index; they are read in their given order, and a record whose
+    level exceeds level_max is an IndexError.
     """
     if n < 1:
         raise ValueError("the last generator pair is bosonic only when n >= 1")
@@ -700,8 +702,10 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
     some weight of some level (whenever such patterns exist in range).
     `records` are those of gram_records_up_to(m, n, p, level_max), so each
     content has its orbit representative's rank.  At a level <= p the widths
-    p and p + 1 cap nothing, so no witness is sought there; a cut is
-    expected where a top row of width p + 1 >= 1 exists in range.
+    p and p + 1 cap nothing, so no witness is sought there.  A cut is
+    expected where an (m|n)-hook partition of first part p + 1 >= 1 exists
+    in range, read off symfunc's partition list rather than the GZ top rows
+    the witness comes from, so the two sides check each other.
     """
     def weight(content):
         return list(gz.doubled_weight(content, m, n, p))
@@ -730,9 +734,9 @@ def radical_cut_check(m: int, n: int, p: int, level_max: int,
                                "wide_count": wide[c],
                                "capped_count": capped[c]}
                     break
-    cut_expected = 0 <= p < level_max and any(
-        width == p + 1 for level in range(p + 1, level_max + 1)
-        for width, _ in gz._count_table(m, n, level))
+    cut_expected = p >= 0 and any(
+        la[0] == p + 1 for level in range(p + 1, level_max + 1)
+        for la in hook_partitions(level, m, n, max_width=p + 1))
     ok = not failures and (witness is not None) == cut_expected
     return {"m": m, "n": n, "p": p, "level_max": level_max,
             "failures": failures, "cut_witness": witness,

@@ -319,14 +319,15 @@ def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
     """One walk of the blocks serves the command and all its checks: it
     builds the block of each orbit representative (each parity class
     non-increasing) exactly once and no other, through the per-block
-    gram_block_for_content, and never reaches the validating
-    symmetric_rank_psd."""
-    from parafock import rational_linalg, verma
+    gram_block_for_content, and eliminates each built block once."""
+    from parafock import verma
 
     real_block = verma.gram_block_for_content
     real_walk = verma.gram_records_up_to
+    real_elimination = verma.symmetric_rank_psd
     built = []
     walks = []
+    eliminated = []
 
     def counting_block(m, n, p, content, *args, **kwargs):
         built.append(tuple(content))
@@ -336,18 +337,13 @@ def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
         walks.append(args)
         return real_walk(*args, **kwargs)
 
-    def validating(gram):
-        raise AssertionError("the validating elimination was reached")
+    def counting_elimination(gram):
+        eliminated.append(len(gram))
+        return real_elimination(gram)
 
     monkeypatch.setattr(verma, "gram_block_for_content", counting_block)
     monkeypatch.setattr(verma, "gram_records_up_to", counting_walk)
-    entry = rational_linalg.symmetric_rank_psd
-    for module in list(sys.modules.values()):
-        if module and module.__name__.startswith("parafock"):
-            for name, value in list(vars(module).items()):
-                if value is entry:
-                    monkeypatch.setattr(module, name, validating)
-    assert rational_linalg.symmetric_rank_psd is validating
+    monkeypatch.setattr(verma, "symmetric_rank_psd", counting_elimination)
     assert main([command, "--m", str(m), "--n", str(n), "--p", "2",
                  "--levels", "3"]) == 0
     capsys.readouterr()
@@ -356,6 +352,7 @@ def test_gram_builds_each_block_once(command, m, n, monkeypatch, capsys):
                 if all(a >= b for a, b in zip(c[:m], c[1:m]))
                 and all(a >= b for a, b in zip(c[m:], c[m + 1:]))]
     assert sorted(built) == sorted(expected)
+    assert len(eliminated) == len(built)
 
 
 def test_dump_basis(tmp_path):

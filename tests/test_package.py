@@ -180,9 +180,6 @@ EXPORT_ONLY = {
                       "tests of the vacuum shift and the diagonal labels read",
     "cartan": "the Cartan element h_k, which the tests of [c_j^+, c_j^-] "
               "compare against",
-    "symmetric_rank_psd": "the validating elimination of any symmetric "
-                          "integer matrix; the Gram blocks skip its checks, "
-                          "and the tests compare their eliminations with it",
 }
 
 

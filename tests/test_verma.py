@@ -1212,7 +1212,8 @@ def test_gram_blocks_read_their_entries_through_pair_poly(monkeypatch):
 def test_cached_blocks_evaluate_the_entry_polynomials(data):
     """At any integer order a block built from the engine's cached triangle
     equals the entrywise pair_poly(x, y).evaluate(p) and holds only ints,
-    after its unchecked elimination, whose result is the validating one's."""
+    left unwritten by its elimination: eliminating it again gives the
+    block's rank, verdict, minors and pivots."""
     m, n = data.draw(st.sampled_from(PROPERTY_DOMAINS))
     eng = vm.get_engine(m, n)
     level = data.draw(st.integers(0, 3))
@@ -1238,11 +1239,11 @@ def test_fraction_orders_are_refused():
 def test_fraction_orders_are_refused_before_any_elimination(p, monkeypatch):
     """The orbit walk takes integer orders only, as its blocks do: a
     Fraction order, even an integral one, is a TypeError raised before
-    either entry to the elimination is reached."""
+    the elimination is reached."""
     def eliminated(rows):
         raise AssertionError("an elimination ran")
 
-    monkeypatch.setattr(vm, "bareiss_rank_psd", eliminated)
+    monkeypatch.setattr(vm, "symmetric_rank_psd", eliminated)
     monkeypatch.setattr(rational_linalg, "symmetric_rank_psd", eliminated)
     with pytest.raises(TypeError):
         list(vm.gram_records_up_to(1, 1, p, 2))
