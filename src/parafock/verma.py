@@ -8,9 +8,10 @@ follow by recursion on the monomial, with the triple relations as commutation
 rules and the Shapovalov identity <c_l^+ R, Y> = <R, c_l^- Y> for the form
 (Kac-Kazhdan, Adv. Math. 34, 1979).  All three are memoized per monomial as
 polynomials in p, so a single cache serves every order; the recursion keys a
-monomial by one packed int and holds a polynomial as its coefficient tuple.
-The upper triangle of each content's Gram block is memoized too, as the
-PPolys pair_poly returned, and so are each level's orbit table and the
+monomial by one packed int, holds a lowering or bracket image, of degree <= 1
+in p, as pairs (c0, c1) for c0 + c1 p, and a Gram entry as its coefficient
+tuple.  The upper triangle of each content's Gram block is memoized too, as
+the PPolys pair_poly returned, and so are each level's orbit table and the
 Cartan verdict of each pivot set, so a further order only evaluates each
 triangle at p and eliminates.
 
@@ -27,8 +28,10 @@ diagonal_check and radical_cut_check take, builds only each orbit
 representative's block; the other contents' records follow from the
 symmetry.  There the Cartan identity
 {c_b^-, c_b^+} = p + 2 content_b is checked for every boson index b, which
-covers the last index on every content of the orbit.  gram_blocks_up_to
-builds every block; the tests compare the orbit walk against it.
+covers the last index on every content of the orbit; its left side is
+computed from the lowering pairs, not read off the closed form.
+gram_blocks_up_to builds every block; the tests compare the orbit walk
+against it.
 """
 
 from __future__ import annotations
@@ -130,8 +133,9 @@ _ZERO = PPoly()
 
 def _add_product(out: list, a: tuple, b: tuple, scale: int) -> None:
     """out += scale * a * b on coefficient lists, out extended as needed.
-    Over the integers a product of nonzero polynomials keeps its leading
-    coefficient nonzero, so a sum of one product stays in normal form."""
+    Over the integers a product of normal-form polynomials keeps its leading
+    coefficient nonzero, so PPoly's product is in normal form; a lowering
+    pair (c0, 0) leaves a trailing zero, which _action_image drops."""
     if not a or not b:
         return
     short = len(a) + len(b) - 1 - len(out)
@@ -229,12 +233,12 @@ _SLOT_MASK = (1 << SLOT_BITS) - 1
 CONTENT_LIMIT = (1 << SLOT_BITS) - 3
 
 
-def _finish(acc: dict) -> dict:
-    """{key: coefficient tuple in normal form}, the zero entries dropped."""
-    for cs in acc.values():
-        while cs and not cs[-1]:
-            cs.pop()
-    return {key: tuple(cs) for key, cs in acc.items() if cs}
+_NIL = (0, 0)               # the zero pair c0 + c1 p
+
+
+def _nonzero(acc: dict) -> dict:
+    """{key: (c0, c1)}, the zero pairs dropped."""
+    return {key: pair for key, pair in acc.items() if pair != _NIL}
 
 
 class VermaEngine:
@@ -254,12 +258,14 @@ class VermaEngine:
 
     The recursion keys a monomial by one int, SLOT_BITS bits per exponent,
     singles first and the first exponent most significant, so int order is
-    the canonical order and a letter is one added unit; its polynomials are
-    coefficient tuples in normal form.  _pack, the way in, raises ValueError
+    the canonical order and a letter is one added unit.  low and bracket
+    map keys to nonzero pairs (c0, c1), c0 + c1 p; a Gram entry is a
+    coefficient tuple in normal form.  _pack, the way in, raises ValueError
     for a monomial of the wrong shape, a negative exponent or a content
     entry at CONTENT_LIMIT; _mono is the way out.  PBWMonomial and PPoly
     values are built only where a value leaves the engine: pair_poly (so
-    gram_polys) and _action_image (so act and acts_by_weight).
+    gram_polys) and _action_image (so act); acts_by_weight compares pairs
+    on packed keys.
     """
 
     def __init__(self, m: int, n: int):
@@ -354,19 +360,13 @@ class VermaEngine:
     def _add_raised(self, acc: dict, a: int | None, vector: dict,
                     factor: int) -> None:
         """acc += factor * c_a^+ vector, or factor * vector when a is None,
-        on {key: coefficient list or tuple} dicts."""
-        for key, poly in vector.items():
+        on {key: (c0, c1)} dicts."""
+        for key, (c0, c1) in vector.items():
             for key2, c in (((key, 1),) if a is None
                             else self._insert_letter(a, key).items()):
                 c *= factor
-                prev = acc.get(key2)
-                if prev is None:
-                    acc[key2] = [c * v for v in poly]
-                    continue
-                if len(prev) < len(poly):
-                    prev.extend([0] * (len(poly) - len(prev)))
-                for i, v in enumerate(poly):
-                    prev[i] += c * v
+                d0, d1 = acc.get(key2, _NIL)
+                acc[key2] = (d0 + c * c0, d1 + c * c1)
 
     # -- lead expansion and the two lowering primitives ---------------------
 
@@ -387,25 +387,26 @@ class VermaEngine:
                 (-sigma, j, rest + self._unit[i - 1]))
 
     def low(self, a: int, x: int) -> dict:
-        """c_a^- x as {key: coefficient tuple}:
-        c_a^- c_l^+ R = (-1)^(p(a)p(l)) c_l^+ c_a^- R + B(a, l) R."""
-        acc: dict[int, list] = {}
+        """c_a^- x as {key: (c0, c1)}, the image c0 + c1 p of degree <= 1
+        (bracket's vacuum term is p, and every other step scales by +-1 or
+        +-2):  c_a^- c_l^+ R = (-1)^(p(a)p(l)) c_l^+ c_a^- R + B(a, l) R."""
+        acc: dict[int, tuple] = {}
         odd = self.parity(a)
         for coeff, l, rest in self._lead(x):
             sign = -coeff if odd and self.parity(l) else coeff
             self._add_raised(acc, l, self.low(a, rest), sign)
             self._add_raised(acc, None, self.bracket(a, l, rest), coeff)
-        return _finish(acc)
+        return _nonzero(acc)
 
     def bracket(self, a: int, b: int, x: int) -> dict:
-        """B(a, b) x as {key: coefficient tuple}, B(a, b) = [c_a^-, c_b^+]:
-        p on the vacuum when a == b, else 0, and
+        """B(a, b) x as {key: (c0, c1)}, B(a, b) = [c_a^-, c_b^+]: p, the
+        pair (0, 1), on the vacuum when a == b, else 0, and
         B(a, b) c_l^+ R = (-1)^((p(a)+p(b))p(l)) c_l^+ B(a, b) R
                           - 2 (-1)^(p(b)p(l)) delta_(a,l) c_b^+ R."""
         lead = self._lead(x)
-        acc: dict[int, list] = {}
+        acc: dict[int, tuple] = {}
         if not lead and a == b:
-            acc[x] = [0, 1]
+            acc[x] = (0, 1)
         odd_ab = (self.parity(a) + self.parity(b)) % 2
         for coeff, l, rest in lead:
             odd_l = self.parity(l)
@@ -413,8 +414,8 @@ class VermaEngine:
             self._add_raised(acc, l, self.bracket(a, b, rest), sign)
             if a == l:
                 extra = 2 * coeff if self.parity(b) and odd_l else -2 * coeff
-                self._add_raised(acc, b, {rest: (1,)}, extra)
-        return _finish(acc)
+                self._add_raised(acc, b, {rest: (1, 0)}, extra)
+        return _nonzero(acc)
 
     # -- contravariant pairing ----------------------------------------------
 
@@ -425,14 +426,22 @@ class VermaEngine:
 
     def _pair(self, x: int, y: int) -> tuple:
         """Shapovalov recursion <c_l^+ R, Y> = <R, c_l^- Y>, <vac, vac> = 1,
-        as a coefficient tuple; x and y have the same content."""
+        as a coefficient tuple in normal form; x and y have the same content.
+        A lowering pair c0 + c1 p enters as c0 times the lower entry plus c1
+        times it shifted up one degree."""
         lead = self._lead(x)
         if not lead:
             return (1,)
-        total: list = []
+        total = [0]
         for coeff, l, rest in lead:
-            for z, poly in self.low(l, y).items():
-                _add_product(total, poly, self._pair(rest, z), coeff)
+            for z, (c0, c1) in self.low(l, y).items():
+                lower = self._pair(rest, z)
+                total += [0] * (len(lower) + 1 - len(total))
+                c0 *= coeff
+                c1 *= coeff
+                for i, v in enumerate(lower):
+                    total[i] += c0 * v
+                    total[i + 1] += c1 * v
         while total and not total[-1]:
             total.pop()
         return tuple(total)
@@ -448,13 +457,12 @@ class VermaEngine:
 
     def _apply(self, acc: dict, sign: str, a: int, vector: dict, factor=1):
         """acc += factor * c_a^+ vector (sign '+') or c_a^- vector (sign
-        '-'), on {key: coefficients} dicts; returns acc."""
-        if sign == "+":
-            self._add_raised(acc, a, vector, factor)
-        else:
-            for key, poly in vector.items():
-                for key2, poly2 in self.low(a, key).items():
-                    _add_product(acc.setdefault(key2, []), poly2, poly, factor)
+        '-'), on {key: coefficient list or tuple} dicts; returns acc."""
+        for key, poly in vector.items():
+            for key2, c in (self._insert_letter(a, key) if sign == "+"
+                            else self.low(a, key)).items():
+                _add_product(acc.setdefault(key2, []), poly,
+                             (c,) if sign == "+" else c, factor)
         return acc
 
     def _action_image(self, label, mono: PBWMonomial) -> dict:
@@ -472,8 +480,8 @@ class VermaEngine:
             sigma = -1 if self.parity(a) * self.parity(b) else 1
             self._apply(out, s, a, self._apply({}, t, b, unit))
             self._apply(out, t, b, self._apply({}, s, a, unit), -sigma)
-        return {self._mono(key): PPoly._normal(poly)
-                for key, poly in _finish(out).items()}
+        return {self._mono(key): PPoly(poly)
+                for key, poly in out.items() if any(poly)}
 
     def cartan(self, content: tuple, positions: tuple, indices: tuple) -> bool:
         """Whether each generator pair b in indices acts by weight
@@ -483,9 +491,15 @@ class VermaEngine:
                    for b in indices for i in positions)
 
     def acts_by_weight(self, b: int, mono: PBWMonomial) -> bool:
-        """Whether the generator pair b maps mono to (p + 2 content_b) mono."""
-        eigen = PPoly((2 * self._pack(mono)[1][b - 1], 1))
-        return {mono: eigen} == self._action_image(("bb", b, b, "-", "+"), mono)
+        """Whether the generator pair b maps mono to (p + 2 content_b) mono:
+        c_b^- (c_b^+ x) - (-1)^(p(b)p(b)) c_b^+ (c_b^- x), both halves
+        lowered (low) and raised (_insert_letter) on packed keys as pairs."""
+        x, content = self._pack(mono)
+        acc: dict[int, tuple] = {}
+        for y, c in self._insert_letter(b, x).items():
+            self._add_raised(acc, None, self.low(b, y), c)
+        self._add_raised(acc, b, self.low(b, x), 1 if self.parity(b) else -1)
+        return _nonzero(acc) == {x: (2 * content[b - 1], 1)}
 
     def act(self, label, vector: dict, p) -> dict:
         """Left action of a basis element on a module vector, order p.

@@ -894,24 +894,51 @@ def test_last_pair_acts_by_the_weight_on_every_monomial(m, n):
                 assert eng.acts_by_weight(b, x)
 
 
+def raised_key(eng, b, mono):
+    """y = x + e_b, the term of c_b^+ x with the letter b in its place: a
+    key one level above x that the Cartan verdict of b on x lowers."""
+    x = eng._key(mono)
+    y = x + eng._unit[b - 1]
+    assert y in eng._insert_letter(b, x)
+    return y
+
+
+def poison_low(monkeypatch, eng, b, key):
+    """Make eng.low(b, key) wrong by 1 in the constant term c0 of the entry
+    at its smallest key; every other lowering image stays right."""
+    low = eng.low
+    image = low(b, key)
+    z = min(image)
+    wrong = {**image, z: (image[z][0] + 1, image[z][1])}
+    monkeypatch.setattr(eng, "low", lambda a, k: wrong if (a, k) == (b, key)
+                        else low(a, k))
+
+
+def poison_one_verdict(monkeypatch, eng, b, mono, level_max):
+    """Make the Cartan verdict of the pair b on mono, and it alone, read a
+    wrong lowering image: every Gram triangle and every other verdict of
+    levels <= level_max is computed first, so that no cached value is built
+    from the image low(b, y) poisoned next, y = raised_key(eng, b, mono)."""
+    bosons = range(eng.m + 1, eng.r + 1)
+    for level in range(level_max + 1):
+        for content, monos in eng.level_basis(level).items():
+            eng.gram_polys(content)
+            for c, x in itertools.product(bosons, monos):
+                if (c, x) != (b, mono):
+                    eng.acts_by_weight(c, x)
+    poison_low(monkeypatch, eng, b, raised_key(eng, b, mono))
+
+
 def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
-    """One wrong action image of the last pair fails the verdict of its
-    monomial: diagonal_check reports an "error" failure at that weight and
-    gram and matelems exit 1."""
+    """One wrong lowering image that the last pair's verdict reads on one
+    monomial fails that verdict: diagonal_check reports an "error" failure
+    at the monomial's weight and gram and matelems exit 1."""
     from parafock.cli import main
 
     eng = vm.VermaEngine(1, 1)
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     mono = eng.level_basis(1)[(0, 1)][0]
-    label = ("bb", 2, 2, "-", "+")
-    image = eng._action_image
-
-    def poisoned(lab, x):
-        if (lab, x) == (label, mono):
-            return {mono: vm.PPoly((3, 1))}
-        return image(lab, x)
-
-    monkeypatch.setattr(eng, "_action_image", poisoned)
+    poison_one_verdict(monkeypatch, eng, 2, mono, 2)
     weight = list(gz.doubled_weight((0, 1), 1, 1, 2))
     with pytest.raises(ArithmeticError) as exc:
         vm.diagonal_values(walk_record(1, 1, 2, (0, 1)))
@@ -927,25 +954,18 @@ def test_failed_cartan_identity_is_an_error_failure(monkeypatch, capsys):
 
 
 def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
-    """A wrong action image of the pair b = 2 != r on the representative
-    content (0,1,0) of (1,2) fails the verdict of the whole orbit: at the
-    non-representative (0,0,1) the last pair r = 3 maps c_3^+ as b = 2 maps
-    c_2^+, so diagonal_check reports an "error" failure at both weights,
-    matelems emits an "error" record at both and both commands exit 1."""
+    """A wrong lowering image read by the verdict of the pair b = 2 != r
+    on the representative content (0,1,0) of (1,2) fails the verdict of the
+    whole orbit: at the non-representative (0,0,1) the last pair r = 3 maps
+    c_3^+ as b = 2 maps c_2^+, so diagonal_check reports an "error" failure
+    at both weights, matelems emits an "error" record at both and both
+    commands exit 1."""
     from parafock.cli import main
 
     eng = vm.VermaEngine(1, 2)
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     mono = eng.level_basis(1)[(0, 1, 0)][0]
-    label = ("bb", 2, 2, "-", "+")
-    image = eng._action_image
-
-    def poisoned(lab, x):
-        if (lab, x) == (label, mono):
-            return {mono: vm.PPoly((3, 1))}
-        return image(lab, x)
-
-    monkeypatch.setattr(eng, "_action_image", poisoned)
+    poison_one_verdict(monkeypatch, eng, 2, mono, 2)
     rep = orbit_check(vm.diagonal_check, 1, 2, 2, 2)
     weights = [list(gz.doubled_weight(c, 1, 2, 2))
                for c in ((0, 0, 1), (0, 1, 0))]
@@ -965,24 +985,41 @@ def test_orbit_walk_checks_every_boson_pair(monkeypatch, capsys):
 def test_cartan_verdict_reads_exactly_the_pivot_monomials(monkeypatch,
                                                           poison, cartan):
     """Content (1, 1) of (1, 1) at p = 1 has the Gram block [[4, 2], [2, 1]]
-    (rank 1), so the elimination pivots on monomial 0 alone.  A wrong action
-    image of the last pair on monomial 1 leaves the Cartan verdict True; on
-    monomial 0 it makes the verdict False."""
+    (rank 1), so the elimination pivots on monomial 0 alone.  A wrong
+    lowering image low(2, y) at level 3, y = raised_key of monomial 1, which
+    only the last pair's verdict on monomial 1 reads, leaves the Cartan
+    verdict True; at y of monomial 0 it makes the verdict False."""
     eng = vm.VermaEngine(1, 1)
     monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
     blk = vm.gram_block_for_content(1, 1, 1, (1, 1))
     assert blk.matrix == [[4, 2], [2, 1]] and blk.rank == 1
-    mono = blk.basis[poison]
-    label = ("bb", 2, 2, "-", "+")
-    image = eng._action_image
-
-    def poisoned(lab, x):
-        if (lab, x) == (label, mono):
-            return {mono: vm.PPoly((3, 1))}
-        return image(lab, x)
-
-    monkeypatch.setattr(eng, "_action_image", poisoned)
+    poison_low(monkeypatch, eng, 2, raised_key(eng, 2, blk.basis[poison]))
     assert walk_record(1, 1, 1, (1, 1)).cartan is cartan
+
+
+@pytest.mark.parametrize("half", ["x", "y"])
+def test_cartan_verdict_reads_both_halves_of_the_anticommutator(monkeypatch,
+                                                                half):
+    """The verdict of a boson pair b on x computes
+    c_b^- (c_b^+ x) + c_b^+ (c_b^- x) from the lowering images: on every
+    monomial x to level 3 of (1,2) and (2,2), with content_b >= 1 for the
+    half "x", a wrong low(b, y) at level L + 1 alone (y = raised_key, half
+    "y"), or a wrong low(b, x) alone (half "x"), turns a True verdict False.
+    """
+    checked = 0
+    for m, n in ((1, 2), (2, 2)):
+        eng = vm.VermaEngine(m, n)
+        for level, b in itertools.product(range(4), range(m + 1, m + n + 1)):
+            for x in vm.pbw_basis(m, n, level):
+                if half == "x" and not x.content(m, n)[b - 1]:
+                    continue
+                assert eng.acts_by_weight(b, x)
+                key = eng._key(x) if half == "x" else raised_key(eng, b, x)
+                with monkeypatch.context() as patch:
+                    poison_low(patch, eng, b, key)
+                    assert not eng.acts_by_weight.__wrapped__(b, x), (b, x)
+                checked += 1
+    assert checked > 100
 
 
 MEMOIZED = ("level_basis", "orbits", "_pack", "_insert_letter", "_lead",
@@ -1050,6 +1087,71 @@ def test_straightening_images_are_only_read(monkeypatch):
 
 
 RECURSION = ("_lead", "_insert_letter", "low", "bracket", "_pair")
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 1), (0, 3), (3, 0)])
+def test_lowering_images_are_nonzero_pairs(m, n, monkeypatch, capsys):
+    """Through a gram run to level 5, every value of low and bracket maps
+    int keys to (c0, c1) int pairs, c0 + c1 p of degree <= 1, none of them
+    (0, 0); and every pair_poly value is in normal form: a nonzero entry has
+    a nonzero last coefficient."""
+    from parafock.cli import main
+
+    eng = vm.VermaEngine(m, n)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    values = {"low": [], "bracket": [], "pair_poly": []}
+
+    def spy(name):
+        inner = getattr(eng, name)
+
+        def spied(*args):
+            value = inner(*args)
+            values[name].append(value)
+            return value
+        return spied
+
+    for name in values:
+        monkeypatch.setattr(eng, name, spy(name))
+    assert main(["gram", "--m", str(m), "--n", str(n), "--p", "2",
+                 "--levels", "5"]) == 0
+    capsys.readouterr()
+    assert all(values.values())
+    for image in values["low"] + values["bracket"]:
+        assert type(image) is dict
+        for key, pair in image.items():
+            assert type(key) is int and type(pair) is tuple, image
+            assert len(pair) == 2 and all(type(c) is int for c in pair), image
+            assert pair != (0, 0), image
+    for poly in values["pair_poly"]:
+        assert type(poly) is vm.PPoly
+        assert not poly.coeffs or poly.coeffs[-1] != 0, poly
+    assert any(poly.coeffs for poly in values["pair_poly"])
+
+
+# (name, entries) of the recursion's caches after a cold
+# gram --m 2 --n 2 --p 2 --levels 5 on a fresh engine
+COLD_GRAM_CACHE = {"low": 764, "bracket": 827, "_pair": 685,
+                   "_insert_letter": 372, "_lead": 330, "acts_by_weight": 178,
+                   "gram_polys": 50}
+
+
+def test_cold_gram_fills_the_recursion_caches_exactly(monkeypatch, capsys):
+    """A cold gram of (2,2) to level 5 computes each lowering image,
+    bracket image, Gram entry, straightening, lead expansion, Cartan
+    verdict and Gram triangle exactly once, and no more of them than
+    COLD_GRAM_CACHE: every cache ends at that size with no more misses."""
+    from parafock.cli import main
+
+    eng = vm.VermaEngine(2, 2)
+    monkeypatch.setattr(vm, "get_engine", lambda m, n: eng)
+    assert main(["gram", "--m", "2", "--n", "2", "--p", "2",
+                 "--levels", "5"]) == 0
+    capsys.readouterr()
+    infos = {name: getattr(eng, name).cache_info() for name in COLD_GRAM_CACHE}
+    assert {name: info.currsize for name, info in infos.items()} \
+        == COLD_GRAM_CACHE
+    assert {name: info.misses for name, info in infos.items()} \
+        == COLD_GRAM_CACHE
 
 
 def holds_only_ints(value):
