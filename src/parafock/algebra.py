@@ -13,8 +13,8 @@ always well defined.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 EVEN, ODD = 0, 1
 
@@ -28,14 +28,18 @@ def index_parity(idx: int, m: int) -> int:
     return EVEN if idx <= 2 * m + 1 else ODD
 
 
-@dataclass(frozen=True)
-class GeneratorId:
-    index: int  # 1..m+n
-    sign: str   # '+' or '-'
+class GeneratorId(NamedTuple("GeneratorId", [("index", int),  # 1..m+n
+                                             ("sign", str)])):  # '+' or '-'
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
+    def __new__(cls, index: int, sign: str):
+        if sign not in ("+", "-"):
+            raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        return super().__new__(cls, index, sign)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make
+        return cls(*fields)
 
 
 class SuperMatrix:

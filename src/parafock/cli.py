@@ -14,7 +14,6 @@ verdict or the UsageError to the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -66,11 +65,8 @@ class Emitter:
         if self.fmt == "json":
             text = "\n".join(map(_JSON_LINE.encode, self.records))
         else:
-            cols: list[str] = []
-            for r in self.records:
-                for k in r:
-                    if k not in cols:
-                        cols.append(k)
+            import csv  # here, not at the top: a JSON run never imports it
+            cols = list(dict.fromkeys(k for r in self.records for k in r))
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(cols)

@@ -12,24 +12,25 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .symfunc import check_partition, conjugate, hook_partitions
 
 
-@dataclass(frozen=True)
-class GZPattern:
-    m: int
-    n: int
-    rows: tuple[tuple[int, ...], ...]  # top row (length m+n) first
+class GZPattern(NamedTuple("GZPattern", [
+        ("m", int), ("n", int), ("rows", tuple)])):  # top row (length m+n) first
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = self.m + self.n
-        if len(self.rows) != r or any(
-            len(row) != r - i for i, row in enumerate(self.rows)
-        ):
+    def __new__(cls, m: int, n: int, rows: tuple[tuple[int, ...], ...]):
+        r = m + n
+        if len(rows) != r or any(len(row) != r - i for i, row in enumerate(rows)):
             raise ValueError("pattern rows must have lengths r, r-1, ..., 1")
+        return super().__new__(cls, m, n, rows)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make
+        return cls(*fields)
 
     def entry(self, i: int, s: int) -> int:
         """mu_{i,s}: entry i of the row of length s (both 1-based)."""

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import patterns as gz
 
@@ -48,8 +48,16 @@ class UncancelledZeroError(ArithmeticError):
     """A denominator zero survived pairing; the parsing variant is wrong."""
 
 
-@dataclass(frozen=True)
-class ParsingVariant:
+# each field's readings and their short names, the default first
+_READINGS = {
+    "eo_reading": {"indicator_times_arg": "mult", "indicator_of_sum": "argsum"},
+    "zero_policy": {"cancel_pairs": "cancel", "strict": "strict"},
+    "boson_tail": {"boson_entry": "boson", "as_printed": "printed"},
+}
+
+
+class ParsingVariant(NamedTuple("ParsingVariant", [
+        ("eo_reading", str), ("zero_policy", str), ("boson_tail", str)])):
     """One complete arithmetic reading of the closed-form factors.
 
     eo_reading: how ``indicator_sub(expr) + 1`` evaluates --
@@ -60,55 +68,59 @@ class ParsingVariant:
     boson_tail: which top-row entry feeds the last denominator family of the
         bosonic expressions -- 'boson_entry' uses the entry being raised,
         'as_printed' the entry at the bare position index.
+    Any other value is a ValueError that names its field.
     """
 
-    eo_reading: str = "indicator_times_arg"
-    zero_policy: str = "cancel_pairs"
-    boson_tail: str = "boson_entry"
+    __slots__ = ()
+
+    def __new__(cls, eo_reading="indicator_times_arg",
+                zero_policy="cancel_pairs", boson_tail="boson_entry"):
+        self = super().__new__(cls, eo_reading, zero_policy, boson_tail)
+        for field, value in zip(self._fields, self):
+            if value not in _READINGS[field]:
+                raise ValueError(f"unknown {field} {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make
+        return cls(*fields)
 
     def short(self) -> str:
-        eo = "mult" if self.eo_reading == "indicator_times_arg" else "argsum"
-        zp = "cancel" if self.zero_policy == "cancel_pairs" else "strict"
-        bt = "boson" if self.boson_tail == "boson_entry" else "printed"
-        return f"{eo}:{zp}:{bt}"
+        return ":".join(_READINGS[f][v] for f, v in zip(self._fields, self))
 
     @classmethod
     def from_short(cls, text: str) -> "ParsingVariant":
         eo, zp, bt = text.split(":")
-        return cls(
-            eo_reading={"mult": "indicator_times_arg",
-                        "argsum": "indicator_of_sum"}[eo],
-            zero_policy={"cancel": "cancel_pairs", "strict": "strict"}[zp],
-            boson_tail={"boson": "boson_entry", "printed": "as_printed"}[bt],
-        )
+        return cls(*({s: v for v, s in _READINGS[field].items()}[name]
+                     for field, name in zip(_READINGS, (eo, zp, bt))))
 
 
-ALL_VARIANTS = tuple(
-    ParsingVariant(eo, zp, bt)
-    for eo in ("indicator_times_arg", "indicator_of_sum")
-    for zp in ("cancel_pairs", "strict")
-    for bt in ("boson_entry", "as_printed")
-)
+ALL_VARIANTS = tuple(ParsingVariant(*fields)
+                     for fields in itertools.product(*_READINGS.values()))
 
 # fixed once by the recurrence sweep (see select_parsing_variant_multi and
 # the tests)
 DEFAULT_VARIANT = ParsingVariant()
 
 
-@dataclass(frozen=True)
-class SignedSqrtRational:
+class SignedSqrtRational(NamedTuple("SignedSqrtRational", [
+        ("sign", int), ("radicand", Fraction)])):
     """Exact value sign * sqrt(radicand), radicand a nonnegative rational."""
 
-    sign: int
-    radicand: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    def __new__(cls, sign: int, radicand: Fraction):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.radicand < 0:
+        if radicand < 0:
             raise ValueError("radicand must be nonnegative")
-        if (self.sign == 0) != (self.radicand == 0):
+        if (sign == 0) != (radicand == 0):
             raise ValueError("sign is 0 exactly when the radicand is 0")
+        return super().__new__(cls, sign, radicand)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make
+        return cls(*fields)
 
 
 def _eo_factor(kind: str, sub: int, arg, variant: ParsingVariant):
@@ -483,7 +495,7 @@ def select_parsing_variant_multi(domains, p_samples, level_max: int) -> dict:
         values = []  # the sweeps' values, in domain order
         for (m, n) in domains:
             reading = (variant if m >= 2
-                       else replace(variant, boson_tail="boson_entry"))
+                       else variant._replace(boson_tail="boson_entry"))
             if (m, n, reading) not in sweeps:
                 sweeps[m, n, reading] = _sweep(m, n, p_samples, level_max,
                                                reading, term_tables)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +61,7 @@ def weight(la) -> int:
     return sum(la)
 
 
-@dataclass(frozen=True)
-class FrobeniusForm:
+class FrobeniusForm(NamedTuple):
     """Diagonal hook data of a partition: arm lengths and leg lengths."""
 
     arms: tuple[int, ...]

@@ -36,7 +36,6 @@ against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import add, index
@@ -528,8 +527,7 @@ def get_engine(m: int, n: int) -> VermaEngine:
 # Gram blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GramBlock:
+class GramBlock(NamedTuple):
     """One weight space's Gram block at order p, with its elimination.
 
     matrix holds the exact integer Gram entries at the integer order p.

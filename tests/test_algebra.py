@@ -31,6 +31,27 @@ def test_generator_index_out_of_range():
         alg.GeneratorId(1, "x")
 
 
+def test_generator_id_validates_on_every_construction_path():
+    g = alg.GeneratorId(1, "+")
+    with pytest.raises(ValueError):
+        g._replace(sign="x")
+    with pytest.raises(ValueError):
+        alg.GeneratorId._make((1, "x"))
+    assert g._replace(sign="-") == alg.GeneratorId._make((1, "-"))
+
+
+def test_generator_id_is_a_frozen_value():
+    g = alg.GeneratorId(1, "+")
+    with pytest.raises(AttributeError):
+        g.sign = "-"
+    with pytest.raises(AttributeError):
+        g.label = "c"
+    assert g == alg.GeneratorId(1, "+")
+    assert hash(g) == hash(alg.GeneratorId(1, "+"))
+    assert g != alg.GeneratorId(1, "-")
+    assert repr(g) == "GeneratorId(index=1, sign='+')"
+
+
 def test_generator_parities():
     g1 = alg.make_generator(alg.GeneratorId(1, "+"), 1, 1)
     g2 = alg.make_generator(alg.GeneratorId(2, "+"), 1, 1)

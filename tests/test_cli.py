@@ -263,6 +263,15 @@ def test_csv_projection():
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("variant", ["mult:cancl:boson", "mult:cancel",
+                                     "cancel:mult:boson"])
+def test_unknown_variant_is_a_usage_error(variant):
+    code, out, err = run_cli("gk-table", "--m", "1", "--n", "1", "--p", "2",
+                             "--levels", "1", "--variant", variant)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown variant {variant!r}\n"
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "out.jsonl"
     code, out, _ = run_cli("verify-algebra", "--m", "1", "--n", "1",

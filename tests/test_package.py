@@ -1,9 +1,14 @@
-"""Package-wide checks: no floating point in the sources, no module-level
-definition or method that only the tests reach, apart from the named
-references that the package re-exports and the named uncalled methods, and
-the README's library quick tour runs as printed."""
+"""Package-wide checks: no floating point in the sources, no import from
+outside the standard library, no module-level definition or method that
+only the tests reach, apart from the named references that the package
+re-exports and the named uncalled methods, a start-up that leaves the
+modules only some calls need unimported, and the README's library quick
+tour runs as printed."""
 
 import ast
+import csv
+import io
+import json
 import os
 import re
 import subprocess
@@ -11,6 +16,7 @@ import sys
 from pathlib import Path
 
 import parafock
+from parafock.cli import main
 
 PACKAGE = Path(parafock.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
@@ -52,6 +58,72 @@ def test_package_has_no_floating_point():
     found = [f"{path.name}:{line}: {what}" for path in modules
              for line, what in float_uses(ast.parse(path.read_text()))]
     assert found == []
+
+
+def absolute_imports(tree):
+    """(line, top-level module name) for each absolute import in a parsed
+    module, at any depth; relative imports are left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_import_scan_sees_each_form():
+    src = ("from __future__ import annotations\nimport os.path, numpy as np\n"
+           "from typing import NamedTuple\nfrom . import verma\n"
+           "from .symfunc import conjugate\ndef f():\n    import sympy.core\n")
+    found = sorted(absolute_imports(ast.parse(src)))
+    assert found == [(1, "__future__"), (2, "numpy"), (2, "os"),
+                     (3, "typing"), (7, "sympy")]
+    assert [name for _, name in found
+            if name not in sys.stdlib_module_names] == ["numpy", "sympy"]
+
+
+def test_package_imports_only_the_standard_library():
+    """The core stays dependency-free: every absolute import in the package
+    names a module of the standard library."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{line}: {name}" for path in modules
+             for line, name in absolute_imports(ast.parse(path.read_text()))
+             if name not in sys.stdlib_module_names]
+    assert found == []
+
+
+# Imported on first use only: dataclasses (with the inspect, ast and dis it
+# pulls in) is not used, and only --format csv reads csv.
+NOT_AT_START_UP = ("csv", "dataclasses", "inspect")
+
+START_UP_CHILD = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import parafock.cli
+print(sorted(set(sys.argv[2:]) & set(sys.modules)))
+sys.exit(parafock.cli.main(["gk-table", "--m", "1", "--n", "1", "--p", "1",
+                            "--levels", "1", "--format", "csv"]))
+"""
+
+
+def test_cli_start_up_leaves_dataclasses_inspect_and_csv_unimported(capsys):
+    """A fresh interpreter without site imports the CLI without the
+    NOT_AT_START_UP modules; its --format csv call then prints the CSV
+    projection of the JSON records."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_CHILD, str(PACKAGE.parent),
+         *NOT_AT_START_UP], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, _, projection = proc.stdout.partition("\n")
+    assert loaded == "[]"
+    assert main(["gk-table", "--m", "1", "--n", "1", "--p", "1",
+                 "--levels", "1"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    header, *rows = csv.reader(io.StringIO(projection))
+    assert len(rows) == len(records) > 1
+    assert [{k: json.loads(cell) for k, cell in zip(header, row) if cell}
+            for row in rows] == records
 
 
 def unreferenced_definitions(sources):
@@ -155,6 +227,12 @@ def test_unreferenced_scan_sees_a_test_only_method():
 UNCALLED_METHODS = {
     "VermaEngine.act": "the module action on vectors, which the tests of "
                        "the triple relations and contravariance apply",
+    # A validated NamedTuple's _make builds through its checking __new__,
+    # so that _make and _replace (which calls _make) validate too; the scan
+    # does not follow the inherited _replace.
+    **{f"{name}._make": "the validating _make of a NamedTuple"
+       for name in ("GeneratorId", "GZPattern", "ParsingVariant",
+                    "SignedSqrtRational")},
 }
 
 

@@ -36,6 +36,27 @@ def test_shape_mismatch_rejected():
         gz.GZPattern.from_rows(1, 1, [[0, 0]])
 
 
+def test_gz_pattern_validates_on_every_construction_path():
+    pat = gz.GZPattern(1, 1, ((1, 0), (1,)))
+    with pytest.raises(ValueError):
+        pat._replace(rows=((1, 0), (1, 0)))
+    with pytest.raises(ValueError):
+        gz.GZPattern._make((1, 1, ((1,), (1,))))
+    assert pat._replace(rows=((0, 0), (0,))) == gz.GZPattern.from_rows(
+        1, 1, [[0, 0], [0]])
+
+
+def test_gz_pattern_is_a_frozen_value():
+    pat = gz.GZPattern(1, 1, ((1, 0), (1,)))
+    with pytest.raises(AttributeError):
+        pat.rows = ((0, 0), (0,))
+    with pytest.raises(AttributeError):
+        pat.label = "vacuum"
+    same = gz.GZPattern.from_rows(1, 1, [[1, 0], [1]])
+    assert pat == same and hash(pat) == hash(same)
+    assert repr(pat) == "GZPattern(m=1, n=1, rows=((1, 0), (1,)))"
+
+
 def test_pattern_weights_doubled():
     vac = gz.GZPattern.from_rows(1, 1, [[0, 0], [0]])
     assert gz.pattern_weight(vac, 2) == (-2, 2)

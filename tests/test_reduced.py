@@ -31,6 +31,60 @@ def test_signed_sqrt_rational_invariants():
     assert (v.sign, v.radicand) == (-1, Fraction(9, 4))
 
 
+def test_signed_sqrt_rational_validates_on_every_construction_path():
+    v = rm.SignedSqrtRational(1, Fraction(1))
+    with pytest.raises(ValueError):
+        v._replace(radicand=Fraction(0))
+    with pytest.raises(ValueError):
+        rm.SignedSqrtRational._make((0, Fraction(1)))
+    assert v._replace(sign=-1) == rm.SignedSqrtRational(-1, Fraction(1))
+
+
+def test_reduced_types_are_frozen_values():
+    v = rm.SignedSqrtRational(-1, Fraction(9, 4))
+    with pytest.raises(AttributeError):
+        v.sign = 1
+    assert v == rm.SignedSqrtRational(-1, Fraction(9, 4))
+    assert hash(v) == hash(rm.SignedSqrtRational(-1, Fraction(9, 4)))
+    assert repr(v) == "SignedSqrtRational(sign=-1, radicand=Fraction(9, 4))"
+    strict = rm.ParsingVariant(zero_policy="strict")
+    with pytest.raises(AttributeError):
+        strict.zero_policy = "cancel_pairs"
+    with pytest.raises(AttributeError):
+        strict.label = "strict"
+    same = rm.ParsingVariant("indicator_times_arg", "strict", "boson_entry")
+    assert strict == same and hash(strict) == hash(same)
+    assert {strict: "s", V: "d"}[same] == "s"
+    assert len(set(rm.ALL_VARIANTS)) == 8
+    assert repr(strict) == ("ParsingVariant(eo_reading='indicator_times_arg', "
+                            "zero_policy='strict', boson_tail='boson_entry')")
+
+
+@pytest.mark.parametrize("field, typo", [
+    ("eo_reading", "indicator_times"),
+    ("zero_policy", "cancel"),
+    ("boson_tail", "boson"),
+])
+def test_parsing_variant_rejects_an_unknown_value(field, typo):
+    """A typo was read silently as the other reading of its field."""
+    with pytest.raises(ValueError, match=field):
+        rm.ParsingVariant(**{field: typo})
+    with pytest.raises(ValueError, match=field):
+        V._replace(**{field: typo})
+
+
+def test_variant_from_short_errors():
+    """A wrong count of names is a ValueError, an unknown name a KeyError;
+    the CLI turns either into a usage error."""
+    with pytest.raises(ValueError):
+        rm.ParsingVariant.from_short("mult:cancel")
+    with pytest.raises(ValueError):
+        rm.ParsingVariant.from_short("mult:cancel:boson:boson")
+    for text in ("cancel:mult:boson", "mult:cancl:boson", "mult:cancel:"):
+        with pytest.raises(KeyError):
+            rm.ParsingVariant.from_short(text)
+
+
 def test_vacuum_value_is_p():
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (0, 1), (0, 2)):
         top = (0,) * (m + n)

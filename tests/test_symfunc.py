@@ -36,6 +36,16 @@ def test_frobenius_examples():
     assert sf.frobenius(()).rank == 0
 
 
+def test_frobenius_form_is_a_frozen_value():
+    f = sf.frobenius((3, 2, 2))
+    with pytest.raises(AttributeError):
+        f.arms = (1,)
+    same = sf.FrobeniusForm((2, 0), (2, 1))
+    assert f == same and hash(f) == hash(same)
+    assert f.rank == 2 and sf.FrobeniusForm((), ()).rank == 0
+    assert repr(f) == "FrobeniusForm(arms=(2, 0), legs=(2, 1))"
+
+
 def test_frobenius_roundtrip_random():
     rng = random.Random(20240811)
     seen = 0

@@ -293,6 +293,29 @@ def test_gram_block_by_doubled_weight():
     assert blk.matrix == [[Fraction(2)]]
 
 
+def test_gram_block_is_a_frozen_record():
+    """GramBlock was a mutable dataclass; its fields are now read-only.
+    Blocks of equal fields are equal; the lists they hold leave them
+    unhashable, as before."""
+    blk = vm.gram_block_for_content(1, 1, 2, (1, 1))
+    with pytest.raises(AttributeError):
+        blk.rank = 0
+    again = vm.gram_block_for_content(1, 1, 2, (1, 1))
+    assert blk == again and blk is not again
+    assert blk != vm.gram_block_for_content(1, 1, 3, (1, 1))
+    with pytest.raises(TypeError):
+        hash(blk)
+    assert (blk.size, blk.weight) == (2, (0, 4))
+    big = vm.gram_block_for_content(2, 2, 2, (1, 0, 1, 0))
+    assert (big.size, big.weight) == (2, (0, -2, 4, 2))
+    assert repr(blk) == (
+        "GramBlock(m=1, n=1, p=2, content=(1, 1), basis=["
+        "PBWMonomial(singles=(0, 0), pairs=(1,)), "
+        "PBWMonomial(singles=(1, 1), pairs=(0,))], "
+        "matrix=[[8, 4], [4, 4]], rank=2, psd=True, minors=[8, 16], "
+        "pivot_indices=[0, 1])")
+
+
 def test_gram_symmetric_and_weight_homogeneous():
     eng = vm.get_engine(2, 1)
     basis = vm.pbw_basis(2, 1, 3)
