@@ -32,6 +32,12 @@ MAX_ALGEBRA_RANK = 46
 # (m+n)^4: at (80, 80) `gram --p 1 --levels 1` takes 0.4 s and 215 MiB
 # (2 vCPU, CPython 3.11)
 MAX_ORACLE_RANK = 160
+# dims and char recurse once per index, about two frames each
+# (patterns.fillings row by row, symfunc._skew_schur letter by letter), so
+# from m + n = 500 they overflow the default recursion limit; at
+# m + n = 400 `dims --levels 1` takes 5.3-6.7 s and 135-282 MiB and
+# `char --degree 1` 0.7 s and 195 MiB (2 vCPU, CPython 3.11)
+MAX_RANK = 400
 # char's series hold one entry per creation content, C(m+n+degree, degree)
 # of them: at (0, 8) with degree 12 (125,970 contents) `char --p 12` takes
 # about 8 s and 194 MiB (2 vCPU, CPython 3.11)
@@ -188,7 +194,7 @@ def _read_patterns(path: str, m: int, n: int) -> list:
 
 
 def cmd_dims(args, out: Emitter) -> bool:
-    _check_session(args, need_p=False)
+    _check_session(args, need_p=False, cap=MAX_RANK)
     out.emit(_meta("dims", m=args.m, n=args.n, levels=args.levels))
     ok = True
     if args.validate:
@@ -220,7 +226,7 @@ def cmd_dims(args, out: Emitter) -> bool:
 
 
 def cmd_char(args, out: Emitter) -> bool:
-    _check_session(args)
+    _check_session(args, cap=MAX_RANK)
     if math.comb(args.m + args.n + args.degree, args.degree) \
             > MAX_CHAR_CONTENTS:
         raise UsageError(f"char needs C(m + n + degree, degree) <= "

@@ -13,7 +13,8 @@ in p, as pairs (c0, c1) for c0 + c1 p, and a Gram entry as its coefficient
 tuple.  The upper triangle of each content's Gram block is memoized too, as
 the PPolys pair_poly returned, and so are each level's orbit table and the
 Cartan verdict of each pivot set, so a further order only evaluates each
-triangle at p and eliminates.
+triangle at p and eliminates.  The straightening c_a^+ X and these lowering
+and bracket images are the whole module action.
 
 Per-weight Gram matrices of the contravariant form (c_a^+ and c_a^- are
 adjoint, products reverse) have exact rank and positive-semidefiniteness
@@ -36,7 +37,6 @@ against it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from operator import add, index
 from typing import NamedTuple
@@ -53,9 +53,9 @@ from .symfunc import hook_partitions
 class PPoly:
     """Univariate polynomial in the module order p, with integer coefficients.
 
-    Gram entries and action images lie in Z[p]: the commutation rules only
-    multiply by +-1, +-2 and p.  A value at an order is exact and of the
-    order's type: an int at an integer p, a Fraction at a Fraction p.
+    Gram entries lie in Z[p]: the commutation rules only multiply by +-1,
+    +-2 and p.  A value at an order is exact and of the order's type: an int
+    at an integer p, a Fraction at a Fraction p.
     """
 
     __slots__ = ("coeffs",)
@@ -66,47 +66,12 @@ class PPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PPoly(out)
-
     @classmethod
     def _normal(cls, coeffs: tuple):
         """Wrap a coefficient tuple already in normal form (no trailing 0)."""
         poly = object.__new__(cls)
         poly.coeffs = coeffs
         return poly
-
-    def __neg__(self):
-        return PPoly._normal(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product with a PPoly or an int; scaling by 1 returns self, and by
-        -1 the negation."""
-        if isinstance(other, PPoly):
-            out: list = []
-            _add_product(out, self.coeffs, other.coeffs, 1)
-            return PPoly._normal(tuple(out))
-        if other == 1:
-            return self
-        if other == -1:
-            return -self
-        if not other:
-            return _ZERO
-        return PPoly._normal(tuple(other * c for c in self.coeffs))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, PPoly):
@@ -128,23 +93,6 @@ class PPoly:
 
 
 _ZERO = PPoly()
-
-
-def _add_product(out: list, a: tuple, b: tuple, scale: int) -> None:
-    """out += scale * a * b on coefficient lists, out extended as needed.
-    Over the integers a product of normal-form polynomials keeps its leading
-    coefficient nonzero, so PPoly's product is in normal form; a lowering
-    pair (c0, 0) leaves a trailing zero, which _action_image drops."""
-    if not a or not b:
-        return
-    short = len(a) + len(b) - 1 - len(out)
-    if short > 0:
-        out.extend([0] * short)
-    for i, x in enumerate(a):
-        if x:
-            x *= scale
-            for j, y in enumerate(b):
-                out[i + j] += x * y
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +170,12 @@ def pbw_basis(m: int, n: int, level: int) -> list[PBWMonomial]:
 # the module-action engine
 # ---------------------------------------------------------------------------
 
-_LABEL_SCALARS = {"c": 1, "h": Fraction(1, 2), "bb": 1}
-
 SLOT_BITS = 8              # bits per exponent in a packed monomial key
-# (a byte, so a key's big-endian bytes are its exponents: _pack, _mono)
+# (a byte, so a key's big-endian bytes are its exponents: _pack)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
-# An exponent the recursion reaches from X, or from X raised by two letters
-# (act, the Cartan check), is at most X's content entry plus 2.
+# An exponent the recursion reaches from X is at most X's content entry
+# plus 1 (the Cartan check raises X by one letter); the limit leaves room
+# for X raised by two letters, as by a generator c_a^+ c_b^+.
 CONTENT_LIMIT = (1 << SLOT_BITS) - 3
 
 
@@ -259,12 +206,11 @@ class VermaEngine:
     singles first and the first exponent most significant, so int order is
     the canonical order and a letter is one added unit.  low and bracket
     map keys to nonzero pairs (c0, c1), c0 + c1 p; a Gram entry is a
-    coefficient tuple in normal form.  _pack, the way in, raises ValueError
-    for a monomial of the wrong shape, a negative exponent or a content
-    entry at CONTENT_LIMIT; _mono is the way out.  PBWMonomial and PPoly
-    values are built only where a value leaves the engine: pair_poly (so
-    gram_polys) and _action_image (so act); acts_by_weight compares pairs
-    on packed keys.
+    coefficient tuple in normal form.  _pack, the only way in, raises
+    ValueError for a monomial of the wrong shape, a negative exponent or a
+    content entry at CONTENT_LIMIT.  No key leaves the engine: PPoly values
+    are built only in pair_poly (so gram_polys), and acts_by_weight
+    compares pairs on packed keys.
     """
 
     def __init__(self, m: int, n: int):
@@ -326,13 +272,6 @@ class VermaEngine:
                 or max(content, default=0) >= CONTENT_LIMIT:
             raise ValueError(f"{mono!r} has no key in ({self.m}, {self.n})")
         return int.from_bytes(bytes(exps), "big"), content
-
-    def _key(self, mono: PBWMonomial) -> int:
-        return self._pack(mono)[0]
-
-    def _mono(self, key: int) -> PBWMonomial:
-        exps = tuple(key.to_bytes(len(self._shift), "big"))
-        return PBWMonomial(exps[:self.r], exps[self.r:])
 
     # -- creation: prepend a letter and straighten ------------------------
 
@@ -452,36 +391,6 @@ class VermaEngine:
         return basis, tuple(tuple(self.pair_poly(x, y) for y in basis[i:])
                             for i, x in enumerate(basis))
 
-    # -- generator action -----------------------------------------------------
-
-    def _apply(self, acc: dict, sign: str, a: int, vector: dict, factor=1):
-        """acc += factor * c_a^+ vector (sign '+') or c_a^- vector (sign
-        '-'), on {key: coefficient list or tuple} dicts; returns acc."""
-        for key, poly in vector.items():
-            for key2, c in (self._insert_letter(a, key) if sign == "+"
-                            else self.low(a, key)).items():
-                _add_product(acc.setdefault(key2, []), poly,
-                             (c,) if sign == "+" else c, factor)
-        return acc
-
-    def _action_image(self, label, mono: PBWMonomial) -> dict:
-        """{monomial: PPoly}: the label applied to one monomial, before the
-        label's scalar.  ('h', k) is ('bb', k, k, '+', '-') and
-        ('bb', a, b, s, t) is c_a^s c_b^t - (-1)^(p(a)p(b)) c_b^t c_a^s."""
-        unit = {self._key(mono): (1,)}
-        out: dict[int, list] = {}
-        if label[0] == "c":
-            _, a, s = label
-            self._apply(out, s, a, unit)
-        else:
-            _, a, b, s, t = ("bb", label[1], label[1], "+", "-") \
-                if label[0] == "h" else label
-            sigma = -1 if self.parity(a) * self.parity(b) else 1
-            self._apply(out, s, a, self._apply({}, t, b, unit))
-            self._apply(out, t, b, self._apply({}, s, a, unit), -sigma)
-        return {self._mono(key): PPoly(poly)
-                for key, poly in out.items() if any(poly)}
-
     def cartan(self, content: tuple, positions: tuple, indices: tuple) -> bool:
         """Whether each generator pair b in indices acts by weight
         (acts_by_weight) on the content's basis monomials at positions."""
@@ -499,24 +408,6 @@ class VermaEngine:
             self._add_raised(acc, None, self.low(b, y), c)
         self._add_raised(acc, b, self.low(b, x), 1 if self.parity(b) else -1)
         return _nonzero(acc) == {x: (2 * content[b - 1], 1)}
-
-    def act(self, label, vector: dict, p) -> dict:
-        """Left action of a basis element on a module vector, order p.
-
-        vector maps PBWMonomial -> Fraction; labels are ('c', j, sign),
-        ('h', k) or ('bb', j, k, sign, sign) as in the algebra basis.
-        """
-        scalar = _LABEL_SCALARS.get(label[0])
-        if scalar is None:
-            raise ValueError(f"unknown algebra element {label!r}")
-        p = Fraction(p)
-        out: dict[PBWMonomial, Fraction] = {}
-        for mono, coeff in vector.items():
-            coeff = scalar * Fraction(coeff)
-            for mono2, poly in self._action_image(label, mono).items():
-                out[mono2] = out.get(mono2, 0) + coeff * poly.evaluate(p)
-        return {k: v for k, v in out.items() if v}
-
 
 @cache
 def get_engine(m: int, n: int) -> VermaEngine:

@@ -478,6 +478,35 @@ def test_char_size_cap(monkeypatch, capsys):
                   "--degree", str(degree)])
 
 
+@pytest.mark.parametrize("argv", [
+    ("dims", "--m", "1000", "--n", "1000", "--levels", "1"),
+    ("char", "--m", "0", "--n", "500", "--degree", "1", "--p", "1"),
+], ids=["dims", "char"])
+def test_rank_past_the_recursion_cap_is_a_usage_error(argv):
+    """dims and char past cli.MAX_RANK exit 2 with empty stdout, where
+    their recursion would overflow and end in a traceback."""
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} needs m + n <= {cli.MAX_RANK}\n"
+
+
+def test_dims_and_char_rank_cap(capsys):
+    """m + n past the cap is a usage error; at the cap both commands recurse
+    through every index (at level or degree 0, in this process's stack)
+    and exit 0."""
+    cap = cli.MAX_RANK
+    for command, size in (("dims", "--levels"), ("char", "--degree")):
+        for m, n in [(cap + 1, 0), (0, cap + 1), (cap // 2, cap // 2 + 1)]:
+            assert main([command, "--m", str(m), "--n", str(n), size,
+                         "0"]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {command} needs m + n <= {cap}\n")
+        for m, n in [(cap, 0), (0, cap)]:
+            assert main([command, "--m", str(m), "--n", str(n), size,
+                         "0"]) == 0
+            assert capsys.readouterr().err == ""
+
+
 def test_main_callable_directly():
     assert main(["verify-algebra", "--m", "0", "--n", "1"]) == 0
 

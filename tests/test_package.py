@@ -222,17 +222,14 @@ def test_unreferenced_scan_sees_a_test_only_method():
         ("a", 6, "Engine.test_only")]
 
 
-# Methods of module-level classes that no module calls, each kept for its
-# callers outside the package.
+# Methods of module-level classes that no module calls.  A validated
+# NamedTuple's _make builds through its checking __new__, so that _make and
+# _replace (which calls _make) validate too; the scan does not follow the
+# inherited _replace.
 UNCALLED_METHODS = {
-    "VermaEngine.act": "the module action on vectors, which the tests of "
-                       "the triple relations and contravariance apply",
-    # A validated NamedTuple's _make builds through its checking __new__,
-    # so that _make and _replace (which calls _make) validate too; the scan
-    # does not follow the inherited _replace.
-    **{f"{name}._make": "the validating _make of a NamedTuple"
-       for name in ("GeneratorId", "GZPattern", "ParsingVariant",
-                    "SignedSqrtRational")},
+    f"{name}._make": "the validating _make of a NamedTuple"
+    for name in ("GeneratorId", "GZPattern", "ParsingVariant",
+                 "SignedSqrtRational")
 }
 
 
